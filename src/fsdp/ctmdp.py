@@ -200,6 +200,16 @@ def hjb_residual(model, v):
     return float(np.max(np.abs(model.discount_rate * v - best)))
 
 
+def _ct_finish(model, v, sigma, iterations):
+    return SolveResult(
+        value=v,
+        policy=sigma,
+        iterations=iterations,
+        method="ct-hpi",
+        residual=hjb_residual(model, v),
+    )
+
+
 def ct_hpi(model, sigma0=None, max_iter=10_000):
     """Continuous-time Howard policy iteration.
 
@@ -214,23 +224,11 @@ def ct_hpi(model, sigma0=None, max_iter=10_000):
     v = ct_policy_value(model, sigma)
     for k in range(1, max_iter + 1):
         sigma_new = ct_greedy(model, v)
-        v_new = ct_policy_value(model, sigma_new)
         if np.array_equal(sigma_new, sigma):
-            return SolveResult(
-                value=v_new,
-                policy=sigma_new,
-                iterations=k,
-                method="ct-hpi",
-                residual=hjb_residual(model, v_new),
-            )
+            return _ct_finish(model, v, sigma, k)
+        v_new = ct_policy_value(model, sigma_new)
         if np.all(v_new >= v - 1e-12) and np.max(np.abs(v_new - v)) <= 1e-13:
-            return SolveResult(
-                value=v_new,
-                policy=sigma_new,
-                iterations=k,
-                method="ct-hpi",
-                residual=hjb_residual(model, v_new),
-            )
+            return _ct_finish(model, v_new, sigma_new, k)
         sigma, v = sigma_new, v_new
     raise ConvergenceError("continuous-time policy iteration cycled", last=v)
 

@@ -7,6 +7,12 @@ Solvers: value function iteration, Howard policy iteration, optimistic
 policy iteration, plus the expected-value / Q-factor operator
 factorization, a refactored OPI in expected-value space, and the
 log-sum-exp closed form for Gumbel taste shocks.
+
+Policy evaluation is a sparse LU solve of ``I - L_sigma`` built from the
+policy's rows of the discounted kernel, whether the kernel is dense or
+sparse.  Under state-dependent discounting every solver checks the
+stability certificate once, before it iterates; the model records a
+successful check, and evaluation then skips the per-policy radius check.
 """
 
 import math
@@ -14,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 from scipy.special import logsumexp
 
 from . import spectral
@@ -50,7 +57,9 @@ class MDPModel:
     pairs; ``kernel`` holds the transition distribution of each
     state-action pair.  Discounting is either a constant ``beta`` in
     (0, 1) or transition-dependent ``discount_weights`` aligned with the
-    kernel (state-dependent case).
+    kernel (state-dependent case).  A successful
+    :func:`certify_stability` is recorded on the model and covers every
+    policy.
     """
 
     feasible: np.ndarray
@@ -100,6 +109,7 @@ class MDPModel:
                 if np.any(self.discount_weights < 0):
                     raise ValueError("discount weights must be nonnegative")
         self._discounted = None
+        self._certified = False
 
     @property
     def n_states(self):
@@ -192,32 +202,42 @@ def greedy_min(model, v):
     return greedy(model, v, mode="min")
 
 
+def _policy_operator(model, sigma):
+    """Discounted kernel rows ``L_sigma`` and rewards ``r_sigma`` of a policy."""
+    rows = policy_indices(model, sigma)
+    return model.discounted_kernel()[rows], model.reward.reshape(-1)[rows]
+
+
+def _check_policy_radius(l_sigma, sigma):
+    rho = spectral.spectral_radius(l_sigma)
+    if rho >= 1.0 - spectral.RADIUS_SLACK:
+        raise SpectralRadiusError(
+            f"policy discount operator has spectral radius {rho:.12g} >= 1",
+            spectral_radius=rho,
+            policy=np.asarray(sigma),
+        )
+
+
 def policy_apply(model, sigma, v):
     """One application of the policy operator ``r_sigma + L_sigma v``."""
-    rows = policy_indices(model, sigma)
-    lv = model.discounted_kernel()[rows] @ np.asarray(v, dtype=float)
-    return policy_reward(model, sigma) + np.asarray(lv).reshape(-1)
+    l_sigma, r_sigma = _policy_operator(model, sigma)
+    return r_sigma + l_sigma @ np.asarray(v, dtype=float)
 
 
 def policy_value(model, sigma):
     """Exact lifetime value of a policy via the linear system.
 
-    Solves ``(I - L_sigma) v = r_sigma``.  In the state-dependent case
-    the per-policy radius ``rho(L_sigma) < 1`` is verified first and a
-    violation raises with the offending policy attached.
+    Solves ``(I - L_sigma) v = r_sigma`` by sparse LU (SuperLU with
+    COLAMD ordering) on a CSC matrix, for dense and sparse kernels alike.
+    A state-dependent model that :func:`certify_stability` has not
+    certified gets the per-policy radius check ``rho(L_sigma) < 1``
+    first, and a violation raises with the offending policy attached.
     """
-    l_sigma = policy_matrix(model, sigma, discounted=True)
-    if model.state_dependent:
-        rho = spectral.spectral_radius(l_sigma)
-        if rho >= 1.0 - spectral.RADIUS_SLACK:
-            raise SpectralRadiusError(
-                f"policy discount operator has spectral radius {rho:.12g} >= 1",
-                spectral_radius=rho,
-                policy=np.asarray(sigma),
-            )
-    r_sigma = policy_reward(model, sigma)
-    eye = np.eye(model.n_states)
-    return np.linalg.solve(eye - l_sigma, r_sigma)
+    if model.state_dependent and not model._certified:
+        _check_policy_radius(policy_matrix(model, sigma, discounted=True), sigma)
+    l_sigma, r_sigma = _policy_operator(model, sigma)
+    system = sp.identity(model.n_states, format="csc") - sp.csc_matrix(l_sigma)
+    return spsolve(system, r_sigma)
 
 
 def certify_stability(model, dominating=None):
@@ -231,14 +251,15 @@ def certify_stability(model, dominating=None):
     records that the caller has verified stability through model
     structure (for example, discounting driven by an action-independent
     exogenous block whose discount operator has radius below one).
+    Success is recorded on the model, so later policy evaluations skip
+    their per-policy radius check.
     """
     if not model.state_dependent:
         return
     if isinstance(dominating, str):
-        if dominating == "certified":
-            return
-        raise ValueError(f"unknown certificate {dominating!r}")
-    if dominating is not None:
+        if dominating != "certified":
+            raise ValueError(f"unknown certificate {dominating!r}")
+    elif dominating is not None:
         dominating = np.asarray(dominating, dtype=float)
         discounted = model.discounted_kernel()
         if sp.issparse(discounted):
@@ -257,21 +278,15 @@ def certify_stability(model, dominating=None):
                 f"dominating matrix has spectral radius {rho:.12g} >= 1",
                 spectral_radius=rho,
             )
-        return
-    if model.policy_count() > math.log10(POLICY_ENUMERATION_LIMIT):
-        raise StabilityError(
-            "state-dependent discounting needs a dominating matrix: the policy "
-            "space is too large for exhaustive per-policy radius checks"
-        )
-    for sigma in enumerate_policies(model):
-        l_sigma = policy_matrix(model, sigma, discounted=True)
-        rho = spectral.spectral_radius(l_sigma)
-        if rho >= 1.0 - spectral.RADIUS_SLACK:
-            raise SpectralRadiusError(
-                f"policy discount operator has spectral radius {rho:.12g} >= 1",
-                spectral_radius=rho,
-                policy=sigma,
+    else:
+        if model.policy_count() > math.log10(POLICY_ENUMERATION_LIMIT):
+            raise StabilityError(
+                "state-dependent discounting needs a dominating matrix: the policy "
+                "space is too large for exhaustive per-policy radius checks"
             )
+        for sigma in enumerate_policies(model):
+            _check_policy_radius(policy_matrix(model, sigma, discounted=True), sigma)
+    model._certified = True
 
 
 def enumerate_policies(model):
@@ -352,9 +367,11 @@ def solve_vfi(
 def solve_hpi(model, sigma0=None, mode="max", max_iter=10_000, dominating=None):
     """Howard policy iteration: exact policy evaluation plus improvement.
 
-    Terminates when the policy repeats, which happens in finitely many
-    steps; the returned policy is exactly optimal.  The iteration cap is
-    defensive only.
+    Each distinct policy is evaluated once, by a sparse LU solve of
+    ``I - L_sigma`` (see :func:`policy_value`); the stability certificate
+    is checked once, before the first evaluation.  Terminates when the
+    policy repeats, which happens in finitely many steps; the returned
+    policy is exactly optimal.  The iteration cap is defensive only.
     """
     certify_stability(model, dominating)
     if sigma0 is None:
@@ -365,8 +382,10 @@ def solve_hpi(model, sigma0=None, mode="max", max_iter=10_000, dominating=None):
     v = policy_value(model, sigma)
     for k in range(1, max_iter + 1):
         sigma_new = greedy(model, v, mode)
+        if np.array_equal(sigma_new, sigma):
+            return _finish(model, v, mode, k, "hpi")
         v_new = policy_value(model, sigma_new)
-        if np.array_equal(sigma_new, sigma) or np.max(np.abs(v_new - v)) <= 1e-12:
+        if np.max(np.abs(v_new - v)) <= 1e-12:
             return _finish(model, v_new, mode, k, "hpi")
         sigma, v = sigma_new, v_new
     raise ConvergenceError("policy iteration cycled past the defensive cap", last=v)
@@ -395,10 +414,10 @@ def solve_opi(
     v = policy_value(model, sigma0)
     history = [v.copy()] if record_history else None
     for k in range(1, max_iter + 1):
-        sigma = greedy(model, v, mode)
+        l_sigma, r_sigma = _policy_operator(model, greedy(model, v, mode))
         v_new = v
         for _ in range(m):
-            v_new = policy_apply(model, sigma, v_new)
+            v_new = r_sigma + l_sigma @ v_new
         step = float(np.linalg.norm(v_new - v, np.inf))
         v = v_new
         if record_history:

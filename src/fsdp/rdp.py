@@ -281,8 +281,10 @@ def _rdp_hpi(model, mode, sigma0, tolerance, cap=10_000):
     v = rdp_policy_value(model, sigma, tolerance)
     for k in range(1, cap + 1):
         sigma_new = rdp_greedy(model, v, mode)
+        if np.array_equal(sigma_new, sigma):
+            return _rdp_finish(model, v, mode, k, "rdp-hpi")
         v_new = rdp_policy_value(model, sigma_new, tolerance)
-        if np.array_equal(sigma_new, sigma) or np.max(np.abs(v_new - v)) <= 1e-12:
+        if np.max(np.abs(v_new - v)) <= 1e-12:
             return _rdp_finish(model, v_new, mode, k, "rdp-hpi")
         sigma, v = sigma_new, v_new
     raise ConvergenceError("policy iteration cycled past the defensive cap", last=v)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsdp import dp, spectral
 from fsdp.dp import (
@@ -22,6 +24,7 @@ from fsdp.dp import (
     solve_vfi,
 )
 from fsdp.errors import SpectralRadiusError, StabilityError
+from fsdp.models import ZOO
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -127,6 +130,119 @@ class TestPolicyValue:
         )
         with pytest.raises(ValueError):
             policy_value(model, [1, 1])
+
+
+def dense_policy_value(model, sigma):
+    """Reference evaluation: dense ``np.linalg.solve`` of ``(I - L_sigma) v = r_sigma``."""
+    l_sigma = policy_matrix(model, sigma, discounted=True)
+    return np.linalg.solve(np.eye(model.n_states) - l_sigma, policy_reward(model, sigma))
+
+
+def dense_hpi(model, max_iter=1000):
+    """Howard policy iteration evaluated by dense solves, started as solve_hpi is."""
+    sigma = np.where(model.feasible, model.reward, -np.inf).argmax(axis=1)
+    v = dense_policy_value(model, sigma)
+    for _ in range(max_iter):
+        sigma_new = greedy(model, v)
+        if np.array_equal(sigma_new, sigma):
+            return sigma, v
+        sigma, v = sigma_new, dense_policy_value(model, sigma_new)
+    raise AssertionError("dense reference HPI did not terminate")
+
+
+def close_relative(a, b, tol=1e-10):
+    return np.max(np.abs(a - b)) <= tol * max(1.0, np.max(np.abs(b)))
+
+
+class TestSparsePolicyEvaluation:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        m=st.integers(1, 4),
+        sparse=st.booleans(),
+        state_dependent=st.booleans(),
+        certified=st.booleans(),
+    )
+    def test_matches_dense_solve(self, seed, n, m, sparse, state_dependent, certified):
+        rng = np.random.default_rng(seed)
+        kernel = rng.random((n * m, n)) * (rng.random((n * m, n)) < 0.5)
+        kernel[np.arange(n * m), rng.integers(0, n, n * m)] += 0.1
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        feasible = rng.random((n, m)) < 0.6
+        feasible[np.arange(n), rng.integers(0, m, n)] = True
+        discount = {"beta": rng.uniform(0.1, 0.99)}
+        if state_dependent:
+            weights = rng.uniform(0.0, 0.99, size=(n * m, n))
+            discount = {"discount_weights": sp.csr_matrix(weights) if sparse else weights}
+        model = MDPModel(
+            feasible=feasible,
+            reward=rng.standard_normal((n, m)),
+            kernel=sp.csr_matrix(kernel) if sparse else kernel,
+            **discount,
+        )
+        if certified:
+            certify_stability(model)
+        sigma = np.array([rng.choice(np.flatnonzero(row)) for row in feasible])
+        v = policy_value(model, sigma)
+        assert v.shape == (n,)
+        assert close_relative(v, dense_policy_value(model, sigma))
+
+    def test_hpi_evaluates_each_distinct_policy_once(self, monkeypatch):
+        model = ZOO["optimal_investment"].build(ci_scale=True)["mdp"]
+        evaluated = []
+        original = dp.policy_value
+
+        def counting(model, sigma):
+            evaluated.append(np.asarray(sigma, dtype=np.int64).tobytes())
+            return original(model, sigma)
+
+        monkeypatch.setattr(dp, "policy_value", counting)
+        result = solve_hpi(model)
+        assert len(evaluated) >= 3
+        assert len(evaluated) == len(set(evaluated))
+        assert len(evaluated) == result.iterations
+        assert close_relative(result.value, dense_policy_value(model, result.policy))
+
+    @pytest.mark.parametrize("certificate", ["dominating", "certified"])
+    def test_certified_solve_checks_no_policy_radius(self, monkeypatch, certificate):
+        # Actions share a transition row, so b_max * P dominates every
+        # discounted policy operator at once.
+        rng = np.random.default_rng(29)
+        n, m, b_max = 12, 3, 0.95
+        p = rng.random((n, n)) + 0.05
+        p /= p.sum(axis=1, keepdims=True)
+        model = MDPModel(
+            feasible=np.ones((n, m), dtype=bool),
+            reward=rng.standard_normal((n, m)),
+            kernel=np.repeat(p[:, None, :], m, axis=1),
+            discount_weights=rng.uniform(0.5, b_max, size=(n, m, n)),
+        )
+        dominating = b_max * p if certificate == "dominating" else "certified"
+        calls = []
+        original = spectral.spectral_radius
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(spectral, "spectral_radius", counting)
+        result = solve_hpi(model, dominating=dominating)
+        # Only the dominating matrix itself is checked, before the loop.
+        assert len(calls) == (1 if certificate == "dominating" else 0)
+        assert close_relative(result.value, dense_policy_value(model, result.policy))
+
+    @pytest.mark.parametrize(
+        "card", [name for name, card in ZOO.items() if card.kind in ("mdp", "rdp")]
+    )
+    def test_zoo_hpi_matches_dense_oracle(self, card):
+        built = ZOO[card].build(ci_scale=True)
+        model = built["mdp"]
+        dominating = "certified" if "exogenous_certificate" in built else None
+        result = solve_hpi(model, dominating=dominating)
+        sigma, v = dense_hpi(model)
+        assert np.array_equal(result.policy, sigma)
+        assert close_relative(result.value, v)
 
 
 class TestGreedy:
