@@ -10,9 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import markov, spectral
-from .dp import SolveResult
-from .errors import ConvergenceError
+from . import dp, fixed_point, markov, spectral
 
 ROW_SUM_TOL = 1e-10
 
@@ -200,37 +198,27 @@ def hjb_residual(model, v):
     return float(np.max(np.abs(model.discount_rate * v - best)))
 
 
-def _ct_finish(model, v, sigma, iterations):
-    return SolveResult(
-        value=v,
-        policy=sigma,
-        iterations=iterations,
-        method="ct-hpi",
-        residual=hjb_residual(model, v),
-    )
-
-
 def ct_hpi(model, sigma0=None, max_iter=10_000):
     """Continuous-time Howard policy iteration.
 
     Alternates exact policy evaluation with greedy improvement and stops
     when the policy repeats; finite termination is guaranteed and the
-    returned policy is exactly optimal.
+    returned policy is exactly optimal.  Same loop and tie rule as
+    :func:`fsdp.dp.solve_hpi`, with the continuous-time evaluator.
     """
-    if sigma0 is None:
-        sigma = np.where(model.feasible, model.reward, -np.inf).argmax(axis=1)
-    else:
-        sigma = np.asarray(sigma0, dtype=np.int64).copy()
-    v = ct_policy_value(model, sigma)
-    for k in range(1, max_iter + 1):
-        sigma_new = ct_greedy(model, v)
-        if np.array_equal(sigma_new, sigma):
-            return _ct_finish(model, v, sigma, k)
-        v_new = ct_policy_value(model, sigma_new)
-        if np.all(v_new >= v - 1e-12) and np.max(np.abs(v_new - v)) <= 1e-13:
-            return _ct_finish(model, v_new, sigma_new, k)
-        sigma, v = sigma_new, v_new
-    raise ConvergenceError("continuous-time policy iteration cycled", last=v)
+    v, k = fixed_point.policy_iteration(
+        lambda v: ct_greedy(model, v),
+        lambda sigma: ct_policy_value(model, sigma),
+        dp._start_policy(model, sigma0, "max"),
+        max_iter,
+    )
+    return dp.SolveResult(
+        value=v,
+        policy=ct_greedy(model, v),
+        iterations=k,
+        method="ct-hpi",
+        residual=hjb_residual(model, v),
+    )
 
 
 def uniformized_mdp(model, rate=None):
@@ -241,8 +229,6 @@ def uniformized_mdp(model, rate=None):
     ``theta / (theta + delta)``; rewards are rescaled by
     ``1 / (theta + delta)`` so lifetime values coincide.
     """
-    from .dp import MDPModel
-
     n, m = model.feasible.shape
     diag = model.kernel[np.arange(n), :, np.arange(n)]  # (n, m)
     theta = rate if rate is not None else float(np.max(-diag)) * 1.05 + 1e-9
@@ -260,6 +246,6 @@ def uniformized_mdp(model, rate=None):
         kernel[bad.nonzero()[0], bad.nonzero()[1], bad.nonzero()[0]] = 1.0
     reward = model.reward / (theta + delta)
     beta = theta / (theta + delta)
-    return MDPModel(
+    return dp.MDPModel(
         feasible=model.feasible, reward=reward, kernel=kernel, beta=beta
     )

@@ -4,9 +4,10 @@ The model stores the transition kernel in flat ``(n_states * n_actions,
 n_states)`` form, one row per state-action pair, either dense or
 scipy-sparse (row-compressed slices keep large structured models cheap).
 Solvers: value function iteration, Howard policy iteration, optimistic
-policy iteration, plus the expected-value / Q-factor operator
-factorization, a refactored OPI in expected-value space, and the
-log-sum-exp closed form for Gumbel taste shocks.
+policy iteration (their loops live in :mod:`fsdp.fixed_point`), plus the
+expected-value / Q-factor operator factorization, a refactored OPI in
+expected-value space, and the log-sum-exp closed form for Gumbel taste
+shocks.
 
 Policy evaluation is a sparse LU solve of ``I - L_sigma`` built from the
 policy's rows of the discounted kernel, whether the kernel is dense or
@@ -15,6 +16,7 @@ stability certificate once, before it iterates; the model records a
 successful check, and evaluation then skips the per-policy radius check.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,8 +25,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 from scipy.special import logsumexp
 
-from . import spectral
-from .errors import ConvergenceError, SpectralRadiusError, StabilityError
+from . import fixed_point, spectral
+from .errors import ConvergenceError, StabilityError
 
 ROW_SUM_TOL = 1e-10
 
@@ -208,16 +210,6 @@ def _policy_operator(model, sigma):
     return model.discounted_kernel()[rows], model.reward.reshape(-1)[rows]
 
 
-def _check_policy_radius(l_sigma, sigma):
-    rho = spectral.spectral_radius(l_sigma)
-    if rho >= 1.0 - spectral.RADIUS_SLACK:
-        raise SpectralRadiusError(
-            f"policy discount operator has spectral radius {rho:.12g} >= 1",
-            spectral_radius=rho,
-            policy=np.asarray(sigma),
-        )
-
-
 def policy_apply(model, sigma, v):
     """One application of the policy operator ``r_sigma + L_sigma v``."""
     l_sigma, r_sigma = _policy_operator(model, sigma)
@@ -234,7 +226,9 @@ def policy_value(model, sigma):
     first, and a violation raises with the offending policy attached.
     """
     if model.state_dependent and not model._certified:
-        _check_policy_radius(policy_matrix(model, sigma, discounted=True), sigma)
+        spectral.check_radius_below_one(
+            policy_matrix(model, sigma, discounted=True), "policy discount operator", policy=sigma
+        )
     l_sigma, r_sigma = _policy_operator(model, sigma)
     system = sp.identity(model.n_states, format="csc") - sp.csc_matrix(l_sigma)
     return spsolve(system, r_sigma)
@@ -272,35 +266,34 @@ def certify_stability(model, dominating=None):
             rows = np.repeat(np.arange(model.n_states), model.n_actions)
             if np.any(discounted > dominating[rows] + 1e-12):
                 raise StabilityError("dominating matrix does not bound the discounted kernel")
-        rho = spectral.spectral_radius(dominating)
-        if rho >= 1.0 - spectral.RADIUS_SLACK:
-            raise SpectralRadiusError(
-                f"dominating matrix has spectral radius {rho:.12g} >= 1",
-                spectral_radius=rho,
-            )
+        spectral.check_radius_below_one(dominating, "dominating matrix")
     else:
-        if model.policy_count() > math.log10(POLICY_ENUMERATION_LIMIT):
-            raise StabilityError(
-                "state-dependent discounting needs a dominating matrix: the policy "
-                "space is too large for exhaustive per-policy radius checks"
-            )
-        for sigma in enumerate_policies(model):
-            _check_policy_radius(policy_matrix(model, sigma, discounted=True), sigma)
+        _check_every_policy(model, lambda sigma: policy_matrix(model, sigma, discounted=True))
     model._certified = True
 
 
+def _check_every_policy(model, discount_operator):
+    """Check ``rho < 1`` for the discount operator of every feasible policy.
+
+    ``discount_operator`` maps a policy to its matrix.  A violation raises
+    :class:`SpectralRadiusError` with the policy attached.  Above
+    ``POLICY_ENUMERATION_LIMIT`` policies the enumeration is refused.
+    """
+    if model.policy_count() > math.log10(POLICY_ENUMERATION_LIMIT):
+        raise StabilityError(
+            "the policy space is too large for exhaustive per-policy radius checks: "
+            "a dominating matrix is needed"
+        )
+    for sigma in enumerate_policies(model):
+        spectral.check_radius_below_one(
+            discount_operator(sigma), "policy discount operator", policy=sigma
+        )
+
+
 def enumerate_policies(model):
-    """Yield every feasible policy (small models only)."""
-    choices = [np.flatnonzero(row) for row in model.feasible]
-
-    def rec(prefix, depth):
-        if depth == len(choices):
-            yield np.array(prefix, dtype=np.int64)
-            return
-        for a in choices[depth]:
-            yield from rec(prefix + [a], depth + 1)
-
-    yield from rec([], 0)
+    """Yield every feasible policy (small models only), last state fastest."""
+    for sigma in itertools.product(*(np.flatnonzero(row) for row in model.feasible)):
+        yield np.array(sigma, dtype=np.int64)
 
 
 @dataclass
@@ -316,18 +309,25 @@ class SolveResult:
     history: list = field(default_factory=list)
 
 
-def _finish(model, v, mode, iterations, method, error_bound=None, history=None):
-    sigma = greedy(model, v, mode)
-    residual = float(np.linalg.norm(bellman(model, v, mode) - v, np.inf))
+def _finish(v, sigma, tv, iterations, method, error_bound=None, history=None):
+    """Solve result at ``v``, with greedy policy ``sigma`` and Bellman image ``tv``."""
     return SolveResult(
         value=v,
         policy=sigma,
         iterations=iterations,
         method=method,
-        residual=residual,
+        residual=float(np.max(np.abs(tv - v))),
         error_bound=error_bound,
         history=history or [],
     )
+
+
+def _start_policy(model, sigma0, mode):
+    """``sigma0`` as an index array, or the myopic (best-reward) policy if None."""
+    if sigma0 is None:
+        fill = _masked(model, model.reward, mode)
+        return fill.argmax(axis=1) if mode == "max" else fill.argmin(axis=1)
+    return np.asarray(sigma0, dtype=np.int64)
 
 
 def solve_vfi(
@@ -349,19 +349,11 @@ def solve_vfi(
     certify_stability(model, dominating)
     v = np.zeros(model.n_states) if v0 is None else np.asarray(v0, dtype=float).copy()
     history = [v.copy()] if record_history else None
-    step = np.inf
-    for k in range(1, max_iter + 1):
-        v_new = bellman(model, v, mode)
-        step = float(np.linalg.norm(v_new - v, np.inf))
-        v = v_new
-        if record_history:
-            history.append(v.copy())
-        if step <= tolerance:
-            bound = None
-            if not model.state_dependent:
-                bound = 2 * model.beta / (1 - model.beta) * step
-            return _finish(model, v, mode, k, "vfi", bound, history)
-    raise ConvergenceError("value function iteration hit the iteration cap", last=v)
+    v, k, step = fixed_point.value_iteration(
+        lambda v: bellman(model, v, mode), v, tolerance, max_iter, history
+    )
+    bound = None if model.state_dependent else 2 * model.beta / (1 - model.beta) * step
+    return _finish(v, greedy(model, v, mode), bellman(model, v, mode), k, "vfi", bound, history)
 
 
 def solve_hpi(model, sigma0=None, mode="max", max_iter=10_000, dominating=None):
@@ -374,21 +366,13 @@ def solve_hpi(model, sigma0=None, mode="max", max_iter=10_000, dominating=None):
     policy is exactly optimal.  The iteration cap is defensive only.
     """
     certify_stability(model, dominating)
-    if sigma0 is None:
-        fill = np.where(model.feasible, model.reward, -np.inf if mode == "max" else np.inf)
-        sigma = fill.argmax(axis=1) if mode == "max" else fill.argmin(axis=1)
-    else:
-        sigma = np.asarray(sigma0, dtype=np.int64).copy()
-    v = policy_value(model, sigma)
-    for k in range(1, max_iter + 1):
-        sigma_new = greedy(model, v, mode)
-        if np.array_equal(sigma_new, sigma):
-            return _finish(model, v, mode, k, "hpi")
-        v_new = policy_value(model, sigma_new)
-        if np.max(np.abs(v_new - v)) <= 1e-12:
-            return _finish(model, v_new, mode, k, "hpi")
-        sigma, v = sigma_new, v_new
-    raise ConvergenceError("policy iteration cycled past the defensive cap", last=v)
+    v, k = fixed_point.policy_iteration(
+        lambda v: greedy(model, v, mode),
+        lambda sigma: policy_value(model, sigma),
+        _start_policy(model, sigma0, mode),
+        max_iter,
+    )
+    return _finish(v, greedy(model, v, mode), bellman(model, v, mode), k, "hpi")
 
 
 def solve_opi(
@@ -408,23 +392,19 @@ def solve_opi(
     reproduces the VFI value sequence.
     """
     certify_stability(model, dominating)
-    if sigma0 is None:
-        fill = np.where(model.feasible, model.reward, -np.inf if mode == "max" else np.inf)
-        sigma0 = fill.argmax(axis=1) if mode == "max" else fill.argmin(axis=1)
-    v = policy_value(model, sigma0)
+    v = policy_value(model, _start_policy(model, sigma0, mode))
     history = [v.copy()] if record_history else None
-    for k in range(1, max_iter + 1):
-        l_sigma, r_sigma = _policy_operator(model, greedy(model, v, mode))
-        v_new = v
-        for _ in range(m):
-            v_new = r_sigma + l_sigma @ v_new
-        step = float(np.linalg.norm(v_new - v, np.inf))
-        v = v_new
-        if record_history:
-            history.append(v.copy())
-        if step <= tolerance:
-            return _finish(model, v, mode, k, f"opi(m={m})", history=history)
-    raise ConvergenceError("optimistic policy iteration hit the iteration cap", last=v)
+
+    def policy_operator(sigma):
+        l_sigma, r_sigma = _policy_operator(model, sigma)
+        return lambda v: r_sigma + l_sigma @ v
+
+    v, k = fixed_point.optimistic_policy_iteration(
+        lambda v: greedy(model, v, mode), policy_operator, v, m, tolerance, max_iter, history
+    )
+    return _finish(
+        v, greedy(model, v, mode), bellman(model, v, mode), k, f"opi(m={m})", history=history
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 Successive approximation with optional damping, Newton fixed-point
 iteration, and convergence-rate diagnostics.  Maps act on 1-d numpy
 arrays (scalars are promoted to length-one vectors).
+
+Also the value function iteration, Howard policy iteration and
+optimistic policy iteration loops shared by the MDP, RDP and
+continuous-time solvers.  They take the model's operators as callables,
+so one loop serves every family of monotone policy operators.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +32,6 @@ class IterationConfig:
     tolerance: float = 1e-6
     max_iter: int = 10_000
     damping: float = 1.0
-    print_step: int | None = None
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -83,13 +87,72 @@ def successive_approx(op, u0, cfg=None):
         trace.errors.append(step)
         trace.iterates.append(float(u_new[0]) if scalar else u_new.copy())
         trace.iterations = k
-        if cfg.print_step and k % cfg.print_step == 0:
-            print(f"iteration {k}: step {step:.3e}")
         u = u_new
         if step <= cfg.tolerance:
             trace.converged = True
             break
     return trace
+
+
+def value_iteration(bellman, v, tolerance, max_iter, history=None):
+    """Iterate ``v <- bellman(v)`` until the sup-norm step is at most ``tolerance``.
+
+    Returns ``(v, k, last_step)`` with ``k`` the number of sweeps.  Each
+    iterate is appended to ``history`` when a list is given.  Raises
+    :class:`ConvergenceError` carrying the last iterate at ``max_iter``.
+    """
+    for k in range(1, max_iter + 1):
+        v_new = bellman(v)
+        step = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if history is not None:
+            history.append(v.copy())
+        if step <= tolerance:
+            return v, k, step
+    raise ConvergenceError("value function iteration hit the iteration cap", last=v)
+
+
+def policy_iteration(greedy, evaluate, sigma, max_iter):
+    """Howard policy iteration from ``sigma``: exact evaluation, greedy improvement.
+
+    ``evaluate(sigma)`` returns the lifetime value of a policy and
+    ``greedy(v)`` a policy greedy at ``v``.  Stops when the greedy policy
+    repeats, or when a new policy's value moves by at most 1e-12 (a tie
+    between equally good policies), so each distinct policy is evaluated
+    once.  Returns ``(v, k)``; the iteration cap is defensive only.
+    """
+    v = evaluate(sigma)
+    for k in range(1, max_iter + 1):
+        sigma_new = greedy(v)
+        if np.array_equal(sigma_new, sigma):
+            return v, k
+        v_new = evaluate(sigma_new)
+        if np.max(np.abs(v_new - v)) <= 1e-12:
+            return v_new, k
+        sigma, v = sigma_new, v_new
+    raise ConvergenceError("policy iteration cycled past the defensive cap", last=v)
+
+
+def optimistic_policy_iteration(greedy, policy_operator, v, m, tolerance, max_iter, history=None):
+    """Optimistic policy iteration: ``v <- T_sigma^m v`` with ``sigma`` greedy at ``v``.
+
+    ``policy_operator(sigma)`` returns the map ``v -> T_sigma v``.  Stops
+    when the sup-norm step of an outer iteration is at most ``tolerance``
+    and returns ``(v, k)``; ``m = 1`` reproduces value function iteration.
+    Each iterate is appended to ``history`` when a list is given.
+    """
+    for k in range(1, max_iter + 1):
+        apply = policy_operator(greedy(v))
+        v_new = v
+        for _ in range(m):
+            v_new = apply(v_new)
+        step = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if history is not None:
+            history.append(v.copy())
+        if step <= tolerance:
+            return v, k
+    raise ConvergenceError("optimistic policy iteration hit the iteration cap", last=v)
 
 
 def finite_difference_jacobian(op, u):

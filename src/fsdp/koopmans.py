@@ -109,11 +109,6 @@ class QuantileCE(_CertaintyEquivalent):
         return markov.conditional_quantile(self.tau, v, self.p)
 
 
-def apply_ce(ce, v):
-    """Apply a certainty-equivalent operator to a value vector."""
-    return ce(v)
-
-
 # ---------------------------------------------------------------------------
 # Aggregators
 

@@ -8,7 +8,7 @@ overrides (for instance grid downsizing) through the card registry.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import betabinom, binom
+from scipy.special import betaln, comb
 
 from . import ctmdp, dp, markov, rdp, spectral
 from .errors import SpectralRadiusError
@@ -25,7 +25,9 @@ def job_search_iid(n=50, w_min=10.0, w_max=60.0, a=200, b=100, beta=0.96, c=10.0
     scalar continuation-value recursion.
     """
     wages = np.linspace(w_min, w_max, n + 1)
-    offer_probs = betabinom(n, a, b).pmf(np.arange(n + 1))
+    draws = np.arange(n + 1)
+    # Beta-binomial(n, a, b) pmf.
+    offer_probs = comb(n, draws) * np.exp(betaln(draws + a, n - draws + b) - betaln(a, b))
     offer_probs = offer_probs / offer_probs.sum()
     nw = wages.size
     n_states = 2 * nw
@@ -940,7 +942,9 @@ def ez_savings(psi=1.97, beta=0.96, gamma=-7.89, n=80, p=0.5, e_max=0.5, w_size=
     ``n`` points.
     """
     alpha = 1.0 - 1.0 / psi
-    phi = binom(n - 1, p).pmf(np.arange(n))
+    draws = np.arange(n)
+    # Binomial(n - 1, p) pmf.
+    phi = comb(n - 1, draws) * p**draws * (1 - p) ** (n - 1 - draws)
     phi = phi / phi.sum()
     e_grid = np.linspace(1e-5, e_max, n)
     w_grid = np.linspace(0.0, w_max, w_size)

@@ -9,15 +9,13 @@ certificate.  Includes constructors for robust (worst-case kernel),
 smooth-ambiguity, shortest-path, and negative-discount-rate models.
 """
 
-import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import dp, spectral
-from .dp import SolveResult
-from .errors import ConvergenceError, SpectralRadiusError, StabilityError
+from . import dp, fixed_point, spectral
+from .errors import ConvergenceError, StabilityError
 
 
 @dataclass(frozen=True)
@@ -145,31 +143,14 @@ def verify_certificate(model, mode="max"):
             raise StabilityError(f"contraction modulus {stab.modulus} is not below one")
     elif isinstance(stab, EventuallyContracting):
         if stab.dominating is not None:
-            rho = spectral.spectral_radius(np.asarray(stab.dominating, dtype=float))
-            if rho >= 1.0 - spectral.RADIUS_SLACK:
-                raise SpectralRadiusError(
-                    f"dominating operator has spectral radius {rho:.12g} >= 1",
-                    spectral_radius=rho,
-                )
+            spectral.check_radius_below_one(stab.dominating, "dominating operator")
+        elif stab.policy_radius is None:
+            raise StabilityError(
+                "eventually-contracting class needs a dominating matrix or a "
+                "per-policy radius map"
+            )
         else:
-            if stab.policy_radius is None:
-                raise StabilityError(
-                    "eventually-contracting class needs a dominating matrix or a "
-                    "per-policy radius map"
-                )
-            if model.policy_count() > math.log10(dp.POLICY_ENUMERATION_LIMIT):
-                raise StabilityError(
-                    "policy space too large for exhaustive per-policy radius checks"
-                )
-            for sigma in dp.enumerate_policies(model):
-                l_sigma = np.asarray(stab.policy_radius(sigma), dtype=float)
-                rho = spectral.spectral_radius(l_sigma)
-                if rho >= 1.0 - spectral.RADIUS_SLACK:
-                    raise SpectralRadiusError(
-                        f"policy has discount-operator radius {rho:.12g} >= 1",
-                        spectral_radius=rho,
-                        policy=sigma,
-                    )
+            dp._check_every_policy(model, stab.policy_radius)
     elif isinstance(stab, ConvexConcave):
         lower = np.asarray(stab.lower, dtype=float)
         upper = np.asarray(stab.upper, dtype=float)
@@ -231,15 +212,19 @@ def rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
     raise ConvergenceError("policy evaluation hit the iteration cap", last=v)
 
 
-def _default_policy(model, mode):
-    # Myopic start: best action against the zero (or bracket-lower) value.
+def _start_value(model):
+    # Zero, or the bottom of the order interval for interval classes.
     stab = model.stability
-    start = (
-        np.asarray(stab.lower, dtype=float)
-        if isinstance(stab, ConvexConcave)
-        else np.zeros(model.n_states)
-    )
-    return rdp_greedy(model, start, mode)
+    if isinstance(stab, ConvexConcave):
+        return np.array(stab.lower, dtype=float)
+    return np.zeros(model.n_states)
+
+
+def _start_policy(model, sigma0, mode):
+    # Myopic start: best action against the start value.
+    if sigma0 is None:
+        return rdp_greedy(model, _start_value(model), mode)
+    return np.asarray(sigma0, dtype=np.int64)
 
 
 def rdp_solve(
@@ -267,60 +252,38 @@ def rdp_solve(
 
 
 def _rdp_finish(model, v, mode, iterations, method):
-    sigma = rdp_greedy(model, v, mode)
-    residual = float(np.max(np.abs(rdp_bellman(model, v, mode) - v)))
-    return SolveResult(
-        value=v, policy=sigma, iterations=iterations, method=method, residual=residual
+    return dp._finish(
+        v, rdp_greedy(model, v, mode), rdp_bellman(model, v, mode), iterations, method
     )
 
 
 def _rdp_hpi(model, mode, sigma0, tolerance, cap=10_000):
-    sigma = (
-        _default_policy(model, mode) if sigma0 is None else np.asarray(sigma0, dtype=np.int64)
+    v, k = fixed_point.policy_iteration(
+        lambda v: rdp_greedy(model, v, mode),
+        lambda sigma: rdp_policy_value(model, sigma, tolerance),
+        _start_policy(model, sigma0, mode),
+        cap,
     )
-    v = rdp_policy_value(model, sigma, tolerance)
-    for k in range(1, cap + 1):
-        sigma_new = rdp_greedy(model, v, mode)
-        if np.array_equal(sigma_new, sigma):
-            return _rdp_finish(model, v, mode, k, "rdp-hpi")
-        v_new = rdp_policy_value(model, sigma_new, tolerance)
-        if np.max(np.abs(v_new - v)) <= 1e-12:
-            return _rdp_finish(model, v_new, mode, k, "rdp-hpi")
-        sigma, v = sigma_new, v_new
-    raise ConvergenceError("policy iteration cycled past the defensive cap", last=v)
+    return _rdp_finish(model, v, mode, k, "rdp-hpi")
 
 
 def _rdp_vfi(model, mode, tolerance, max_iter):
-    stab = model.stability
-    v = (
-        np.asarray(stab.lower, dtype=float).copy()
-        if isinstance(stab, ConvexConcave)
-        else np.zeros(model.n_states)
+    v, k, _ = fixed_point.value_iteration(
+        lambda v: rdp_bellman(model, v, mode), _start_value(model), tolerance, max_iter
     )
-    for k in range(1, max_iter + 1):
-        v_new = rdp_bellman(model, v, mode)
-        step = np.max(np.abs(v_new - v))
-        v = v_new
-        if step <= tolerance:
-            return _rdp_finish(model, v, mode, k, "rdp-vfi")
-    raise ConvergenceError("value iteration hit the iteration cap", last=v)
+    return _rdp_finish(model, v, mode, k, "rdp-vfi")
 
 
 def _rdp_opi(model, mode, sigma0, m, tolerance, max_iter):
-    sigma = (
-        _default_policy(model, mode) if sigma0 is None else np.asarray(sigma0, dtype=np.int64)
+    v, k = fixed_point.optimistic_policy_iteration(
+        lambda v: rdp_greedy(model, v, mode),
+        lambda sigma: partial(rdp_policy_apply, model, sigma),
+        rdp_policy_value(model, _start_policy(model, sigma0, mode), tolerance),
+        m,
+        tolerance,
+        max_iter,
     )
-    v = rdp_policy_value(model, sigma, tolerance)
-    for k in range(1, max_iter + 1):
-        sigma = rdp_greedy(model, v, mode)
-        v_new = v
-        for _ in range(m):
-            v_new = rdp_policy_apply(model, sigma, v_new)
-        step = np.max(np.abs(v_new - v))
-        v = v_new
-        if step <= tolerance:
-            return _rdp_finish(model, v, mode, k, f"rdp-opi(m={m})")
-    raise ConvergenceError("optimistic iteration hit the iteration cap", last=v)
+    return _rdp_finish(model, v, mode, k, f"rdp-opi(m={m})")
 
 
 # ---------------------------------------------------------------------------

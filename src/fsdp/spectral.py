@@ -1,14 +1,16 @@
 """Spectral and matrix-function primitives.
 
-Spectral radius and bound, Neumann-series solves, local spectral radius
-sequences, the matrix exponential, and dominant (Perron-Frobenius)
-eigenpairs of nonnegative matrices.  All routines operate on square
-real matrices given as 2-d numpy arrays.
+Spectral radius and bound, the check that a radius is below one,
+Neumann-series solves, local spectral radius sequences, the matrix
+exponential, and dominant (Perron-Frobenius) eigenpairs of nonnegative
+matrices.  All routines operate on square real matrices given as 2-d
+numpy arrays.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import ConvergenceError, SpectralRadiusError
 
@@ -92,17 +94,20 @@ def spectral_radius_bounds(a):
     return float(lower), float(upper)
 
 
-def check_radius_below_one(a, what="matrix"):
+def check_radius_below_one(a, what="matrix", policy=None):
     """Return rho(a), raising SpectralRadiusError unless rho(a) < 1.
 
     Comparison against one uses strict inequality with slack
-    ``RADIUS_SLACK``; borderline radii raise rather than proceed.
+    ``RADIUS_SLACK``; borderline radii raise rather than proceed.  When
+    ``a`` is the discount operator of a policy, pass it as ``policy`` and
+    the error carries it.
     """
     rho = spectral_radius(a)
     if rho >= 1.0 - RADIUS_SLACK:
         raise SpectralRadiusError(
             f"spectral radius of {what} is {rho:.12g}, expected < 1",
             spectral_radius=rho,
+            policy=policy,
         )
     return rho
 
@@ -173,27 +178,8 @@ def spectral_bound(a):
 
 
 def matrix_exponential(a):
-    """Matrix exponential via scaling-and-squaring on a truncated series.
-
-    Scales ``a`` by a power of two so the scaled norm is below one, sums
-    the Taylor series to relative tolerance 1e-12, then repeatedly
-    squares the result.
-    """
-    a = require_square(a)
-    n = a.shape[0]
-    norm = np.linalg.norm(a, np.inf)
-    squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
-    scaled = a / (2.0 ** squarings)
-    result = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 60):
-        term = term @ scaled / k
-        result = result + term
-        if np.linalg.norm(term, np.inf) <= 1e-12 * max(1.0, np.linalg.norm(result, np.inf)):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    """Matrix exponential of a square matrix (``scipy.linalg.expm``)."""
+    return expm(require_square(a))
 
 
 def dominant_eigenpair(a, assume_irreducible=False, tol=1e-12, max_iter=50_000):

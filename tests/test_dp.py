@@ -438,7 +438,7 @@ class TestStateDependentDiscounting:
         sigma = np.zeros(4, dtype=np.int64)
         with pytest.raises(SpectralRadiusError) as info:
             policy_value(model, sigma)
-        assert info.value.policy is not None
+        assert np.array_equal(info.value.policy, sigma)
         assert info.value.spectral_radius > 1
 
     def test_blind_iteration_refused_on_large_policy_space(self):

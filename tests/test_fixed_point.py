@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from fsdp import spectral
+from fsdp import dp, rdp, spectral
 from fsdp.errors import ConvergenceError, SingularJacobianError
 from fsdp.fixed_point import (
     IterationConfig,
     convergence_order,
     newton_fixed_point,
+    optimistic_policy_iteration,
+    policy_iteration,
     successive_approx,
+    value_iteration,
 )
 
 A_SMALL = np.array([[0.4, 0.1], [0.7, 0.2]])
@@ -176,3 +179,67 @@ class TestConvergenceOrder:
     def test_insufficient_data_raises(self):
         with pytest.raises(ValueError):
             convergence_order([0.5, 0.25, 0.125])
+
+
+def halve_plus_one(v):
+    return 0.5 * v + 1.0
+
+
+# Each loop capped at five iterations, with the iterate it must carry out.
+CAPPED_LOOPS = {
+    "value_iteration": (
+        lambda: value_iteration(halve_plus_one, np.zeros(3), 1e-12, 5),
+        2.0 - 2.0 * 0.5**5,
+    ),
+    # The greedy step flips the policy and each flip moves the value by
+    # one, so no policy repeats and no tie stops the loop.
+    "policy_iteration": (
+        lambda: policy_iteration(
+            lambda v: 1 - v.astype(np.int64),
+            lambda sigma: sigma.astype(float),
+            np.zeros(3, dtype=np.int64),
+            5,
+        ),
+        1.0,
+    ),
+    "optimistic_policy_iteration": (
+        lambda: optimistic_policy_iteration(
+            lambda v: np.zeros(3, dtype=np.int64),
+            lambda sigma: halve_plus_one,
+            np.zeros(3),
+            2,
+            1e-12,
+            5,
+        ),
+        2.0 - 2.0 * 0.5**10,
+    ),
+}
+
+
+class TestSolverCore:
+    @pytest.mark.parametrize("loop", sorted(CAPPED_LOOPS))
+    def test_cap_raises_with_last_iterate(self, loop):
+        run, last = CAPPED_LOOPS[loop]
+        with pytest.raises(ConvergenceError) as info:
+            run()
+        assert info.value.last == pytest.approx(np.full(3, last), abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rdp_vfi_of_wrapped_mdp_matches_mdp_vfi(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 8, 3
+        kernel = rng.random((n, m, n)) + 0.05
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        feasible = rng.random((n, m)) < 0.7
+        feasible[np.arange(n), rng.integers(0, m, n)] = True
+        model = dp.MDPModel(
+            feasible=feasible,
+            reward=rng.standard_normal((n, m)),
+            kernel=kernel,
+            beta=rng.uniform(0.5, 0.95),
+        )
+        native = dp.solve_vfi(model, tolerance=1e-10)
+        wrapped = rdp.rdp_solve(rdp.from_mdp(model), algorithm="vfi", tolerance=1e-10)
+        assert wrapped.iterations == native.iterations
+        assert np.array_equal(wrapped.policy, native.policy)
+        assert np.max(np.abs(wrapped.value - native.value)) <= 1e-12

@@ -446,6 +446,17 @@ class TestZooRegistry:
         built = ZOO["firm_exit"].build(n=30)
         assert built["grid"].size == 30
 
+    def test_closed_form_pmfs_match_scipy_stats(self):
+        from scipy.stats import betabinom, binom
+
+        # Both builders normalize the pmf to sum to one.
+        for built, pmf in (
+            (models.job_search_iid()["offer_probs"], betabinom(50, 200, 100).pmf(np.arange(51))),
+            (models.ez_savings()["phi"], binom(79, 0.5).pmf(np.arange(80))),
+        ):
+            expected = pmf / pmf.sum()
+            assert np.max(np.abs(built - expected) / expected) <= 3e-14
+
 
 class TestTimingShapeClaims:
     def test_opi_beats_vfi_somewhere_on_m_grid(self):
