@@ -268,20 +268,10 @@ def _simulate_mdp(built, result, config):
     rng = np.random.default_rng(seed)
     sigma = result.policy
     n = model.n_states
-    rows = dp.policy_indices(model, sigma)
-    kernel = model.kernel[rows]
-    kernel = np.asarray(kernel.todense()) if hasattr(kernel, "todense") else np.array(kernel)
-    row_cum = np.cumsum(kernel, axis=1)
-    rewards = dp.policy_reward(model, sigma)
-    path = np.empty(steps + 1, dtype=np.int64)
-    path[0] = 0
-    draws = rng.random(max(steps, 1))
-    for t in range(steps):
-        path[t + 1] = min(
-            int(np.searchsorted(row_cum[path[t]], draws[t], side="right")), n - 1
-        )
-    reward_path = rewards[path]
-    series = [(t, int(s), reward_path[t]) for t, s in enumerate(path[: steps + 1])]
+    kernel = model.kernel[dp.policy_indices(model, sigma)]
+    path = markov._sample_path(kernel, 0, rng.random(steps))
+    reward_path = dp.policy_reward(model, sigma)[path]
+    series = [(t, int(s), reward_path[t]) for t, s in enumerate(path)]
     occupation = np.bincount(path, minlength=n) / path.size
     stats = {
         "mean_reward": float(reward_path.mean()),

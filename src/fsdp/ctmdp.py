@@ -96,25 +96,23 @@ class JumpChainPath:
 def simulate_jump_chain(spec, psi0, horizon, rng):
     """Simulate a jump chain until the first jump past ``horizon``.
 
-    Holding times are sampled by inverse transform ``-log(U) / rate``;
-    the returned path evaluates right-continuously via binary search
-    over the jump times.
+    Holding times are sampled as ``-log(U) / rate`` and jump targets by
+    inverse CDF over the jump matrix's rows; the returned path evaluates
+    right-continuously via binary search over the jump times.
     """
     rates = np.asarray(spec.rates, dtype=float)
     pi = markov.require_stochastic_matrix(spec.jump_matrix)
     psi0 = markov.require_distribution(psi0)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    row_cum = np.cumsum(pi, axis=1)
-    state = int(np.searchsorted(np.cumsum(psi0), rng.random(), side="right"))
-    state = min(state, rates.size - 1)
+    step = markov._row_sampler(pi)
+    state = markov._row_sampler(psi0[None, :])(0, rng.random())
     times = [0.0]
     states = [state]
     t = 0.0
     while True:
         t += -np.log(rng.random()) / rates[state]
-        state = int(np.searchsorted(row_cum[state], rng.random(), side="right"))
-        state = min(state, rates.size - 1)
+        state = step(state, rng.random())
         times.append(t)
         states.append(state)
         if t > horizon:

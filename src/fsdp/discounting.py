@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fixed_point, markov, spectral
-from .errors import SpectralRadiusError
+from .errors import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -188,6 +188,8 @@ def harrison_kreps_price(p1, p2, beta, d, cfg=None, return_trace=False):
     Computes the unique nonnegative fixed point of
     ``T pi = max_i beta * P_i @ (pi + d)`` by successive approximation
     from ``pi = 0``.  ``T`` is a sup-norm contraction of modulus ``beta``.
+    Raises :class:`~fsdp.errors.ConvergenceError`, carrying the last
+    iterate, when the iteration cap is hit.
     """
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
@@ -204,5 +206,5 @@ def harrison_kreps_price(p1, p2, beta, d, cfg=None, return_trace=False):
     cfg = cfg or fixed_point.IterationConfig(tolerance=1e-8)
     trace = fixed_point.successive_approx(op, np.zeros(d.size), cfg)
     if not trace.converged:
-        raise SpectralRadiusError("price iteration hit the iteration cap")
+        raise ConvergenceError("price iteration hit the iteration cap", last=trace.final)
     return (trace.final, trace) if return_trace else trace.final

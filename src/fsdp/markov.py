@@ -10,9 +10,11 @@ stochastic matrices are square arrays whose rows are distributions.
 """
 
 import warnings
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import ndtr
 
 from . import spectral
@@ -69,22 +71,66 @@ def simulate_chain(p, psi0, steps, rng):
     """Simulate a Markov chain path of length ``steps + 1``.
 
     The initial state is drawn from ``psi0`` and transitions follow the
-    rows of ``p``.  Sampling is inverse-CDF against precomputed row
-    cumulative sums, so a fixed seed reproduces the path exactly.
+    rows of ``p``, each by inverse-CDF sampling of one uniform draw.  A
+    fixed seed reproduces the path exactly, and the path visits only
+    positive-probability states.
     """
     p = require_stochastic_matrix(p)
     psi0 = require_distribution(psi0)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    row_cum = np.cumsum(p, axis=1)
-    init_cum = np.cumsum(psi0)
     uniforms = rng.random(steps + 1)
-    path = np.empty(steps + 1, dtype=np.int64)
-    path[0] = np.searchsorted(init_cum, uniforms[0], side="right")
-    for t in range(steps):
-        path[t + 1] = np.searchsorted(row_cum[path[t]], uniforms[t + 1], side="right")
-    np.clip(path, 0, p.shape[0] - 1, out=path)
-    return path
+    x0 = _row_sampler(psi0[None, :])(0, uniforms[0])
+    return _sample_path(p, x0, uniforms[1:])
+
+
+def _row_sampler(p):
+    """Inverse-CDF ``step(x, u)`` over the rows of a dense or CSR matrix.
+
+    ``step`` returns the first state of row ``x`` whose cumulative weight
+    exceeds ``u`` (a positive-probability state, as the weight rises only
+    there), or the row's last positive-probability state if ``u`` is at
+    or above the row total.  Each row's cumulative weights are built on
+    its first visit, in column order, so dense and CSR input give the
+    same states and no dense copy of ``p`` is made.
+    """
+    if sp.issparse(p):
+        p = sp.csr_matrix(p, copy=True)
+        p.sum_duplicates()
+
+        def row(x):
+            lo, hi = p.indptr[x], p.indptr[x + 1]
+            return p.data[lo:hi], memoryview(p.indices[lo:hi])
+
+    else:
+        columns = range(p.shape[1])
+
+        def row(x):
+            return p[x], columns
+
+    rows = [None] * p.shape[0]
+
+    def step(x, u):
+        cached = rows[x]
+        if cached is None:
+            weights, states = row(x)
+            cached = rows[x] = (memoryview(weights.cumsum()), states)
+        cum, states = cached
+        k = bisect_right(cum, u)
+        if k == len(cum):  # u at or above the row total
+            k = int(np.flatnonzero(row(x)[0])[-1])
+        return states[k]
+
+    return step
+
+
+def _sample_path(p, x0, uniforms):
+    """States ``x0, x1, ...`` with ``x[t + 1]`` sampled from row ``x[t]`` by ``uniforms[t]``."""
+    step = _row_sampler(p)
+    path = [x0]
+    for u in uniforms.tolist():
+        path.append(step(path[-1], u))
+    return np.array(path, dtype=np.int64)
 
 
 def update_distribution(psi, p):

@@ -10,8 +10,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import betaln, comb
 
-from . import ctmdp, dp, markov, rdp, spectral
-from .errors import SpectralRadiusError
+from . import ctmdp, dp, fixed_point, markov, rdp, spectral
+from .errors import ConvergenceError, SpectralRadiusError
 
 # ---------------------------------------------------------------------------
 # Job search, IID offers
@@ -79,13 +79,9 @@ def job_search_iid_continuation(built, tolerance=1e-10, max_iter=10_000):
     wages, phi = built["wages"], built["offer_probs"]
     beta, c = built["beta"], built["c"]
     stopping = wages / (1 - beta)
-    h = 0.0
-    for _ in range(max_iter):
-        h_new = c + beta * float(np.maximum(stopping, h) @ phi)
-        if abs(h_new - h) <= tolerance:
-            h = h_new
-            break
-        h = h_new
+    h, _, _ = fixed_point.value_iteration(
+        lambda h: c + beta * float(np.maximum(stopping, h) @ phi), 0.0, tolerance, max_iter
+    )
     return h, (1 - beta) * h
 
 
@@ -310,15 +306,8 @@ def american_option(n=100, mu=10.0, rho=0.98, nu=0.2, s=0.3, r=0.01, K=10.0, T=2
 
 def solve_american_option(built, tolerance=1e-10, max_iter=100_000):
     """Continuation-value fixed point ``h*(date, z)``."""
-    op = built["continuation_operator"]
     h = np.zeros((built["n_dates"], built["z_vals"].size))
-    for _ in range(max_iter):
-        h_new = op(h)
-        step = np.max(np.abs(h_new - h))
-        h = h_new
-        if step <= tolerance:
-            return h
-    raise RuntimeError("continuation-value iteration hit the cap")
+    return fixed_point.value_iteration(built["continuation_operator"], h, tolerance, max_iter)[0]
 
 
 def american_option_mdp(built):
@@ -415,14 +404,8 @@ def rnd_model(
 
 def solve_rnd(built, tolerance=1e-12, max_iter=100_000):
     """Fixed point of the expected-value recursion plus the stop rule."""
-    op = built["ev_operator"]
     g = np.zeros(built["pi"].size)
-    for _ in range(max_iter):
-        g_new = op(g)
-        step = np.max(np.abs(g_new - g))
-        g = g_new
-        if step <= tolerance:
-            break
+    g = fixed_point.value_iteration(built["ev_operator"], g, tolerance, max_iter)[0]
     # Stop (market the product) when the payoff beats continuing.
     policy = (
         built["pi"][None, :] >= -built["cost_values"][:, None] + built["beta"] * g[None, :]
@@ -596,26 +579,22 @@ def optimal_savings(
     }
 
 
+def _follow_policy(table, e0, z):
+    """Endogenous path ``e[t + 1] = table[e[t], z[t]]`` from ``e[0] = e0``."""
+    rows = table.tolist()
+    path = [e0]
+    for zt in z.tolist():
+        path.append(rows[path[-1]][zt])
+    return np.array(path, dtype=np.int64)
+
+
 def simulate_savings_wealth(built, result, steps=1_000_000, seed=0, w0_index=0):
     """Long wealth series under the optimal policy."""
     w_size, y_size = built["shape"]
-    q = built["transition"]
     rng = np.random.default_rng(seed)
-    row_cum = np.cumsum(q, axis=1)
-    draws = rng.random(steps)
-    policy = result.policy.reshape(w_size, y_size)
-    wealth_idx = np.empty(steps + 1, dtype=np.int64)
-    wealth_idx[0] = w0_index
-    iy = 0
-    w_grid = built["w_grid"]
-    out = np.empty(steps + 1)
-    out[0] = w_grid[w0_index]
-    for t in range(steps):
-        wealth_idx[t + 1] = policy[wealth_idx[t], iy]
-        out[t + 1] = w_grid[wealth_idx[t + 1]]
-        iy = int(np.searchsorted(row_cum[iy], draws[t], side="right"))
-        iy = min(iy, y_size - 1)
-    return out
+    income = markov._sample_path(built["transition"], 0, rng.random(steps))[:steps]
+    wealth = _follow_policy(result.policy.reshape(w_size, y_size), w0_index, income)
+    return built["w_grid"][wealth]
 
 
 def gini_coefficient(samples):
@@ -686,22 +665,12 @@ def optimal_savings_stochastic_returns(
 
 def simulate_savings_wealth_stochastic(built, result, steps=1_000_000, seed=0):
     w_size, y_size, eta_size = built["shape"]
-    q = built["transition"]
     rng = np.random.default_rng(seed)
-    row_cum = np.cumsum(q, axis=1)
-    y_draws = rng.random(steps)
-    eta_draws = rng.integers(0, eta_size, size=steps + 1)
-    policy = result.policy.reshape(w_size, y_size, eta_size)
-    w_grid = built["w_grid"]
-    out = np.empty(steps + 1)
-    iw, iy = 0, 0
-    out[0] = w_grid[iw]
-    for t in range(steps):
-        iw = policy[iw, iy, eta_draws[t]]
-        out[t + 1] = w_grid[iw]
-        iy = int(np.searchsorted(row_cum[iy], y_draws[t], side="right"))
-        iy = min(iy, y_size - 1)
-    return out
+    income = markov._sample_path(built["transition"], 0, rng.random(steps))[:steps]
+    returns = rng.integers(0, eta_size, size=steps)
+    policy = result.policy.reshape(w_size, y_size * eta_size)
+    wealth = _follow_policy(policy, 0, income * eta_size + returns)
+    return built["w_grid"][wealth]
 
 
 # ---------------------------------------------------------------------------
@@ -757,22 +726,10 @@ def optimal_investment(
 def simulate_investment(built, result, steps=10_000, seed=0):
     """Optimal output path alongside the zero-adjustment-cost target."""
     y_size, z_size = built["shape"]
-    q = built["transition"]
     rng = np.random.default_rng(seed)
-    row_cum = np.cumsum(q, axis=1)
-    draws = rng.random(steps)
-    policy = result.policy.reshape(y_size, z_size)
-    y_grid, z_grid = built["y_grid"], built["z_grid"]
-    iy, iz = y_size // 2, z_size // 2
-    outputs = np.empty(steps)
-    targets = np.empty(steps)
-    for t in range(steps):
-        outputs[t] = y_grid[iy]
-        targets[t] = built["target_output"](z_grid[iz])
-        iy = policy[iy, iz]
-        iz = int(np.searchsorted(row_cum[iz], draws[t], side="right"))
-        iz = min(iz, z_size - 1)
-    return outputs, targets
+    shocks = markov._sample_path(built["transition"], z_size // 2, rng.random(steps))[:steps]
+    output = _follow_policy(result.policy.reshape(y_size, z_size), y_size // 2, shocks)[:steps]
+    return built["y_grid"][output], built["target_output"](built["z_grid"][shocks])
 
 
 def firm_hiring(
@@ -824,18 +781,9 @@ def firm_hiring(
 
 def simulate_hiring(built, result, steps=10_000, seed=0):
     l_size, z_size = built["shape"]
-    q = built["transition"]
     rng = np.random.default_rng(seed)
-    row_cum = np.cumsum(q, axis=1)
-    draws = rng.random(steps)
-    policy = result.policy.reshape(l_size, z_size)
-    il, iz = 0, z_size // 2
-    labor = np.empty(steps + 1, dtype=np.int64)
-    labor[0] = il
-    for t in range(steps):
-        labor[t + 1] = policy[labor[t], iz]
-        iz = int(np.searchsorted(row_cum[iz], draws[t], side="right"))
-        iz = min(iz, z_size - 1)
+    shocks = markov._sample_path(built["transition"], z_size // 2, rng.random(steps))[:steps]
+    labor = _follow_policy(result.policy.reshape(l_size, z_size), 0, shocks)
     return built["l_grid"][labor]
 
 
@@ -995,7 +943,7 @@ def ez_savings_solve_direct(built, tolerance=1e-9, max_policy_iter=200):
             v = v_new
             if step <= tolerance:
                 return v
-        raise RuntimeError("policy evaluation hit the cap")
+        raise ConvergenceError("policy evaluation hit the cap", last=v)
 
     v = np.tile(e_grid[None, :], (nw, 1))
     sigma = np.zeros((nw, ne), dtype=np.int64)
@@ -1005,7 +953,7 @@ def ez_savings_solve_direct(built, tolerance=1e-9, max_policy_iter=200):
         if np.array_equal(sigma_new, sigma):
             return sigma, v
         sigma = sigma_new
-    raise RuntimeError("policy iteration failed to settle")
+    raise ConvergenceError("policy iteration failed to settle", last=v)
 
 
 def ez_savings_solve_subordinate(built, tolerance=1e-9, max_policy_iter=200):
@@ -1044,7 +992,7 @@ def ez_savings_solve_subordinate(built, tolerance=1e-9, max_policy_iter=200):
             h = h_new
             if step <= tolerance:
                 return h
-        raise RuntimeError("policy evaluation hit the cap")
+        raise ConvergenceError("policy evaluation hit the cap", last=h)
 
     h = np.full(nw, float(e_grid @ phi))
     sigma = np.zeros((nw, ne), dtype=np.int64)
@@ -1054,7 +1002,7 @@ def ez_savings_solve_subordinate(built, tolerance=1e-9, max_policy_iter=200):
         if np.array_equal(sigma_new, sigma):
             return sigma, h
         sigma = sigma_new
-    raise RuntimeError("policy iteration failed to settle")
+    raise ConvergenceError("policy iteration failed to settle", last=h)
 
 
 # ---------------------------------------------------------------------------

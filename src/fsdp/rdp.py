@@ -243,7 +243,7 @@ def rdp_solve(
     """
     verify_certificate(model, mode)
     if algorithm == "hpi":
-        return _rdp_hpi(model, mode, sigma0, tolerance)
+        return _rdp_hpi(model, mode, sigma0, tolerance, max_iter)
     if algorithm == "vfi":
         return _rdp_vfi(model, mode, tolerance, max_iter)
     if algorithm == "opi":
@@ -257,12 +257,12 @@ def _rdp_finish(model, v, mode, iterations, method):
     )
 
 
-def _rdp_hpi(model, mode, sigma0, tolerance, cap=10_000):
+def _rdp_hpi(model, mode, sigma0, tolerance, max_iter):
     v, k = fixed_point.policy_iteration(
         lambda v: rdp_greedy(model, v, mode),
         lambda sigma: rdp_policy_value(model, sigma, tolerance),
         _start_policy(model, sigma0, mode),
-        cap,
+        max_iter,
     )
     return _rdp_finish(model, v, mode, k, "rdp-hpi")
 

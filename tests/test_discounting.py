@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsdp import discounting, markov, spectral
+from fsdp import discounting, fixed_point, markov, spectral
 from fsdp.discounting import (
     LucasSDFSpec,
     build_discount_operator,
@@ -12,7 +12,7 @@ from fsdp.discounting import (
     sdd_lifetime_value,
     spectral_test_sequence,
 )
-from fsdp.errors import SpectralRadiusError
+from fsdp.errors import ConvergenceError, SpectralRadiusError
 
 
 def random_stochastic(rng, n):
@@ -272,6 +272,14 @@ class TestHarrisonKreps:
         steps = trace.errors
         for prev, nxt in zip(steps, steps[1:]):
             assert nxt <= beta * prev + 1e-12
+
+    def test_iteration_cap_is_a_convergence_failure(self):
+        rng = np.random.default_rng(19)
+        p1, p2 = random_stochastic(rng, 4), random_stochastic(rng, 4)
+        cfg = fixed_point.IterationConfig(max_iter=2)
+        with pytest.raises(ConvergenceError) as info:
+            harrison_kreps_price(p1, p2, 0.9, rng.random(4), cfg=cfg)
+        assert info.value.last.shape == (4,)
 
     def test_rejects_negative_dividends(self):
         p = random_stochastic(np.random.default_rng(18), 3)

@@ -2,12 +2,30 @@ import numpy as np
 import pytest
 
 from fsdp import ctmdp, dp, markov, models, rdp, spectral
+from fsdp.errors import ConvergenceError
 from fsdp.models import ZOO
 
 
 @pytest.fixture(scope="module")
 def iid_built():
     return models.job_search_iid()
+
+
+@pytest.mark.parametrize(
+    "build, solve",
+    [
+        (models.job_search_iid, lambda b: models.job_search_iid_continuation(b, max_iter=1)),
+        (models.american_option, lambda b: models.solve_american_option(b, max_iter=1)),
+        (models.rnd_model, lambda b: models.solve_rnd(b, max_iter=1)),
+        (models.ez_savings, lambda b: models.ez_savings_solve_direct(b, max_policy_iter=1)),
+        (models.ez_savings, lambda b: models.ez_savings_solve_subordinate(b, max_policy_iter=1)),
+    ],
+    ids=["job_search_iid", "american_option", "rnd", "ez_direct", "ez_subordinate"],
+)
+def test_model_loops_raise_at_their_caps(build, solve):
+    with pytest.raises(ConvergenceError) as info:
+        solve(build())
+    assert info.value.last is not None
 
 
 class TestJobSearchIID:

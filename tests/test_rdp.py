@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fsdp import dp, markov, rdp, spectral
-from fsdp.errors import SpectralRadiusError, StabilityError
+from fsdp import dp, markov, models, rdp, spectral
+from fsdp.errors import ConvergenceError, SpectralRadiusError, StabilityError
 from fsdp.rdp import (
     Contracting,
     EventuallyContracting,
@@ -88,6 +88,12 @@ class TestMDPWrapper:
         v = rng.standard_normal(6)
         assert rdp_bellman(wrapped, v) == pytest.approx(dp.bellman(model, v))
         assert np.array_equal(rdp_greedy(wrapped, v), dp.greedy(model, v))
+
+    @pytest.mark.parametrize("algorithm", ["hpi", "vfi", "opi"])
+    def test_every_algorithm_honours_max_iter(self, algorithm):
+        model = models.ZOO["optimal_default"].build(ci_scale=True)["rdp"]
+        with pytest.raises(ConvergenceError):
+            rdp_solve(model, algorithm=algorithm, max_iter=1)
 
     def test_monotone_aggregator_spot_check(self):
         rng = np.random.default_rng(2)
