@@ -80,22 +80,32 @@ def _jsonify(obj):
     return obj
 
 
-def write_table(path, fmt, header, rows):
-    """Write a table as CSV (comma, LF, UTF-8) or JSON with 17-digit floats."""
+# CSV field format by column dtype kind; anything else is written as text.
+_COLUMN_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
+
+
+def write_table(path, fmt, header, columns):
+    """Write a table as CSV (comma, LF, UTF-8) or JSON with 17-digit floats.
+
+    ``columns`` holds one sequence per header entry.  Each column is
+    converted to Python values once; integer columns print as ``str(int)``
+    and float columns with 17 significant digits.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    specs, values = [], []
+    for column in columns:
+        column = np.asarray(column)
+        specs.append(_COLUMN_FORMATS.get(column.dtype.kind, "%s"))
+        values.append(column.tolist())
+    rows = zip(*values)
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_format_number(v) if not isinstance(v, str) else v for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        template = ",".join(specs)
+        text = "\n".join([",".join(header), *[template % row for row in rows]])
     else:
         payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(
-            json.dumps(_jsonify(payload), indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-            newline="\n",
-        )
+        text = json.dumps(payload, indent=1, sort_keys=True)
+    path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def load_config(path, cli_overrides=None, seed=None):
@@ -194,12 +204,11 @@ def run_solver(built, config):
         raise ConfigError("ct_hpi only applies to continuous-time models")
     if "mdp" in built:
         model = built["mdp"]
-        dominating = "certified" if "exogenous_certificate" in built else None
         if solver == "vfi":
-            return dp.solve_vfi(model, tolerance=tolerance, dominating=dominating)
+            return dp.solve_vfi(model, tolerance=tolerance)
         if solver == "hpi":
-            return dp.solve_hpi(model, dominating=dominating)
-        return dp.solve_opi(model, m=m, tolerance=tolerance, dominating=dominating)
+            return dp.solve_hpi(model)
+        return dp.solve_opi(model, m=m, tolerance=tolerance)
     if "rdp" in built:
         algorithm = {"vfi": "vfi", "hpi": "hpi", "opi": "opi"}[solver]
         return rdp.rdp_solve(built["rdp"], algorithm=algorithm, m=m, tolerance=tolerance)
@@ -230,18 +239,9 @@ def cmd_solve(args):
     result = run_solver(built, config)
     out = Path(args.out or "fsdp_solve_output")
     fmt = args.format
-    write_table(
-        out / f"value.{fmt}",
-        fmt,
-        ["state", "value"],
-        [(i, v) for i, v in enumerate(result.value)],
-    )
-    write_table(
-        out / f"policy.{fmt}",
-        fmt,
-        ["state", "action"],
-        [(i, int(a)) for i, a in enumerate(result.policy)],
-    )
+    states = np.arange(result.value.size)
+    write_table(out / f"value.{fmt}", fmt, ["state", "value"], [states, result.value])
+    write_table(out / f"policy.{fmt}", fmt, ["state", "action"], [states, result.policy])
     metadata = {
         "model": built.get("name"),
         "solver": result.method,
@@ -266,13 +266,11 @@ def _simulate_mdp(built, result, config):
     steps = int(config.get("horizon", 1000))
     seed = config.get("seed", 0)
     rng = np.random.default_rng(seed)
-    sigma = result.policy
-    n = model.n_states
-    kernel = model.kernel[dp.policy_indices(model, sigma)]
+    kernel, reward = dp._policy_operator(model, result.policy, discounted=False)
     path = markov._sample_path(kernel, 0, rng.random(steps))
-    reward_path = dp.policy_reward(model, sigma)[path]
-    series = [(t, int(s), reward_path[t]) for t, s in enumerate(path)]
-    occupation = np.bincount(path, minlength=n) / path.size
+    reward_path = reward[path]
+    series = np.rec.fromarrays([np.arange(path.size), path, reward_path], names="t,state,reward")
+    occupation = np.bincount(path, minlength=model.n_states) / path.size
     stats = {
         "mean_reward": float(reward_path.mean()),
         "steps": steps,
@@ -292,7 +290,7 @@ def cmd_simulate(args):
         spec = built["jump_spec"]
         horizon = float(config.get("horizon", 50.0))
         if horizon == 0:
-            write_table(out / f"events.{fmt}", fmt, ["jump_time", "state"], [])
+            write_table(out / f"events.{fmt}", fmt, ["jump_time", "state"], [[], []])
             print(f"empty horizon -> header-only {out}")
             return EXIT_OK
         rng = np.random.default_rng(config.get("seed", 0))
@@ -300,25 +298,23 @@ def cmd_simulate(args):
         psi0[-1] = 1.0
         path = ctmdp.simulate_jump_chain(spec, psi0, horizon, rng)
         write_table(
-            out / f"events.{fmt}",
-            fmt,
-            ["jump_time", "state"],
-            list(zip(path.jump_times, (int(s) for s in path.states))),
+            out / f"events.{fmt}", fmt, ["jump_time", "state"], [path.jump_times, path.states]
         )
         print(f"simulated jump chain with {path.states.size} events -> {out}")
         return EXIT_OK
     if int(config.get("horizon", 1000)) == 0:
-        write_table(out / f"series.{fmt}", fmt, ["t", "state", "reward"], [])
+        write_table(out / f"series.{fmt}", fmt, ["t", "state", "reward"], [[], [], []])
         print(f"empty horizon -> header-only {out}")
         return EXIT_OK
     result = run_solver(built, config)
     series, occupation, stats = _simulate_mdp(built, result, config)
-    write_table(out / f"series.{fmt}", fmt, ["t", "state", "reward"], series)
+    names = series.dtype.names
+    write_table(out / f"series.{fmt}", fmt, names, [series[name] for name in names])
     write_table(
         out / f"occupation.{fmt}",
         fmt,
         ["state", "frequency"],
-        [(i, f) for i, f in enumerate(occupation)],
+        [np.arange(occupation.size), occupation],
     )
     (out / "stats.json").write_text(
         json.dumps(_jsonify(stats), indent=1, sort_keys=True) + "\n",
@@ -335,7 +331,6 @@ def cmd_bench(args):
     if "mdp" not in built:
         raise ConfigError("bench requires a discrete MDP model")
     model = built["mdp"]
-    dominating = "certified" if "exogenous_certificate" in built else None
     tolerance = config.get("tolerance", 1e-6)
     m_grid = config.get("m_grid", [1, 10, 50, 100])
     rows = []
@@ -346,15 +341,15 @@ def cmd_bench(args):
         result = fn()
         return time.perf_counter() - t0, result
 
-    elapsed, vfi = timed(lambda: dp.solve_vfi(model, tolerance=tolerance, dominating=dominating))
+    elapsed, vfi = timed(lambda: dp.solve_vfi(model, tolerance=tolerance))
     rows.append(["vfi", "n/a", elapsed, vfi.iterations])
     policies.append(vfi.policy)
-    elapsed, hpi = timed(lambda: dp.solve_hpi(model, dominating=dominating))
+    elapsed, hpi = timed(lambda: dp.solve_hpi(model))
     rows.append(["hpi", "n/a", elapsed, hpi.iterations])
     policies.append(hpi.policy)
     for m in m_grid:
         elapsed, opi = timed(
-            lambda m=m: dp.solve_opi(model, m=m, tolerance=tolerance, dominating=dominating)
+            lambda m=m: dp.solve_opi(model, m=m, tolerance=tolerance)
         )
         rows.append([f"opi", str(m), elapsed, opi.iterations])
         policies.append(opi.policy)
@@ -365,7 +360,7 @@ def cmd_bench(args):
         out / f"bench.{args.format}",
         args.format,
         ["solver", "m", "seconds", "iterations", "policies_agree"],
-        rows,
+        list(zip(*rows)),
     )
     print(f"benchmarked {len(rows)} solver runs (agreement: {agree}) -> {out}")
     return EXIT_OK

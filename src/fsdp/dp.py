@@ -1,8 +1,15 @@
 """Markov decision processes with constant or state-dependent discounting.
 
-The model stores the transition kernel in flat ``(n_states * n_actions,
-n_states)`` form, one row per state-action pair, either dense or
-scipy-sparse (row-compressed slices keep large structured models cheap).
+Transitions sit behind one kernel protocol: ``expect(v, discounted)``
+gives the ``(n, m)`` expectations, ``policy_apply(sigma, v)`` gives
+``L_sigma v`` and ``policy_matrix(sigma, discounted)`` gives a policy's
+rows.  :class:`Flat` stores one row per state-action pair, dense or
+sparse; :class:`Factored` keeps an exogenous matrix ``Q`` that no action
+touches beside an endogenous choice or small kernel, so a Bellman sweep
+costs one product ``V Q^T`` on the ``(n_e, n_z)`` value grid.  Solvers
+use only the protocol; ``MDPModel.kernel``, ``discount_weights`` and
+``discounted_kernel()`` are read-only flat views, built on first read.
+
 Solvers: value function iteration, Howard policy iteration, optimistic
 policy iteration (their loops live in :mod:`fsdp.fixed_point`), plus the
 expected-value / Q-factor operator factorization, a refactored OPI in
@@ -10,10 +17,10 @@ expected-value space, and the log-sum-exp closed form for Gumbel taste
 shocks.
 
 Policy evaluation is a sparse LU solve of ``I - L_sigma`` built from the
-policy's rows of the discounted kernel, whether the kernel is dense or
-sparse.  Under state-dependent discounting every solver checks the
-stability certificate once, before it iterates; the model records a
-successful check, and evaluation then skips the per-policy radius check.
+policy's discounted rows, whatever the kernel.  Under state-dependent
+discounting every solver checks the stability certificate once, before
+it iterates; the model records a successful check, and evaluation then
+skips the per-policy radius check.
 """
 
 import itertools
@@ -50,67 +57,229 @@ def _flatten_kernel(kernel, n, m):
     raise ValueError("kernel must be (n, m, n) or flat (n * m, n)")
 
 
-@dataclass
+def _check_beta(beta):
+    if beta is None or not 0 < beta < 1:
+        raise ValueError("constant discount beta must lie in (0, 1)")
+
+
+def _check_rows(sums, what):
+    bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+    if bad.any():
+        raise ValueError(f"{int(bad.sum())} {what} rows do not sum to 1 (tol {ROW_SUM_TOL})")
+
+
+class Flat:
+    """A kernel stored flat: row ``x * m + a`` is the law of ``x'`` given ``(x, a)``.
+
+    ``kernel`` is dense or CSR.  The discount is a constant ``beta`` or
+    ``weights`` aligned with the kernel.  Expectations are products with
+    the (cached) discounted kernel, and a policy's rows keep the kernel's
+    storage.
+    """
+
+    def __init__(self, kernel, n, m, beta=None, weights=None):
+        if weights is None:
+            _check_beta(beta)
+        elif beta is not None:
+            raise ValueError("give either beta or discount_weights, not both")
+        self.kernel = _flatten_kernel(kernel, n, m)
+        self.shape = (n, m)
+        self.beta = beta
+        self.weights = None if weights is None else self._aligned(weights)
+        self._discounted = None
+
+    def _aligned(self, weights):
+        if sp.issparse(weights):
+            weights = weights.tocsr()
+            values = weights.data
+        else:
+            weights = np.asarray(weights, dtype=float)
+            if weights.ndim == 3:
+                weights = weights.reshape(self.kernel.shape)
+            values = weights
+        if weights.shape != self.kernel.shape:
+            raise ValueError("discount weights must align with the kernel")
+        if np.any(values < 0):
+            raise ValueError("discount weights must be nonnegative")
+        return weights
+
+    def check(self, feasible):
+        sums = np.asarray(self.kernel.sum(axis=1)).reshape(-1)
+        _check_rows(sums[feasible.reshape(-1)], "feasible kernel")
+
+    def flatten(self):
+        return self
+
+    def discounted(self):
+        """Flat ``(n*m, n)`` matrix of discounted transition weights (cached)."""
+        if self._discounted is None:
+            if self.weights is None:
+                self._discounted = self.beta * self.kernel
+            elif sp.issparse(self.kernel) or sp.issparse(self.weights):
+                self._discounted = sp.csr_matrix(self.kernel).multiply(self.weights).tocsr()
+            else:
+                self._discounted = self.weights * self.kernel
+        return self._discounted
+
+    def _source(self, discounted):
+        return self.discounted() if discounted else self.kernel
+
+    def expect(self, v, discounted):
+        return np.asarray(self._source(discounted) @ v).reshape(self.shape)
+
+    def policy_matrix(self, sigma, discounted):
+        n, m = self.shape
+        return self._source(discounted)[np.arange(n) * m + sigma]
+
+    def policy_apply(self, sigma, v):
+        return self.policy_matrix(sigma, True) @ v
+
+
+class Factored:
+    """A kernel kept in factors: state ``e * n_z + z`` pairs endogenous ``e`` and exogenous ``z``.
+
+    ``z`` moves by the row-stochastic ``q`` whatever the action.  The
+    action is the next endogenous index (``endogenous=None``, so the
+    number of actions is ``n_e``), or ``endogenous[e, a, e']`` is a small
+    endogenous kernel.  ``discount`` is a constant in (0, 1) or one factor
+    per exogenous state, applied at the current state.  A policy's rows
+    come out as CSR.  The flat view (:meth:`flatten`) is CSR with rows for
+    feasible pairs only, or dense with an endogenous kernel.
+    """
+
+    def __init__(self, q, discount, endogenous=None):
+        self.q = np.asarray(q, dtype=float)
+        self.endogenous = None if endogenous is None else np.asarray(endogenous, dtype=float)
+        if np.ndim(discount) == 0:
+            self.discount = self.beta = float(discount)
+            _check_beta(self.beta)
+        else:
+            self.discount, self.beta = np.asarray(discount, dtype=float), None
+
+    def check(self, feasible):
+        n, m = feasible.shape
+        n_z = self.q.shape[0]
+        n_e = m if self.endogenous is None else self.endogenous.shape[0]
+        if self.q.shape != (n_z, n_z):
+            raise ValueError("exogenous matrix must be square")
+        if self.endogenous is not None and self.endogenous.shape != (n_e, m, n_e):
+            raise ValueError("endogenous kernel must have shape (n_e, n_actions, n_e)")
+        if n != n_e * n_z:
+            raise ValueError("states must be the endogenous-by-exogenous grid")
+        if self.beta is None:
+            if self.discount.shape != (n_z,):
+                raise ValueError("discount vector needs one factor per exogenous state")
+            if np.any(self.discount < 0):
+                raise ValueError("discount factors must be nonnegative")
+        _check_rows(self.q.sum(axis=1), "exogenous")
+        if self.endogenous is not None:
+            used = feasible.reshape(n_e, n_z, m).any(axis=1)
+            _check_rows(self.endogenous.sum(axis=2)[used], "feasible endogenous")
+        self.shape = (n_e, n_z, m)
+        self.feasible = feasible
+
+    def _grid(self, v, discounted):
+        """``W[e', z] = E[v(e', z') | z]`` on the ``(n_e, n_z)`` grid, discounted at ``z``."""
+        w = np.asarray(v, dtype=float).reshape(self.shape[:2]) @ self.q.T
+        return w * self.discount if discounted else w
+
+    def expect(self, v, discounted):
+        n_e, n_z, m = self.shape
+        w = self._grid(v, discounted)
+        if self.endogenous is None:
+            return np.tile(w.T, (n_e, 1))
+        out = (self.endogenous.reshape(n_e * m, n_e) @ w).reshape(n_e, m, n_z)
+        return out.transpose(0, 2, 1).reshape(n_e * n_z, m)
+
+    def policy_apply(self, sigma, v):
+        n_e, n_z, _ = self.shape
+        w = self._grid(v, True)
+        sigma = sigma.reshape(n_e, n_z)
+        if self.endogenous is None:
+            return w[sigma, np.arange(n_z)].reshape(-1)
+        k = self.endogenous[np.arange(n_e)[:, None], sigma]  # (n_e, n_z, n_e')
+        return np.einsum("ezf,fz->ez", k, w).reshape(-1)
+
+    def _row_discount(self, z):
+        """Discount of states with exogenous index ``z``, as a column."""
+        return self.discount if self.beta is not None else self.discount[z][:, None]
+
+    def policy_matrix(self, sigma, discounted):
+        n_e, n_z, _ = self.shape
+        n = n_e * n_z
+        z = np.tile(np.arange(n_z), n_e)
+        # Each stored block is one next endogenous index times the row q[z].
+        if self.endogenous is None:
+            states, nxt, data = np.arange(n), sigma, self.q[z]
+        else:
+            k = self.endogenous[np.repeat(np.arange(n_e), n_z), sigma]
+            states, nxt = np.nonzero(k)
+            data = k[states, nxt][:, None] * self.q[z[states]]
+        if discounted:
+            data = self._row_discount(z[states]) * data
+        indices = nxt[:, None] * n_z + np.arange(n_z)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(states, minlength=n) * n_z)))
+        return sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
+
+    def flatten(self):
+        """The flat view: kernel and weights with one row per state-action pair."""
+        n_e, n_z, m = self.shape
+        n = n_e * n_z
+        if self.endogenous is None:
+            s, a = np.nonzero(self.feasible)
+            z = s % n_z
+            rows = np.repeat(s * m + a, n_z)
+            cols = np.repeat(a * n_z, n_z) + np.tile(np.arange(n_z), s.size)
+            kernel = sp.csr_matrix((self.q[z].reshape(-1), (rows, cols)), shape=(n * m, n))
+            weights = None
+            if self.beta is None:
+                data = np.repeat(self.discount[z], n_z)
+                weights = sp.csr_matrix((data, (rows, cols)), shape=(n * m, n))
+        else:
+            kernel = self.endogenous[:, None, :, :, None] * self.q[None, :, None, None, :]
+            kernel = kernel.reshape(n * m, n)
+            weights = None
+            if self.beta is None:
+                per_row = np.where(self.feasible, np.tile(self.discount, n_e)[:, None], 0.0)
+                weights = np.broadcast_to(per_row.reshape(-1, 1), (n * m, n))
+        return Flat(kernel, n, m, self.beta, weights)
+
+
 class MDPModel:
-    """Finite MDP: feasibility mask, rewards, kernel, and discounting.
+    """Finite MDP: feasibility mask, rewards, transition kernel, and discounting.
 
     ``feasible`` is an ``(n, m)`` boolean mask with at least one action
     per state; ``reward`` is ``(n, m)`` and must be finite on feasible
-    pairs; ``kernel`` holds the transition distribution of each
-    state-action pair.  Discounting is either a constant ``beta`` in
-    (0, 1) or transition-dependent ``discount_weights`` aligned with the
-    kernel (state-dependent case).  A successful
+    pairs.  ``kernel`` is a :class:`Factored` kernel, which carries its
+    own discount, or a flat ``(n, m, n)`` / ``(n*m, n)`` array (dense or
+    sparse), wrapped in a :class:`Flat` kernel with a constant ``beta``
+    in (0, 1) or transition-aligned ``discount_weights`` (state-dependent
+    case).  The solvers use ``model.transitions``; ``kernel``,
+    ``discount_weights`` and :meth:`discounted_kernel` are read-only flat
+    views, built on first read for a factored kernel.  A successful
     :func:`certify_stability` is recorded on the model and covers every
     policy.
     """
 
-    feasible: np.ndarray
-    reward: np.ndarray
-    kernel: object
-    beta: float | None = None
-    discount_weights: object = None
-
-    def __post_init__(self):
-        self.feasible = np.asarray(self.feasible, dtype=bool)
+    def __init__(self, feasible, reward, kernel, beta=None, discount_weights=None):
+        self.feasible = np.asarray(feasible, dtype=bool)
         if self.feasible.ndim != 2:
             raise ValueError("feasible mask must be 2-d (states by actions)")
         if not self.feasible.any(axis=1).all():
             raise ValueError("every state needs at least one feasible action")
         n, m = self.feasible.shape
-        self.reward = np.asarray(self.reward, dtype=float)
+        self.reward = np.asarray(reward, dtype=float)
         if self.reward.shape != (n, m):
             raise ValueError("reward must be shaped like the feasibility mask")
         if not np.all(np.isfinite(self.reward[self.feasible])):
             raise ValueError("rewards must be finite on feasible pairs")
-        self.kernel = _flatten_kernel(self.kernel, n, m)
-        flat_mask = self.feasible.reshape(-1)
-        sums = np.asarray(self.kernel.sum(axis=1)).reshape(-1)
-        bad = np.abs(sums[flat_mask] - 1.0) > ROW_SUM_TOL
-        if bad.any():
-            raise ValueError(
-                f"{int(bad.sum())} feasible kernel rows do not sum to 1 (tol {ROW_SUM_TOL})"
-            )
-        if self.discount_weights is None:
-            if self.beta is None or not 0 < self.beta < 1:
-                raise ValueError("constant discount beta must lie in (0, 1)")
-        else:
-            if self.beta is not None:
-                raise ValueError("give either beta or discount_weights, not both")
-            if sp.issparse(self.discount_weights):
-                self.discount_weights = self.discount_weights.tocsr()
-                if self.discount_weights.shape != self.kernel.shape:
-                    raise ValueError("discount weights must align with the kernel")
-                if np.any(self.discount_weights.data < 0):
-                    raise ValueError("discount weights must be nonnegative")
-            else:
-                self.discount_weights = np.asarray(self.discount_weights, dtype=float)
-                if self.discount_weights.ndim == 3:
-                    self.discount_weights = self.discount_weights.reshape(n * m, n)
-                if self.discount_weights.shape != self.kernel.shape:
-                    raise ValueError("discount weights must align with the kernel")
-                if np.any(self.discount_weights < 0):
-                    raise ValueError("discount weights must be nonnegative")
-        self._discounted = None
+        if not isinstance(kernel, Factored):
+            kernel = Flat(kernel, n, m, beta, discount_weights)
+        elif beta is not None or discount_weights is not None:
+            raise ValueError("a factored kernel carries its own discount")
+        kernel.check(self.feasible)
+        self.transitions = kernel
+        self._flat = None
         self._certified = False
 
     @property
@@ -122,44 +291,61 @@ class MDPModel:
         return self.feasible.shape[1]
 
     @property
+    def beta(self):
+        return self.transitions.beta
+
+    @property
     def state_dependent(self):
-        return self.discount_weights is not None
+        return self.beta is None
+
+    def _flat_view(self):
+        if self._flat is None:
+            self._flat = self.transitions.flatten()
+        return self._flat
+
+    @property
+    def kernel(self):
+        """Flat ``(n*m, n)`` transition kernel (read-only view)."""
+        return self._flat_view().kernel
+
+    @property
+    def discount_weights(self):
+        """Flat discount weights aligned with :attr:`kernel`, or None for a constant beta."""
+        return self._flat_view().weights
 
     def discounted_kernel(self):
         """Flat ``(n*m, n)`` matrix of discounted transition weights."""
-        if self._discounted is None:
-            if self.state_dependent:
-                if sp.issparse(self.kernel) or sp.issparse(self.discount_weights):
-                    self._discounted = sp.csr_matrix(self.kernel).multiply(
-                        self.discount_weights
-                    ).tocsr()
-                else:
-                    self._discounted = self.discount_weights * self.kernel
-            else:
-                self._discounted = self.beta * self.kernel
-        return self._discounted
+        return self._flat_view().discounted()
 
     def policy_count(self):
         """log10 of the number of feasible policies."""
         return float(np.sum(np.log10(self.feasible.sum(axis=1))))
 
 
-def policy_indices(model, sigma):
+def _checked_policy(model, sigma):
     sigma = np.asarray(sigma, dtype=np.int64)
-    n, m = model.feasible.shape
+    n = model.n_states
     if sigma.shape != (n,):
         raise ValueError("policy must assign one action per state")
     if not model.feasible[np.arange(n), sigma].all():
         raise ValueError("policy selects infeasible actions")
-    return np.arange(n) * m + sigma
+    return sigma
+
+
+def _policy_operator(model, sigma, discounted=True):
+    """Rows ``L_sigma`` (discounted or not) and rewards ``r_sigma`` of a policy.
+
+    ``L_sigma`` is CSR for a factored kernel and keeps a flat kernel's
+    storage.
+    """
+    sigma = _checked_policy(model, sigma)
+    return model.transitions.policy_matrix(sigma, discounted), policy_reward(model, sigma)
 
 
 def policy_matrix(model, sigma, discounted=False):
-    """Transition (or discounted transition) matrix under a policy."""
-    rows = policy_indices(model, sigma)
-    source = model.discounted_kernel() if discounted else model.kernel
-    out = source[rows]
-    return np.asarray(out.todense()) if sp.issparse(out) else np.array(out)
+    """Dense transition (or discounted transition) matrix under a policy."""
+    out = _policy_operator(model, sigma, discounted)[0]
+    return out.toarray() if sp.issparse(out) else np.array(out)
 
 
 def policy_reward(model, sigma):
@@ -173,9 +359,7 @@ def expected_values(model, v, discounted=True):
     With ``discounted=True`` the expectation embeds the discount factor,
     which is the form used by the Bellman operator.
     """
-    source = model.discounted_kernel() if discounted else model.kernel
-    ev = source @ np.asarray(v, dtype=float)
-    return np.asarray(ev).reshape(model.feasible.shape)
+    return model.transitions.expect(np.asarray(v, dtype=float), discounted)
 
 
 def q_factors(model, v):
@@ -188,15 +372,27 @@ def _masked(model, q, mode):
     return np.where(model.feasible, q, fill)
 
 
+def _masked_q_factors(model, v, mode):
+    """Action values, infeasible pairs at -inf (max) or +inf (min), built in place.
+
+    One fresh ``(n, m)`` array per sweep: a second one alive at the same
+    time makes the allocator return and refault its pages on every sweep.
+    """
+    q = expected_values(model, v)
+    q += model.reward
+    np.copyto(q, -np.inf if mode == "max" else np.inf, where=~model.feasible)
+    return q
+
+
 def bellman(model, v, mode="max"):
     """One Bellman sweep: per-state max (or min) of the action values."""
-    q = _masked(model, q_factors(model, v), mode)
+    q = _masked_q_factors(model, v, mode)
     return q.max(axis=1) if mode == "max" else q.min(axis=1)
 
 
 def greedy(model, v, mode="max"):
     """Greedy policy at ``v``; exact ties go to the lowest action index."""
-    q = _masked(model, q_factors(model, v), mode)
+    q = _masked_q_factors(model, v, mode)
     return q.argmax(axis=1) if mode == "max" else q.argmin(axis=1)
 
 
@@ -204,24 +400,20 @@ def greedy_min(model, v):
     return greedy(model, v, mode="min")
 
 
-def _policy_operator(model, sigma):
-    """Discounted kernel rows ``L_sigma`` and rewards ``r_sigma`` of a policy."""
-    rows = policy_indices(model, sigma)
-    return model.discounted_kernel()[rows], model.reward.reshape(-1)[rows]
-
-
 def policy_apply(model, sigma, v):
     """One application of the policy operator ``r_sigma + L_sigma v``."""
-    l_sigma, r_sigma = _policy_operator(model, sigma)
-    return r_sigma + l_sigma @ np.asarray(v, dtype=float)
+    sigma = _checked_policy(model, sigma)
+    return policy_reward(model, sigma) + model.transitions.policy_apply(
+        sigma, np.asarray(v, dtype=float)
+    )
 
 
 def policy_value(model, sigma):
     """Exact lifetime value of a policy via the linear system.
 
     Solves ``(I - L_sigma) v = r_sigma`` by sparse LU (SuperLU with
-    COLAMD ordering) on a CSC matrix, for dense and sparse kernels alike.
-    A state-dependent model that :func:`certify_stability` has not
+    COLAMD ordering) on a CSC matrix, for every kernel.  A
+    state-dependent model that :func:`certify_stability` has not
     certified gets the per-policy radius check ``rho(L_sigma) < 1``
     first, and a violation raises with the offending policy attached.
     """
@@ -237,38 +429,45 @@ def policy_value(model, sigma):
 def certify_stability(model, dominating=None):
     """Check the stability certificate before iterating on an SDD model.
 
-    Constant-discount models are always certified.  For state-dependent
-    discounting, a user-supplied uniform dominating matrix ``L`` (with
-    entrywise ``beta * P <= L`` and ``rho(L) < 1``) certifies every
-    policy at once; without one, per-policy radii are enumerated when
-    the policy space is small enough.  Passing the string ``"certified"``
-    records that the caller has verified stability through model
-    structure (for example, discounting driven by an action-independent
-    exogenous block whose discount operator has radius below one).
-    Success is recorded on the model, so later policy evaluations skip
-    their per-policy radius check.
+    Constant-discount models are always certified.  A factored kernel
+    with per-exogenous-state discounts ``d`` is certified by its
+    structure: ``rho(diag(d) Q) < 1`` is checked once, on the ``n_z x
+    n_z`` matrix.  That covers every policy, because the Perron vector of
+    ``diag(d) Q``, held constant in the endogenous index, is an
+    eigenvector of every ``L_sigma`` with the same eigenvalue (a
+    bounding vector when ``Q`` is reducible).  For any other
+    state-dependent model, a user-supplied uniform dominating matrix
+    ``L`` (with entrywise ``beta * P <= L`` and ``rho(L) < 1``) certifies
+    every policy at once; without one, per-policy radii are enumerated
+    when the policy space is small enough.  Passing the string
+    ``"certified"`` records that the caller has verified stability
+    through model structure.  Success is recorded on the model, so later
+    certificates and policy evaluations skip their radius checks.
     """
     if not model.state_dependent:
         return
-    if isinstance(dominating, str):
-        if dominating != "certified":
-            raise ValueError(f"unknown certificate {dominating!r}")
-    elif dominating is not None:
+    if isinstance(dominating, str) and dominating != "certified":
+        raise ValueError(f"unknown certificate {dominating!r}")
+    kernel = model.transitions
+    if isinstance(kernel, Factored):
+        if not model._certified:
+            spectral.check_radius_below_one(
+                kernel.discount[:, None] * kernel.q, "exogenous discount operator"
+            )
+    elif dominating is None:
+        _check_every_policy(model, lambda sigma: policy_matrix(model, sigma, discounted=True))
+    elif not isinstance(dominating, str):
         dominating = np.asarray(dominating, dtype=float)
-        discounted = model.discounted_kernel()
+        discounted = kernel.discounted()
+        # Row x*m + a of the flat kernel must be dominated by row x of L.
+        rows = np.repeat(np.arange(model.n_states), model.n_actions)
         if sp.issparse(discounted):
-            # Row x*m + a of the flat kernel must be dominated by row x of L.
-            rows = np.repeat(np.arange(model.n_states), model.n_actions)
             coo = discounted.tocoo()
             if np.any(coo.data > dominating[rows[coo.row], coo.col] + 1e-12):
                 raise StabilityError("dominating matrix does not bound the discounted kernel")
-        else:
-            rows = np.repeat(np.arange(model.n_states), model.n_actions)
-            if np.any(discounted > dominating[rows] + 1e-12):
-                raise StabilityError("dominating matrix does not bound the discounted kernel")
+        elif np.any(discounted > dominating[rows] + 1e-12):
+            raise StabilityError("dominating matrix does not bound the discounted kernel")
         spectral.check_radius_below_one(dominating, "dominating matrix")
-    else:
-        _check_every_policy(model, lambda sigma: policy_matrix(model, sigma, discounted=True))
     model._certified = True
 
 
@@ -543,7 +742,6 @@ def gumbel_ev_operator(model):
 
     def operator(g):
         inner = logsumexp(model.reward + model.beta * np.asarray(g, dtype=float), axis=1)
-        out = model.kernel @ inner
-        return np.asarray(out).reshape(model.feasible.shape)
+        return model.transitions.expect(inner, discounted=False)
 
     return operator

@@ -53,17 +53,26 @@ def require_stochastic_matrix(p, tol=ROW_SUM_TOL, repair=False):
 
     Row sums must equal one within ``tol``.  Renormalization happens
     only behind the explicit ``repair`` flag, since silent repair hides
-    modeling bugs.
+    modeling bugs.  A sparse matrix is checked on its stored entries and
+    returned as CSR, with no dense copy.
     """
-    p = spectral.require_square(p, name="stochastic matrix")
-    if np.any(p < 0):
+    if sp.issparse(p):
+        p = sp.csr_matrix(p)
+        if p.shape[0] != p.shape[1] or p.shape[0] < 1:
+            raise ValueError(f"stochastic matrix must be square, got shape {p.shape}")
+        entries = p.data
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("stochastic matrix has non-finite entries")
+    else:
+        p = entries = spectral.require_square(p, name="stochastic matrix")
+    if np.any(entries < 0):
         raise ValueError("stochastic matrix has negative entries")
-    sums = p.sum(axis=1)
+    sums = np.asarray(p.sum(axis=1)).reshape(-1)
     if np.any(np.abs(sums - 1.0) > tol):
         if not repair:
             worst = float(np.max(np.abs(sums - 1.0)))
             raise ValueError(f"row sums deviate from 1 by up to {worst:.3g}")
-        p = p / sums[:, None]
+        p = sp.diags(1.0 / sums) @ p if sp.issparse(p) else p / sums[:, None]
     return p
 
 

@@ -472,10 +472,12 @@ def inventory_sdd(
 ):
     """Inventory model with an exogenous discount-factor process.
 
-    The discount factor equals the current exogenous state; stability is
-    certified by ``rho(diag(z) Q) < 1`` on the exogenous block, which
-    carries over to every policy because actions cannot influence the
-    exogenous chain.
+    The discount factor equals the current exogenous state.  The kernel
+    is factored: the stock moves by the small restock kernel, the
+    discount state by ``Q``.  Stability is ``rho(diag(z) Q) < 1`` on the
+    exogenous block, which carries over to every policy because actions
+    cannot influence the exogenous chain; :func:`fsdp.dp.certify_stability`
+    checks it from the factors.
     """
     z_grid, q = markov.tauchen(n_z, rho=rho, nu=nu)
     z_vals = z_grid + b
@@ -497,23 +499,12 @@ def inventory_sdd(
             reward_y[y, a] = expected_sales[y] - c * a - kappa * (a > 0)
             np.add.at(restock[y, a], next_no_order + a, phi)
 
-    n_states = n_y * n_z
-    m = n_y
-    feasible = np.zeros((n_states, m), dtype=bool)
-    reward = np.full((n_states, m), -np.inf)
-    kernel = np.zeros((n_states * m, n_states))
-    weights = np.zeros((n_states * m, n_states))
-    for y in range(n_y):
-        for iz in range(n_z):
-            state = y * n_z + iz
-            for a in range(n_y - y):
-                feasible[state, a] = True
-                reward[state, a] = reward_y[y, a]
-                row = np.outer(restock[y, a], q[iz]).reshape(-1)
-                kernel[state * m + a] = row
-                weights[state * m + a] = z_vals[iz]
+    # State y * n_z + iz; order a is feasible while y + a <= K.
+    feasible = np.repeat(np.add.outer(np.arange(n_y), np.arange(n_y)) < n_y, n_z, axis=0)
     model = dp.MDPModel(
-        feasible=feasible, reward=reward, kernel=kernel, discount_weights=weights
+        feasible=feasible,
+        reward=np.repeat(reward_y, n_z, axis=0),
+        kernel=dp.Factored(q, z_vals, endogenous=restock),
     )
     return {
         "mdp": model,
@@ -562,13 +553,7 @@ def optimal_savings(
     feasible = feasible3.reshape(n, m)
     reward = reward3.reshape(n, m)
 
-    iw, iy, k = np.nonzero(feasible3)
-    base_rows = (iw * y_size + iy) * m + k
-    rows = np.repeat(base_rows, y_size)
-    cols = (np.repeat(k, y_size) * y_size)[:] + np.tile(np.arange(y_size), base_rows.size)
-    data = q[np.repeat(iy, y_size), np.tile(np.arange(y_size), base_rows.size)]
-    kernel = sp.csr_matrix((data, (rows, cols)), shape=(n * m, n))
-    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
+    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=dp.Factored(q, beta))
     return {
         "mdp": model,
         "w_grid": w_grid,
@@ -642,16 +627,9 @@ def optimal_savings_stochastic_returns(
     feasible = feasible4.reshape(n, m)
     reward = reward4.reshape(n, m)
 
-    iw, iy, ie, k = np.nonzero(feasible4)
-    base_rows = ((iw * y_size + iy) * eta_size + ie) * m + k
-    n_next = y_size * eta_size
-    rows = np.repeat(base_rows, n_next)
-    next_iy = np.tile(np.repeat(np.arange(y_size), eta_size), base_rows.size)
-    next_ie = np.tile(np.tile(np.arange(eta_size), y_size), base_rows.size)
-    cols = (np.repeat(k, n_next) * y_size + next_iy) * eta_size + next_ie
-    data = q[np.repeat(iy, n_next), next_iy] * eta_probs[next_ie]
-    kernel = sp.csr_matrix((data, (rows, cols)), shape=(n * m, n))
-    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
+    # Exogenous state (income, return): q[iy, iy'] * eta_probs[ie'].
+    exogenous = np.kron(q, np.tile(eta_probs, (eta_size, 1)))
+    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=dp.Factored(exogenous, beta))
     return {
         "mdp": model,
         "w_grid": w_grid,
@@ -702,16 +680,7 @@ def optimal_investment(
     adjustment = gamma * (y_grid[None, :] - y_grid[:, None]) ** 2  # (y, q)
     reward = (profit[:, :, None] - adjustment[:, None, :]).reshape(n, m)
     feasible = np.ones((n, m), dtype=bool)
-    iy, iz, k = np.meshgrid(
-        np.arange(y_size), np.arange(z_size), np.arange(m), indexing="ij"
-    )
-    base_rows = ((iy * z_size + iz) * m + k).reshape(-1)
-    rows = np.repeat(base_rows, z_size)
-    next_iz = np.tile(np.arange(z_size), base_rows.size)
-    cols = np.repeat(k.reshape(-1), z_size) * z_size + next_iz
-    data = q[np.repeat(iz.reshape(-1), z_size), next_iz]
-    kernel = sp.csr_matrix((data, (rows, cols)), shape=(n * m, n))
-    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
+    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=dp.Factored(q, beta))
     return {
         "mdp": model,
         "y_grid": y_grid,
@@ -760,16 +729,7 @@ def firm_hiring(
         output[:, :, None] - wage_bill[:, None, None] - adjust[:, None, :]
     ).reshape(n, m)
     feasible = np.ones((n, m), dtype=bool)
-    il, iz, k = np.meshgrid(
-        np.arange(l_size), np.arange(z_size), np.arange(m), indexing="ij"
-    )
-    base_rows = ((il * z_size + iz) * m + k).reshape(-1)
-    rows = np.repeat(base_rows, z_size)
-    next_iz = np.tile(np.arange(z_size), base_rows.size)
-    cols = np.repeat(k.reshape(-1), z_size) * z_size + next_iz
-    data = q[np.repeat(iz.reshape(-1), z_size), next_iz]
-    kernel = sp.csr_matrix((data, (rows, cols)), shape=(n * m, n))
-    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
+    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=dp.Factored(q, beta))
     return {
         "mdp": model,
         "l_grid": l_grid,

@@ -1,10 +1,11 @@
 import json
-
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fsdp import cli
+from fsdp.models import ZOO
 
 
 def run_cli(args):
@@ -270,3 +271,85 @@ class TestSpectral:
         assert run_cli(["spectral", matrix_file]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["spectral_radius"] == value
+
+
+# ---------------------------------------------------------------------------
+# The table writer against the per-value writer it replaced
+
+
+def _oracle_format_number(x):
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def _oracle_jsonify(obj):
+    if isinstance(obj, dict):
+        return {k: _oracle_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_oracle_jsonify(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(_oracle_format_number(obj))
+    return obj
+
+
+def _oracle_write_table(path, fmt, header, rows):
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if fmt == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(
+                ",".join(_oracle_format_number(v) if not isinstance(v, str) else v for v in row)
+            )
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    else:
+        payload = [dict(zip(header, row)) for row in rows]
+        path.write_text(
+            json.dumps(_oracle_jsonify(payload), indent=1, sort_keys=True) + "\n",
+            encoding="utf-8",
+            newline="\n",
+        )
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mixed_columns_match_oracle(self, tmp_path, fmt):
+        columns = [
+            ["vfi", "hpi", "opi", "opi"],
+            np.array([3, -1, 0, 2**40]),
+            np.array([1 / 3, -0.0, 1e-300, 123456789.125]),
+            [0.5, 2.0, 5e-324, 1e17],
+            np.array([True, False, True, True]),
+        ]
+        header = ["solver", "n", "seconds", "x", "flag"]
+        cli.write_table(tmp_path / "new", fmt, header, columns)
+        _oracle_write_table(tmp_path / "old", fmt, header, list(zip(*columns)))
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "name, horizon", [("optimal_investment", 1000), ("optimal_investment", 0), ("ct_inventory_restock", 50)]
+    )
+    def test_simulate_files_match_oracle(self, tmp_path, monkeypatch, fmt, name, horizon):
+        config = write_config(tmp_path, "sim.json", {"model": name, "seed": 0, "horizon": horizon})
+        overrides = [f"--override={k}={v}" for k, v in ZOO[name].ci_overrides.items()]
+        args = ["simulate", "--config", config, "--format", fmt, *overrides]
+        assert run_cli([*args, "--out", tmp_path / "new"]) == 0
+        monkeypatch.setattr(
+            cli,
+            "write_table",
+            lambda path, fmt, header, columns: _oracle_write_table(
+                path, fmt, header, list(zip(*columns))
+            ),
+        )
+        assert run_cli([*args, "--out", tmp_path / "old"]) == 0
+        files = sorted(p.name for p in (tmp_path / "new").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "old").iterdir())
+        assert {"series", "events"} & {Path(f).stem for f in files}
+        for file in files:
+            assert (tmp_path / "new" / file).read_bytes() == (tmp_path / "old" / file).read_bytes()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.stats import binom, norm
 
 from fsdp import markov
@@ -41,6 +42,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             markov.require_distribution([1.2, -0.2])
 
+    def test_sparse_checked_without_a_dense_copy(self, monkeypatch):
+        p = sp.csr_matrix(ss_inventory_chain(order_size=20, threshold=5, d_max=100))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("sparse matrix densified")
+
+        monkeypatch.setattr(sp.csr_matrix, "toarray", refuse)
+        monkeypatch.setattr(sp.csr_matrix, "todense", refuse)
+        assert sp.issparse(markov.require_stochastic_matrix(p))
+        repaired = markov.require_stochastic_matrix(2.0 * p, repair=True)
+        assert np.asarray(repaired.sum(axis=1)).ravel() == pytest.approx(np.ones(p.shape[0]))
+        for bad in (p[:, :-1], -p, 0.9 * p):
+            with pytest.raises(ValueError):
+                markov.require_stochastic_matrix(bad)
+
 
 class TestSimulateChain:
     def test_identity_matrix_constant_path(self):
@@ -54,6 +70,17 @@ class TestSimulateChain:
         path = markov.simulate_chain(p, [1.0, 0.0], 10**6, rng)
         freq = np.mean(path == 1)
         assert freq == pytest.approx(0.6, abs=0.01)
+
+    def test_csr_path_equals_dense_path(self):
+        rng = np.random.default_rng(0)
+        path = markov.simulate_chain(sp.csr_matrix(np.eye(3)), [1.0, 0.0, 0.0], 5, rng)
+        assert np.array_equal(path, np.zeros(6, dtype=np.int64))
+        p = ss_inventory_chain(order_size=20, threshold=5, d_max=100)
+        psi0 = np.full(p.shape[0], 1.0 / p.shape[0])
+        for seed in (0, 1, 2):
+            dense = markov.simulate_chain(p, psi0, 5_000, np.random.default_rng(seed))
+            sparse = markov.simulate_chain(sp.csr_matrix(p), psi0, 5_000, np.random.default_rng(seed))
+            assert np.array_equal(sparse, dense)
 
     def test_seed_determinism(self):
         p = day_laborer()
