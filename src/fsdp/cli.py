@@ -84,27 +84,46 @@ def _jsonify(obj):
 _COLUMN_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
 
+def _csv_column(column):
+    return _COLUMN_FORMATS.get(column.dtype.kind, "%s"), column.tolist()
+
+
+def _json_column(column):
+    """``(format, values)`` that print each entry as ``json.dumps`` does."""
+    kind, values = column.dtype.kind, column.tolist()
+    if kind in "iu":
+        return "%d", values
+    if kind == "f" and np.isfinite(column).all():
+        return "%r", values
+    return "%s", [json.dumps(v) for v in values]
+
+
 def write_table(path, fmt, header, columns):
-    """Write a table as CSV (comma, LF, UTF-8) or JSON with 17-digit floats.
+    """Write a table as CSV (comma, LF, UTF-8) or JSON.
 
     ``columns`` holds one sequence per header entry.  Each column is
-    converted to Python values once; integer columns print as ``str(int)``
-    and float columns with 17 significant digits.
+    converted to Python values once and every row is formatted with one
+    ``%`` template.  CSV prints integers as ``str(int)`` and floats with
+    17 significant digits; JSON is ``json.dumps(rows, indent=1,
+    sort_keys=True)`` of the rows as objects, byte for byte.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    convert = _csv_column if fmt == "csv" else _json_column
     specs, values = [], []
     for column in columns:
-        column = np.asarray(column)
-        specs.append(_COLUMN_FORMATS.get(column.dtype.kind, "%s"))
-        values.append(column.tolist())
-    rows = zip(*values)
+        spec, column = convert(np.asarray(column))
+        specs.append(spec)
+        values.append(column)
     if fmt == "csv":
         template = ",".join(specs)
-        text = "\n".join([",".join(header), *[template % row for row in rows]])
+        text = "\n".join([",".join(header), *[template % row for row in zip(*values)]])
     else:
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=1, sort_keys=True)
+        order = sorted(range(len(header)), key=header.__getitem__)
+        fields = [json.dumps(header[i]).replace("%", "%%") + ": " + specs[i] for i in order]
+        template = " {\n  " + ",\n  ".join(fields) + "\n }"
+        rows = [template % row for row in zip(*(values[i] for i in order))]
+        text = "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
@@ -465,7 +484,8 @@ def main(argv=None):
         print(f"stability certificate failed: {exc}{detail}", file=sys.stderr)
         return EXIT_CERTIFICATE
     except ConvergenceError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
+        detail = f" (error bound {exc.bound:.3e})" if exc.bound is not None else ""
+        print(f"convergence failure: {exc}{detail}", file=sys.stderr)
         return EXIT_CONVERGENCE
 
 

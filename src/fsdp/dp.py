@@ -1,9 +1,9 @@
 """Markov decision processes with constant or state-dependent discounting.
 
 Transitions sit behind one kernel protocol: ``expect(v, discounted)``
-gives the ``(n, m)`` expectations, ``policy_apply(sigma, v)`` gives
-``L_sigma v`` and ``policy_matrix(sigma, discounted)`` gives a policy's
-rows.  :class:`Flat` stores one row per state-action pair, dense or
+gives the ``(n, m)`` expectations, ``policy_operator(sigma)`` gives the
+map ``v -> L_sigma v`` and ``policy_matrix(sigma, discounted)`` gives a
+policy's rows.  :class:`Flat` stores one row per state-action pair, dense or
 sparse; :class:`Factored` keeps an exogenous matrix ``Q`` that no action
 touches beside an endogenous choice or small kernel, so a Bellman sweep
 costs one product ``V Q^T`` on the ``(n_e, n_z)`` value grid.  Solvers
@@ -16,11 +16,14 @@ expected-value / Q-factor operator factorization, a refactored OPI in
 expected-value space, and the log-sum-exp closed form for Gumbel taste
 shocks.
 
-Policy evaluation is a sparse LU solve of ``I - L_sigma`` built from the
-policy's discounted rows, whatever the kernel.  Under state-dependent
-discounting every solver checks the stability certificate once, before
-it iterates; the model records a successful check, and evaluation then
-skips the per-policy radius check.
+Policy evaluation solves ``(I - L_sigma) v = r_sigma`` by BiCGSTAB on
+the policy operator, so ``I - L_sigma`` is never assembled or factored,
+and certifies the answer: a positive ``h`` with ``L_sigma h <= lam h``,
+``lam < 1``, bounds the error by the weighted residual (see
+:func:`policy_value`).  Under state-dependent discounting every solver
+checks the stability certificate once, before it iterates; the model
+records a successful check, and evaluation then skips the per-policy
+radius check.
 """
 
 import itertools
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, bicgstab
 from scipy.special import logsumexp
 
 from . import fixed_point, spectral
@@ -40,6 +43,10 @@ ROW_SUM_TOL = 1e-10
 # Exhaustive per-policy stability checks are combinatorial; above this
 # many policies a uniform dominating operator must be supplied.
 POLICY_ENUMERATION_LIMIT = 10_000
+
+# BiCGSTAB passes per policy evaluation, each restarted from the last
+# iterate with a tighter tolerance, before the evaluation gives up.
+EVALUATION_PASSES = 8
 
 
 def _flatten_kernel(kernel, n, m):
@@ -131,8 +138,8 @@ class Flat:
         n, m = self.shape
         return self._source(discounted)[np.arange(n) * m + sigma]
 
-    def policy_apply(self, sigma, v):
-        return self.policy_matrix(sigma, True) @ v
+    def policy_operator(self, sigma):
+        return self.policy_matrix(sigma, True).__matmul__
 
 
 class Factored:
@@ -191,14 +198,27 @@ class Factored:
         out = (self.endogenous.reshape(n_e * m, n_e) @ w).reshape(n_e, m, n_z)
         return out.transpose(0, 2, 1).reshape(n_e * n_z, m)
 
-    def policy_apply(self, sigma, v):
+    def policy_operator(self, sigma):
         n_e, n_z, _ = self.shape
-        w = self._grid(v, True)
         sigma = sigma.reshape(n_e, n_z)
         if self.endogenous is None:
-            return w[sigma, np.arange(n_z)].reshape(-1)
+            index = (sigma * n_z + np.arange(n_z)).reshape(-1)
+            return lambda v: self._grid(v, True).reshape(-1)[index]
         k = self.endogenous[np.arange(n_e)[:, None], sigma]  # (n_e, n_z, n_e')
-        return np.einsum("ezf,fz->ez", k, w).reshape(-1)
+        return lambda v: np.einsum("ezf,fz->ez", k, self._grid(v, True)).reshape(-1)
+
+    def bounding_pair(self):
+        """``(h, lam)`` with ``h > 0`` and ``L_sigma h <= lam h`` for every policy.
+
+        ``h`` solves ``(I - diag(d) Q) h = 1`` on the exogenous block and
+        is held constant in the endogenous index, so ``L_sigma h`` is
+        ``diag(d) Q h`` whatever the policy; ``lam`` is read off that
+        product.
+        """
+        n_e, n_z, _ = self.shape
+        dq = self.discount[:, None] * self.q
+        h = np.linalg.solve(np.eye(n_z) - dq, np.ones(n_z))
+        return np.tile(h, n_e), _ratio_bound(dq @ h, h)
 
     def _row_discount(self, z):
         """Discount of states with exogenous index ``z``, as a column."""
@@ -281,6 +301,7 @@ class MDPModel:
         self.transitions = kernel
         self._flat = None
         self._certified = False
+        self._bounding = None
 
     @property
     def n_states(self):
@@ -403,17 +424,25 @@ def greedy_min(model, v):
 def policy_apply(model, sigma, v):
     """One application of the policy operator ``r_sigma + L_sigma v``."""
     sigma = _checked_policy(model, sigma)
-    return policy_reward(model, sigma) + model.transitions.policy_apply(
-        sigma, np.asarray(v, dtype=float)
-    )
+    apply = model.transitions.policy_operator(sigma)
+    return policy_reward(model, sigma) + apply(np.asarray(v, dtype=float))
 
 
 def policy_value(model, sigma):
-    """Exact lifetime value of a policy via the linear system.
+    """Lifetime value of a policy, certified to a fixed accuracy.
 
-    Solves ``(I - L_sigma) v = r_sigma`` by sparse LU (SuperLU with
-    COLAMD ordering) on a CSC matrix, for every kernel.  A
-    state-dependent model that :func:`certify_stability` has not
+    Solves ``(I - L_sigma) v = r_sigma`` by BiCGSTAB, started from zero,
+    on the operator ``v -> v - L_sigma v``; each product goes through the
+    kernel's ``policy_operator``, so ``I - L_sigma`` is never assembled.
+    The answer ``x`` is certified with a positive ``h`` and ``lam < 1``
+    such that ``L_sigma h <= lam h``: with ``res = r_sigma - (x - L_sigma
+    x)``, ``||x - v_sigma||_inf <= max(h) * max(|res_i| / h_i) / (1 -
+    lam)``.  The solve restarts with a tighter tolerance until that bound
+    is at most ``max(1e-12, 64 eps / (1 - lam)) * max(1, ||x||_inf)``,
+    and raises :class:`ConvergenceError`, with the bound attached, if
+    :data:`EVALUATION_PASSES` passes do not get there.
+
+    A state-dependent model that :func:`certify_stability` has not
     certified gets the per-policy radius check ``rho(L_sigma) < 1``
     first, and a violation raises with the offending policy attached.
     """
@@ -421,9 +450,87 @@ def policy_value(model, sigma):
         spectral.check_radius_below_one(
             policy_matrix(model, sigma, discounted=True), "policy discount operator", policy=sigma
         )
-    l_sigma, r_sigma = _policy_operator(model, sigma)
-    system = sp.identity(model.n_states, format="csc") - sp.csc_matrix(l_sigma)
-    return spsolve(system, r_sigma)
+    sigma = _checked_policy(model, sigma)
+    apply = model.transitions.policy_operator(sigma)
+    h, lam = _bounding_pair(model, apply)
+    return _certified_solve(apply, policy_reward(model, sigma), h, lam)[0]
+
+
+def _ratio_bound(lh, h):
+    """``max (L h)_i / h_i``, or raise if ``h`` is not a positive bounding vector below 1."""
+    lam = float(np.max(lh / h)) if np.all(h > 0) else np.nan
+    if not lam < 1:
+        raise ConvergenceError(
+            f"no bounding vector certifies the policy operator (ratio {lam:.6g})", bound=np.inf
+        )
+    return lam
+
+
+def _bounding_pair(model, apply):
+    """``(h, lam)`` with ``h > 0``, ``lam < 1`` and ``L_sigma h <= lam h``.
+
+    Constant ``beta``: ``h = 1`` and ``lam = beta``.  A factored kernel
+    with a discount vector: the exogenous pair recorded on the model (see
+    :meth:`Factored.bounding_pair`).  Any other state-dependent model:
+    ``h`` solves ``(I - L_sigma) h = 1`` and ``lam`` is read off the
+    product ``L_sigma h`` itself, so it holds however accurate ``h`` is.
+    """
+    if not model.state_dependent:
+        return np.ones(model.n_states), model.beta
+    if isinstance(model.transitions, Factored):
+        if model._bounding is None:
+            model._bounding = model.transitions.bounding_pair()
+        return model._bounding
+    ones = np.ones(model.n_states)
+    h, _ = bicgstab(_shifted(apply, ones.size), ones, rtol=1e-10, atol=0.0)
+    return h, _ratio_bound(apply(h), h)
+
+
+def _shifted(apply, n):
+    return LinearOperator((n, n), matvec=lambda v: v - apply(v), dtype=float)
+
+
+def _certified_solve(apply, b, h, lam):
+    """Solve ``(I - L) x = b`` by BiCGSTAB until the certified bound meets its target.
+
+    Works on ``b`` scaled to unit sup norm, so the stopping rule does not
+    depend on the units of the rewards.  Returns ``(x, bound)``.
+    """
+    scale = float(np.max(np.abs(b), initial=0.0))
+    if scale == 0:
+        return np.zeros_like(b, dtype=float), 0.0
+    system = _shifted(apply, b.size)
+    b = b / scale
+    tolerance = max(1e-12, 64 * np.finfo(float).eps / (1 - lam))
+    y, rtol = np.zeros_like(b), tolerance * (1 - lam)
+    for _ in range(EVALUATION_PASSES):
+        y, _ = bicgstab(system, b, x0=y, rtol=rtol, atol=0.0)
+        res = b - system.matvec(y)
+        bound = _error_bound(res, h, lam)
+        target = tolerance * max(1.0 / scale, np.max(np.abs(y)))
+        if bound <= target:
+            return scale * y, scale * bound
+        if not np.isfinite(bound):
+            bound = np.inf
+            break
+        rtol = np.linalg.norm(res) / np.linalg.norm(b) * min(0.1, 0.5 * target / bound)
+    raise ConvergenceError(
+        f"policy evaluation did not certify its bound ({scale * bound:.3e})",
+        last=scale * y,
+        bound=scale * bound,
+    )
+
+
+def _error_bound(res, h, lam):
+    """``max(h) * max(|res_i| / h_i) / (1 - lam)``, which bounds ``||x - v_sigma||_inf``."""
+    return float(np.max(h) * np.max(np.abs(res) / h) / (1 - lam))
+
+
+def _evaluation_bound(model, sigma, x):
+    """The certified bound on ``||x - v_sigma||_inf`` that :func:`policy_value` stops on."""
+    apply = model.transitions.policy_operator(sigma)
+    h, lam = _bounding_pair(model, apply)
+    return _error_bound(policy_reward(model, sigma) - (x - apply(x)), h, lam)
 
 
 def certify_stability(model, dominating=None):
@@ -435,7 +542,9 @@ def certify_stability(model, dominating=None):
     n_z`` matrix.  That covers every policy, because the Perron vector of
     ``diag(d) Q``, held constant in the endogenous index, is an
     eigenvector of every ``L_sigma`` with the same eigenvalue (a
-    bounding vector when ``Q`` is reducible).  For any other
+    bounding vector when ``Q`` is reducible).  The certified model also
+    records the bounding pair that policy evaluation certifies its error
+    with (:meth:`Factored.bounding_pair`).  For any other
     state-dependent model, a user-supplied uniform dominating matrix
     ``L`` (with entrywise ``beta * P <= L`` and ``rho(L) < 1``) certifies
     every policy at once; without one, per-policy radii are enumerated
@@ -454,6 +563,7 @@ def certify_stability(model, dominating=None):
             spectral.check_radius_below_one(
                 kernel.discount[:, None] * kernel.q, "exogenous discount operator"
             )
+            model._bounding = kernel.bounding_pair()
     elif dominating is None:
         _check_every_policy(model, lambda sigma: policy_matrix(model, sigma, discounted=True))
     elif not isinstance(dominating, str):
@@ -556,22 +666,27 @@ def solve_vfi(
 
 
 def solve_hpi(model, sigma0=None, mode="max", max_iter=10_000, dominating=None):
-    """Howard policy iteration: exact policy evaluation plus improvement.
+    """Howard policy iteration: certified policy evaluation plus improvement.
 
-    Each distinct policy is evaluated once, by a sparse LU solve of
-    ``I - L_sigma`` (see :func:`policy_value`); the stability certificate
-    is checked once, before the first evaluation.  Terminates when the
-    policy repeats, which happens in finitely many steps; the returned
-    policy is exactly optimal.  The iteration cap is defensive only.
+    Each distinct policy is evaluated once, by a certified BiCGSTAB solve
+    (see :func:`policy_value`); the stability certificate is checked
+    once, before the first evaluation.  Terminates when the policy
+    repeats, which happens in finitely many steps.  The result's
+    ``error_bound`` is the certified bound on ``||v - v_sigma||_inf`` of
+    the final evaluation.  The iteration cap is defensive only.
     """
     certify_stability(model, dominating)
+    evaluated = []
+
+    def evaluate(sigma):
+        evaluated.append(sigma)
+        return policy_value(model, sigma)
+
     v, k = fixed_point.policy_iteration(
-        lambda v: greedy(model, v, mode),
-        lambda sigma: policy_value(model, sigma),
-        _start_policy(model, sigma0, mode),
-        max_iter,
+        lambda v: greedy(model, v, mode), evaluate, _start_policy(model, sigma0, mode), max_iter
     )
-    return _finish(v, greedy(model, v, mode), bellman(model, v, mode), k, "hpi")
+    bound = _evaluation_bound(model, evaluated[-1], v)
+    return _finish(v, greedy(model, v, mode), bellman(model, v, mode), k, "hpi", bound)
 
 
 def solve_opi(
@@ -595,8 +710,9 @@ def solve_opi(
     history = [v.copy()] if record_history else None
 
     def policy_operator(sigma):
-        l_sigma, r_sigma = _policy_operator(model, sigma)
-        return lambda v: r_sigma + l_sigma @ v
+        sigma = _checked_policy(model, sigma)
+        apply, r_sigma = model.transitions.policy_operator(sigma), policy_reward(model, sigma)
+        return lambda v: r_sigma + apply(v)
 
     v, k = fixed_point.optimistic_policy_iteration(
         lambda v: greedy(model, v, mode), policy_operator, v, m, tolerance, max_iter, history

@@ -17,12 +17,15 @@ class SpectralRadiusError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """An iterative routine diverged or hit its iteration cap.
 
-    ``last`` holds the final finite iterate, when one is available.
+    ``last`` holds the final finite iterate, when one is available, and
+    ``bound`` the certified error bound of a policy evaluation that
+    stopped short of its target.
     """
 
-    def __init__(self, message, last=None):
+    def __init__(self, message, last=None, bound=None):
         super().__init__(message)
         self.last = last
+        self.bound = bound
 
 
 class SingularJacobianError(RuntimeError):

@@ -1,10 +1,13 @@
+import json
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsdp import dp, spectral
+from fsdp import cli, dp, spectral
 from fsdp.dp import (
     MDPModel,
     bellman,
@@ -23,7 +26,7 @@ from fsdp.dp import (
     solve_refactored_opi,
     solve_vfi,
 )
-from fsdp.errors import SpectralRadiusError, StabilityError
+from fsdp.errors import ConvergenceError, SpectralRadiusError, StabilityError
 from fsdp.models import ZOO
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -243,6 +246,168 @@ class TestSparsePolicyEvaluation:
         sigma, v = dense_hpi(model)
         assert np.array_equal(result.policy, sigma)
         assert close_relative(result.value, v)
+
+
+def _stochastic(rng, shape):
+    x = rng.random(shape) * (rng.random(shape) < 0.6)
+    x[..., 0] += 0.05
+    return x / x.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A model and one feasible policy, over every route to a bounding pair.
+
+    Flat dense or CSR kernels with a constant beta; factored kernels with
+    either endogenous form and a constant or per-exogenous-state
+    discount; flat state-dependent kernels certified by a dominating
+    matrix, by the string ``"certified"``, or not at all.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(
+        st.sampled_from(["dense", "csr", "factored", "dominating", "certified", "uncertified"])
+    )
+    scale = 10.0 ** draw(st.integers(-4, 4))
+    rng = np.random.default_rng(seed)
+    if kind == "factored":
+        n_e, n_z = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        with_kernel = draw(st.booleans())
+        m = draw(st.integers(1, 4)) if with_kernel else n_e
+        endogenous = _stochastic(rng, (n_e, m, n_e)) if with_kernel else None
+        if draw(st.booleans()):
+            discount = rng.uniform(0.1, 1.1, n_z)
+        else:
+            discount = float(rng.uniform(0.1, 0.995))
+        kernel = dp.Factored(_stochastic(rng, (n_z, n_z)), discount, endogenous=endogenous)
+        n, extra = n_e * n_z, {}
+    else:
+        n, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+        kernel = _stochastic(rng, (n * m, n))
+        if kind == "dominating":
+            p = _stochastic(rng, (n, n))
+            b_max = rng.uniform(0.5, 0.99)
+            kernel = np.repeat(p[:, None, :], m, axis=1)
+            extra = {"discount_weights": rng.uniform(0.3, b_max, size=(n, m, n))}
+        elif kind in ("certified", "uncertified"):
+            extra = {"discount_weights": rng.uniform(0.0, 1.2, size=(n * m, n))}
+        else:
+            extra = {"beta": rng.uniform(0.1, 0.995)}
+            kernel = sp.csr_matrix(kernel) if kind == "csr" else kernel
+    feasible = rng.random((n, m)) < 0.7
+    feasible[np.arange(n), rng.integers(0, m, n)] = True
+    model = MDPModel(feasible, scale * rng.standard_normal((n, m)), kernel, **extra)
+    sigma = np.array([rng.choice(np.flatnonzero(row)) for row in feasible])
+    rho = np.max(np.abs(np.linalg.eigvals(policy_matrix(model, sigma, discounted=True))))
+    assume(rho < 0.995)
+    if kind == "dominating":
+        certify_stability(model, b_max * p)
+    elif kind in ("certified", "factored") and model.state_dependent:
+        certify_stability(model, "certified")
+    return model, sigma, rng
+
+
+def _contraction(model, sigma):
+    return dp._bounding_pair(model, model.transitions.policy_operator(sigma))[1]
+
+
+def _certified_target(model, sigma, x):
+    """The accuracy policy evaluation promises: ``max(1e-12, 64 eps / (1 - lam)) * max(1, |x|)``."""
+    lam = _contraction(model, sigma)
+    return max(1e-12, 64 * np.finfo(float).eps / (1 - lam)) * max(1.0, np.max(np.abs(x)))
+
+
+class TestCertifiedEvaluation:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(evaluation_cases())
+    def test_stated_bound_holds_against_dense_solve(self, case):
+        model, sigma, rng = case
+        h, lam = dp._bounding_pair(model, model.transitions.policy_operator(sigma))
+        l_sigma = policy_matrix(model, sigma, discounted=True)
+        assert np.all(h > 0) and lam < 1
+        assert np.all(l_sigma @ h <= lam * h * (1 + 1e-12))
+        x = policy_value(model, sigma)
+        v = dense_policy_value(model, sigma)
+        # The bound is exact arithmetic on a rounded residual, and the
+        # dense reference has rounding errors of its own: both are of
+        # order eps * |v| / (1 - lam).
+        eps = np.finfo(float).eps
+        slack = 16 * model.n_states * eps * np.max(np.abs(v)) / (1 - _contraction(model, sigma))
+        bound = dp._evaluation_bound(model, sigma, x)
+        assert bound <= _certified_target(model, sigma, x)
+        assert np.max(np.abs(x - v)) <= bound + slack
+        # The bound covers any answer, not only the solver's.
+        y = x + 1e-6 * np.max(np.abs(v)) * rng.standard_normal(x.size)
+        assert np.max(np.abs(y - v)) <= dp._evaluation_bound(model, sigma, y) + slack
+
+    @pytest.mark.parametrize("card", ["optimal_investment", "inventory_sdd", "job_search_markov"])
+    def test_hpi_reports_the_bound_of_its_final_evaluation(self, card):
+        model = ZOO[card].build(ci_scale=True)["mdp"]
+        result = solve_hpi(model)
+        v = dense_policy_value(model, result.policy)
+        assert 0 < result.error_bound <= _certified_target(model, result.policy, result.value)
+        assert np.max(np.abs(result.value - v)) <= result.error_bound + 1e-13 * np.max(np.abs(v))
+
+    def test_hpi_from_a_random_policy_on_default_firm_hiring(self):
+        # A direct sparse LU solve took about a minute for one such policy.
+        model = ZOO["firm_hiring"].build()["mdp"]
+        assert model.n_states == 10_000
+        rng = np.random.default_rng(31)
+        sigma0 = np.array([rng.choice(np.flatnonzero(row)) for row in model.feasible])
+        start = time.perf_counter()
+        result = solve_hpi(model, sigma0=sigma0)
+        assert time.perf_counter() - start < 10
+        assert result.policy.tolist() == solve_hpi(model).policy.tolist()
+
+    @staticmethod
+    def _stalled(monkeypatch):
+        """A Krylov solver that never moves off its starting point."""
+
+        def stalled(a, b, x0=None, **kwargs):
+            return (np.zeros_like(b) if x0 is None else x0), 1
+
+        monkeypatch.setattr(dp, "bicgstab", stalled)
+
+    def test_uncertified_evaluation_raises_with_its_bound(self, monkeypatch):
+        model = random_mdp(np.random.default_rng(32))
+        sigma = greedy(model, np.zeros(model.n_states))
+        self._stalled(monkeypatch)
+        with pytest.raises(ConvergenceError) as info:
+            policy_value(model, sigma)
+        # At x = 0 the bound is max |r_sigma| / (1 - beta).
+        r_max = np.max(np.abs(policy_reward(model, sigma)))
+        assert info.value.bound == pytest.approx(r_max / (1 - model.beta))
+        assert np.array_equal(info.value.last, np.zeros(model.n_states))
+
+    def test_false_certificate_leaves_no_bounding_vector(self):
+        # Every discounted row sums to 1.05, so (I - L_sigma) h = 1 gives h = -20.
+        rng = np.random.default_rng(33)
+        model = MDPModel(
+            feasible=np.ones((5, 2), dtype=bool),
+            reward=rng.standard_normal((5, 2)),
+            kernel=_stochastic(rng, (10, 5)),
+            discount_weights=np.full((10, 5), 1.05),
+        )
+        certify_stability(model, "certified")
+        with pytest.raises(ConvergenceError) as info:
+            policy_value(model, np.zeros(5, dtype=np.int64))
+        assert info.value.bound == np.inf
+
+    def test_uncertified_evaluation_exits_4(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "optimal_investment", "solver": "hpi"}))
+        self._stalled(monkeypatch)
+        args = ["solve", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert cli.main([*args, "--override=y_size=12", "--override=z_size=5"]) == 4
+        assert "error bound" in capsys.readouterr().err
+
+    def test_metadata_reports_the_hpi_bound(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "inventory_sdd", "solver": "hpi"}))
+        overrides = [f"--override={k}={v}" for k, v in ZOO["inventory_sdd"].ci_overrides.items()]
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(config), "--out", str(out), *overrides]) == 0
+        bound = json.loads((out / "metadata.json").read_text())["error_bound"]
+        assert 0 < bound < 1e-9
 
 
 class TestGreedy:

@@ -220,8 +220,8 @@ class TestProtocol:
             assert sp.isspmatrix_csr(l_got)
             assert np.array_equal(l_got.toarray(), dp.policy_matrix(flat, sigma, discounted))
         np.testing.assert_allclose(
-            model.transitions.policy_apply(sigma, v),
-            flat.transitions.policy_apply(sigma, v),
+            model.transitions.policy_operator(sigma)(v),
+            flat.transitions.policy_operator(sigma)(v),
             rtol=1e-12,
             atol=1e-14,
         )
