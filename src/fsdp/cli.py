@@ -484,7 +484,10 @@ def main(argv=None):
         print(f"stability certificate failed: {exc}{detail}", file=sys.stderr)
         return EXIT_CERTIFICATE
     except ConvergenceError as exc:
-        detail = f" (error bound {exc.bound:.3e})" if exc.bound is not None else ""
+        notes = [] if exc.bound is None else [f"error bound {exc.bound:.3e}"]
+        if exc.steps:
+            notes.append("last steps " + ", ".join(f"{step:.3e}" for step in exc.steps))
+        detail = f" ({'; '.join(notes)})" if notes else ""
         print(f"convergence failure: {exc}{detail}", file=sys.stderr)
         return EXIT_CONVERGENCE
 

@@ -105,23 +105,7 @@ def spectral_test_sequence(op, tmax):
     matrix = _discount_matrix(op)
     if tmax < 1:
         raise ValueError("tmax must be >= 1")
-    n = matrix.shape[0]
-    values = np.empty(tmax)
-    first = None
-    v = np.ones(n)
-    log_scale = 0.0
-    for t in range(1, tmax + 1):
-        v = matrix @ v
-        norm = np.linalg.norm(v, np.inf)
-        if norm == 0.0:
-            values[t - 1 :] = 0.0
-            first = first if first is not None else t
-            break
-        log_scale += np.log(norm)
-        values[t - 1] = np.exp(log_scale / t)
-        if first is None and log_scale < 0:
-            first = t
-        v = v / norm
+    values, first = spectral._local_radius_seq(matrix, np.ones(matrix.shape[0]), tmax)
     return SpectralTestResult(values=values, first_contraction_time=first)
 
 

@@ -29,6 +29,7 @@ radius check.
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -417,10 +418,6 @@ def greedy(model, v, mode="max"):
     return q.argmax(axis=1) if mode == "max" else q.argmin(axis=1)
 
 
-def greedy_min(model, v):
-    return greedy(model, v, mode="min")
-
-
 def policy_apply(model, sigma, v):
     """One application of the policy operator ``r_sigma + L_sigma v``."""
     sigma = _checked_policy(model, sigma)
@@ -570,12 +567,12 @@ def certify_stability(model, dominating=None):
         dominating = np.asarray(dominating, dtype=float)
         discounted = kernel.discounted()
         # Row x*m + a of the flat kernel must be dominated by row x of L.
-        rows = np.repeat(np.arange(model.n_states), model.n_actions)
+        n, m = model.n_states, model.n_actions
         if sp.issparse(discounted):
             coo = discounted.tocoo()
-            if np.any(coo.data > dominating[rows[coo.row], coo.col] + 1e-12):
+            if np.any(coo.data > dominating[coo.row // m, coo.col] + 1e-12):
                 raise StabilityError("dominating matrix does not bound the discounted kernel")
-        elif np.any(discounted > dominating[rows] + 1e-12):
+        elif np.any(discounted.reshape(n, m, n) > dominating[:, None, :] + 1e-12):
             raise StabilityError("dominating matrix does not bound the discounted kernel")
         spectral.check_radius_below_one(dominating, "dominating matrix")
     model._certified = True
@@ -780,22 +777,15 @@ class FactorizedOperators:
 
     def fixed_point(self, operator, start, tolerance=1e-13, max_iter=200_000):
         """Iterate a contraction on G-space or state space to its fixed point."""
-        current = np.asarray(start, dtype=float)
+        start = np.asarray(start, dtype=float)
+        return fixed_point.iterate(operator, start, tolerance, max_iter, error=self._step)[0]
+
+    def _step(self, new, old):
+        """Sup-norm step, over feasible pairs only when the iterates live on them."""
         mask = self.model.feasible
-        for _ in range(max_iter):
-            nxt = operator(current)
-            if nxt.shape == mask.shape:
-                gap = np.max(np.abs(nxt[mask] - current[mask]))
-            else:
-                gap = np.max(np.abs(nxt - current))
-            current = nxt
-            if gap <= tolerance:
-                return current
-        raise ConvergenceError("factorized fixed-point iteration hit the cap", last=current)
-
-
-def factorized_ops(model):
-    return FactorizedOperators(model)
+        if new.shape == mask.shape:
+            new, old = new[mask], old[mask]
+        return fixed_point.sup_step(new, old)
 
 
 def greedy_from_expected(model, g):
@@ -818,29 +808,19 @@ def solve_refactored_opi(model, g0=None, m=50, tolerance=1e-8, max_iter=100_000)
         if g0 is None
         else np.asarray(g0, dtype=float).copy()
     )
-    mask = model.feasible
     history = [g.copy()]
-    for k in range(1, max_iter + 1):
-        sigma = greedy_from_expected(model, g)
-        g_new = g
-        for _ in range(m):
-            g_new = ops.R_sigma(g_new, sigma)
-        step = float(np.max(np.abs(g_new[mask] - g[mask])))
-        g = g_new
-        history.append(g.copy())
-        if step <= tolerance:
-            sigma = greedy_from_expected(model, g)
-            v = ops.M(ops.D(g))
-            residual = float(np.max(np.abs(ops.R(g)[mask] - g[mask])))
-            return SolveResult(
-                value=v,
-                policy=sigma,
-                iterations=k,
-                method=f"refactored-opi(m={m})",
-                residual=residual,
-                history=history,
-            )
-    raise ConvergenceError("refactored OPI hit the iteration cap", last=g)
+    g, k = fixed_point.optimistic_policy_iteration(
+        partial(greedy_from_expected, model), lambda sigma: partial(ops.R_sigma, sigma=sigma),
+        g, m, tolerance, max_iter, history, error=ops._step,
+    )
+    return SolveResult(
+        value=ops.M(ops.D(g)),
+        policy=greedy_from_expected(model, g),
+        iterations=k,
+        method=f"refactored-opi(m={m})",
+        residual=ops._step(ops.R(g), g),
+        history=history,
+    )
 
 
 def gumbel_ev_operator(model):

@@ -17,15 +17,17 @@ class SpectralRadiusError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """An iterative routine diverged or hit its iteration cap.
 
-    ``last`` holds the final finite iterate, when one is available, and
+    ``last`` holds the final finite iterate, when one is available,
     ``bound`` the certified error bound of a policy evaluation that
-    stopped short of its target.
+    stopped short of its target, and ``steps`` the last few errors of a
+    loop that hit its cap, oldest first.
     """
 
-    def __init__(self, message, last=None, bound=None):
+    def __init__(self, message, last=None, bound=None, steps=None):
         super().__init__(message)
         self.last = last
         self.bound = bound
+        self.steps = steps
 
 
 class SingularJacobianError(RuntimeError):

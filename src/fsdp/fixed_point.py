@@ -1,15 +1,16 @@
 """Generic fixed-point machinery.
 
-Successive approximation with optional damping, Newton fixed-point
-iteration, and convergence-rate diagnostics.  Maps act on 1-d numpy
-arrays (scalars are promoted to length-one vectors).
-
-Also the value function iteration, Howard policy iteration and
-optimistic policy iteration loops shared by the MDP, RDP and
-continuous-time solvers.  They take the model's operators as callables,
-so one loop serves every family of monotone policy operators.
+Every object in the library is the fixed point of an order-preserving
+operator, found by iterating it.  :func:`iterate` is the one loop that
+does so; its stop rule is data, ``error(new, old) <= tolerance``.  On it
+sit value function iteration (``iterate`` itself), optimistic policy
+iteration, two-sided iteration over an order interval (:func:`squeeze`),
+and traced successive approximation and Newton iteration, which promote
+scalars to length-one vectors.  Also Howard policy iteration and
+convergence-rate diagnostics.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,9 @@ from .errors import ConvergenceError, SingularJacobianError
 
 # Iterates above this sup-norm abort with a divergence diagnostic.
 DIVERGENCE_LIMIT = 1e12
+
+# A ConvergenceError raised at the cap carries this many of the last errors.
+STEPS_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -56,60 +60,72 @@ class IterationTrace:
         return self.iterates[-1]
 
 
-def _as_vector(u):
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    return np.atleast_1d(u), scalar
+def sup_step(new, old):
+    """Sup-norm step ``max |new - old|``, the default stop rule."""
+    return float(np.max(np.abs(new - old)))
 
 
-def successive_approx(op, u0, cfg=None):
-    """Iterate ``u <- (1 - damping) * u + damping * op(u)`` to a fixed point.
+def relative_step(new, old):
+    """Relative step ``max(|new - old| / |old|)``."""
+    return float(np.max(np.abs(new - old) / np.abs(old)))
 
-    Stops when the sup-norm step falls to ``cfg.tolerance`` or the
-    iteration cap is hit; the returned :class:`IterationTrace` records
-    iterates, step sizes, and whether the run converged.  Non-finite or
-    exploding iterates raise :class:`ConvergenceError` with the last
-    finite iterate attached.
+
+def within(step, threshold):
+    """Zero exactly when ``step <= threshold``: a moving threshold, run at tolerance 0."""
+    return 0.0 if step <= threshold else step or np.inf
+
+
+def _diverged(u):
+    return not np.all(np.isfinite(u)) or np.max(np.abs(u)) > DIVERGENCE_LIMIT
+
+
+def bounded_step(new, old):
+    """:func:`sup_step`; a non-finite ``new`` or one above ``DIVERGENCE_LIMIT`` raises."""
+    if _diverged(new):
+        raise ConvergenceError("iteration diverged", last=old)
+    return sup_step(new, old)
+
+
+def iterate(op, x, tolerance, max_iter, history=None, error=sup_step):
+    """Apply ``x <- op(x)`` until ``error(new, old) <= tolerance``; return ``(x, k, err)``.
+
+    Each iterate is appended to ``history`` when a list is given.  After
+    ``max_iter`` steps raises :class:`ConvergenceError` with the last
+    iterate and, as ``steps``, the last ``STEPS_KEPT`` errors, oldest first.
     """
-    cfg = cfg or IterationConfig()
-    u, scalar = _as_vector(u0)
-    trace = IterationTrace(iterates=[u0 if scalar else u.copy()])
-    alpha = cfg.damping
-    for k in range(1, cfg.max_iter + 1):
-        image = np.atleast_1d(np.asarray(op(u if not scalar else u[0]), dtype=float))
-        u_new = (1 - alpha) * u + alpha * image
-        if not np.all(np.isfinite(u_new)) or np.linalg.norm(u_new, np.inf) > DIVERGENCE_LIMIT:
-            raise ConvergenceError(
-                f"divergence detected at iteration {k}",
-                last=u[0] if scalar else u,
-            )
-        step = float(np.linalg.norm(u_new - u, np.inf))
-        trace.errors.append(step)
-        trace.iterates.append(float(u_new[0]) if scalar else u_new.copy())
-        trace.iterations = k
-        u = u_new
-        if step <= cfg.tolerance:
-            trace.converged = True
-            break
-    return trace
-
-
-def value_iteration(bellman, v, tolerance, max_iter, history=None):
-    """Iterate ``v <- bellman(v)`` until the sup-norm step is at most ``tolerance``.
-
-    Returns ``(v, k, last_step)`` with ``k`` the number of sweeps.  Each
-    iterate is appended to ``history`` when a list is given.  Raises
-    :class:`ConvergenceError` carrying the last iterate at ``max_iter``.
-    """
+    steps = deque(maxlen=STEPS_KEPT)
     for k in range(1, max_iter + 1):
-        v_new = bellman(v)
-        step = float(np.max(np.abs(v_new - v)))
-        v = v_new
+        new = op(x)
+        err = error(new, x)
+        x = new
         if history is not None:
-            history.append(v.copy())
-        if step <= tolerance:
-            return v, k, step
-    raise ConvergenceError("value function iteration hit the iteration cap", last=v)
+            history.append(x.copy())
+        if err <= tolerance:
+            return x, k, err
+        steps.append(err)
+    raise ConvergenceError(f"iteration hit its cap of {max_iter}", last=x, steps=list(steps))
+
+
+# Value function iteration: ``v <- bellman(v)`` to a sup-norm step of ``tolerance``.
+value_iteration = iterate
+
+
+def squeeze(op, lo, hi, tolerance, max_iter, gap, last=lambda lo, hi: hi):
+    """Iterate ``op`` from both ends of an invariant order interval.
+
+    Stops when ``gap(lo, hi) <= tolerance`` and returns ``(lo, hi, k)``;
+    at the cap the :class:`ConvergenceError` carries ``last(lo, hi)``.
+    """
+    try:
+        (lo, hi), k, _ = iterate(
+            lambda pair: tuple(map(op, pair)), (lo, hi), tolerance, max_iter,
+            error=lambda new, old: gap(*new),
+        )
+    except ConvergenceError as exc:
+        if isinstance(exc.last, tuple):
+            exc.last = last(*exc.last)
+        raise
+    return lo, hi, k
 
 
 def policy_iteration(greedy, evaluate, sigma, max_iter):
@@ -133,26 +149,72 @@ def policy_iteration(greedy, evaluate, sigma, max_iter):
     raise ConvergenceError("policy iteration cycled past the defensive cap", last=v)
 
 
-def optimistic_policy_iteration(greedy, policy_operator, v, m, tolerance, max_iter, history=None):
+def optimistic_policy_iteration(
+    greedy, policy_operator, v, m, tolerance, max_iter, history=None, error=sup_step
+):
     """Optimistic policy iteration: ``v <- T_sigma^m v`` with ``sigma`` greedy at ``v``.
 
-    ``policy_operator(sigma)`` returns the map ``v -> T_sigma v``.  Stops
-    when the sup-norm step of an outer iteration is at most ``tolerance``
-    and returns ``(v, k)``; ``m = 1`` reproduces value function iteration.
-    Each iterate is appended to ``history`` when a list is given.
+    ``policy_operator(sigma)`` returns the map ``v -> T_sigma v``.  Each
+    sweep is one step of :func:`iterate` under the stop rule ``error``;
+    returns ``(v, k)``.  ``m = 1`` reproduces value function iteration.
     """
-    for k in range(1, max_iter + 1):
+
+    def sweep(v):
         apply = policy_operator(greedy(v))
-        v_new = v
         for _ in range(m):
-            v_new = apply(v_new)
-        step = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if history is not None:
-            history.append(v.copy())
-        if step <= tolerance:
-            return v, k
-    raise ConvergenceError("optimistic policy iteration hit the iteration cap", last=v)
+            v = apply(v)
+        return v
+
+    v, k, _ = iterate(sweep, v, tolerance, max_iter, history, error)
+    return v, k
+
+
+def _vectorized(op, scalar):
+    """``op`` as a map of 1-d float vectors; a scalar problem's map gets the one entry."""
+    return lambda u: np.atleast_1d(np.asarray(op(u[0] if scalar else u), dtype=float))
+
+
+def _traced(step, u0, cfg):
+    """Run ``u <- step(u, k)`` through :func:`iterate`, recording an :class:`IterationTrace`.
+
+    A scalar ``u0`` runs as a length-one vector.  A diverging iterate
+    raises with the last finite one; the cap ends the trace unconverged.
+    """
+    u, scalar = np.atleast_1d(np.asarray(u0, dtype=float)), np.ndim(u0) == 0
+    trace = IterationTrace(iterates=[u0 if scalar else u.copy()])
+
+    def record(new, old):
+        if _diverged(new):
+            k, last = len(trace.errors) + 1, old[0] if scalar else old
+            raise ConvergenceError(f"divergence detected at iteration {k}", last=last)
+        trace.errors.append(sup_step(new, old))
+        trace.iterates.append(float(new[0]) if scalar else new.copy())
+        return trace.errors[-1]
+
+    next_step = lambda u: step(u, len(trace.errors) + 1)
+    try:
+        iterate(next_step, u, cfg.tolerance, cfg.max_iter, error=record)
+        trace.converged = True
+    except ConvergenceError:
+        if len(trace.errors) < cfg.max_iter:
+            raise
+    trace.iterations = len(trace.errors)
+    return trace
+
+
+def successive_approx(op, u0, cfg=None):
+    """Iterate ``u <- (1 - damping) * u + damping * op(u)`` to a fixed point.
+
+    Stops when the sup-norm step falls to ``cfg.tolerance`` or the
+    iteration cap is hit; the returned :class:`IterationTrace` records
+    iterates, step sizes, and whether the run converged.  Non-finite or
+    exploding iterates raise :class:`ConvergenceError` with the last
+    finite iterate attached.
+    """
+    cfg = cfg or IterationConfig()
+    vec_op = _vectorized(op, np.ndim(u0) == 0)
+    alpha = cfg.damping
+    return _traced(lambda u, k: (1 - alpha) * u + alpha * vec_op(u), u0, cfg)
 
 
 def finite_difference_jacobian(op, u):
@@ -178,40 +240,24 @@ def newton_fixed_point(op, u0, cfg=None, jacobian=None):
     Updates via ``u' = inv(I - J(u)) @ (op(u) - J(u) @ u)`` where ``J``
     is the Jacobian of ``op``, supplied as a callback or computed by
     central differences.  Scalar problems may pass scalar callables.
+    Returns the :class:`IterationTrace` of :func:`successive_approx`.
     """
     cfg = cfg or IterationConfig()
-    u, scalar = _as_vector(u0)
-
-    def vec_op(v):
-        return np.atleast_1d(np.asarray(op(v[0] if scalar else v), dtype=float))
-
+    scalar = np.ndim(u0) == 0
+    vec_op = _vectorized(op, scalar)
     if jacobian is None:
         jac_fn = lambda v: finite_difference_jacobian(vec_op, v)
     else:
         jac_fn = lambda v: np.atleast_2d(np.asarray(jacobian(v[0] if scalar else v), dtype=float))
 
-    trace = IterationTrace(iterates=[u0 if scalar else u.copy()])
-    eye = np.eye(u.size)
-    for k in range(1, cfg.max_iter + 1):
+    def step(u, k):
         jac = jac_fn(u)
         try:
-            u_new = np.linalg.solve(eye - jac, vec_op(u) - jac @ u)
+            return np.linalg.solve(np.eye(u.size) - jac, vec_op(u) - jac @ u)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(f"I - J is singular at iteration {k}") from exc
-        if not np.all(np.isfinite(u_new)) or np.linalg.norm(u_new, np.inf) > DIVERGENCE_LIMIT:
-            raise ConvergenceError(
-                f"divergence detected at iteration {k}",
-                last=u[0] if scalar else u,
-            )
-        step = float(np.linalg.norm(u_new - u, np.inf))
-        trace.errors.append(step)
-        trace.iterates.append(float(u_new[0]) if scalar else u_new.copy())
-        trace.iterations = k
-        u = u_new
-        if step <= cfg.tolerance:
-            trace.converged = True
-            break
-    return trace
+
+    return _traced(step, u0, cfg)
 
 
 def convergence_order(errors):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fixed_point, markov, spectral
-from .errors import ConvergenceError, StabilityError
+from .errors import StabilityError
 
 
 def _weighted_logsumexp_rows(vals, weights):
@@ -221,11 +221,6 @@ class KoopmansOperator:
                 raise ValueError("value vector must be strictly positive")
 
 
-def koopmans_apply(k, v):
-    """Evaluate the Koopmans operator at a value vector."""
-    return k(v)
-
-
 class ContractionCheck(NamedTuple):
     classification: str  # "contraction" | "unknown"
     modulus: float | None
@@ -264,15 +259,6 @@ class LifetimeValueResult(NamedTuple):
     residual: float
 
 
-def _iterate_to_fixed_point(op, v0, tol, max_iter):
-    trace = fixed_point.successive_approx(
-        op, v0, fixed_point.IterationConfig(tolerance=tol, max_iter=max_iter)
-    )
-    if not trace.converged:
-        raise ConvergenceError("lifetime-value iteration hit the iteration cap", last=trace.final)
-    return trace
-
-
 def solve_lifetime_value(k, cfg=None, bracket=None):
     """Compute the lifetime value defined by a Koopmans operator.
 
@@ -287,12 +273,14 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
     agg, ce = k.aggregator, k.ce
     n = ce.p.shape[0]
 
+    def iterate_from(v0, method):
+        v, iterations, _ = fixed_point.iterate(k, v0, tol, max_iter, error=fixed_point.bounded_step)
+        return LifetimeValueResult(v, method, iterations, _residual(k, v))
+
     check = blackwell_contraction_check(k)
     if check.classification == "contraction":
         v0 = np.full(n, 1.0) if ce.requires_positive else np.zeros(n)
-        trace = _iterate_to_fixed_point(k, v0, tol, max_iter)
-        v = trace.final
-        return LifetimeValueResult(v, "blackwell-contraction", trace.iterations, _residual(k, v))
+        return iterate_from(v0, "blackwell-contraction")
 
     if isinstance(agg, CES) and isinstance(ce, KrepsPorteus):
         if not agg.beta < 1:
@@ -307,9 +295,7 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
     if isinstance(agg, Uzawa) and isinstance(ce, Expectation):
         l_matrix = agg.b[:, None] * ce.p
         spectral.check_radius_below_one(l_matrix, what="discount operator b*P")
-        trace = _iterate_to_fixed_point(k, np.zeros(n), tol, max_iter)
-        v = trace.final
-        return LifetimeValueResult(v, "uzawa-spectral", trace.iterations, _residual(k, v))
+        return iterate_from(np.zeros(n), "uzawa-spectral")
 
     if bracket is not None:
         v, iterations = bracketed_fixed_point(k, bracket[0], bracket[1], tol, max_iter)
@@ -332,15 +318,13 @@ def bracketed_fixed_point(op, lower, upper, tol=1e-10, max_iter=100_000):
     squeeze the unique fixed point; convergence is declared when they
     meet within ``tol``.
     """
-    lo = np.asarray(lower, dtype=float).copy()
-    hi = np.asarray(upper, dtype=float).copy()
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
     if np.any(lo > hi):
         raise ValueError("bracket must satisfy lower <= upper")
-    for k_iter in range(1, max_iter + 1):
-        lo, hi = op(lo), op(hi)
-        if np.linalg.norm(hi - lo, np.inf) <= tol:
-            return 0.5 * (lo + hi), k_iter
-    raise ConvergenceError("bracketed iteration hit the iteration cap", last=0.5 * (lo + hi))
+    midpoint = lambda lo, hi: 0.5 * (lo + hi)
+    lo, hi, k_iter = fixed_point.squeeze(op, lo, hi, tol, max_iter, fixed_point.sup_step, midpoint)
+    return midpoint(lo, hi), k_iter
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +376,7 @@ def power_affine_solve(h, a, theta, cfg=None):
     # stopping rule uses relative sup-norm steps.
     tol = cfg.tolerance if cfg else 1e-13
     max_iter = cfg.max_iter if cfg else 200_000
-    v = h**theta
-    for _ in range(max_iter):
-        v_new = op(v)
-        step = np.max(np.abs(v_new - v) / np.abs(v))
-        v = v_new
-        if step <= tol:
-            return v
-    raise ConvergenceError("power-affine iteration hit the iteration cap", last=v)
+    return fixed_point.iterate(op, h**theta, tol, max_iter, error=fixed_point.relative_step)[0]
 
 
 def epstein_zin_value(h, beta, alpha, gamma, p, cfg=None):

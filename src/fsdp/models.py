@@ -890,30 +890,18 @@ def ez_savings_solve_direct(built, tolerance=1e-9, max_policy_iter=200):
                 sigma[iw, ie] = int(values.argmax())
         return sigma
 
-    def evaluate(sigma, v0):
-        v = v0.copy()
-        rows = np.arange(nw)[:, None]
-        cols = np.arange(ne)[None, :]
+    def policy_operator(sigma):
         r_sigma = w_grid[:, None] - w_grid[sigma] + e_grid[None, :]
-        for _ in range(100_000):
+
+        def apply(v):
             # Continuation recomputed per (w, e) from the selected rows.
             inner = np.einsum("weE,E->we", np.power(v, gamma)[sigma], phi)
-            v_new = (r_sigma**alpha + beta * inner ** (alpha / gamma)) ** (1 / alpha)
-            step = np.max(np.abs(v_new - v) / (1.0 + np.abs(v)))
-            v = v_new
-            if step <= tolerance:
-                return v
-        raise ConvergenceError("policy evaluation hit the cap", last=v)
+            return (r_sigma**alpha + beta * inner ** (alpha / gamma)) ** (1 / alpha)
+
+        return apply
 
     v = np.tile(e_grid[None, :], (nw, 1))
-    sigma = np.zeros((nw, ne), dtype=np.int64)
-    for _ in range(max_policy_iter):
-        v = evaluate(sigma, v)
-        sigma_new = greedy(v)
-        if np.array_equal(sigma_new, sigma):
-            return sigma, v
-        sigma = sigma_new
-    raise ConvergenceError("policy iteration failed to settle", last=v)
+    return _warm_policy_iteration(greedy, policy_operator, v, (nw, ne), tolerance, max_policy_iter)
 
 
 def ez_savings_solve_subordinate(built, tolerance=1e-9, max_policy_iter=200):
@@ -941,28 +929,34 @@ def ez_savings_solve_subordinate(built, tolerance=1e-9, max_policy_iter=200):
         inner = (r_pow + beta * (h[None, :, None] ** alpha)) ** (1 / alpha)
         return np.where(feas, inner, -np.inf).argmax(axis=1)  # (w, e)
 
-    def evaluate(sigma, h0):
-        h = h0.copy()
-        rows = np.arange(nw)[:, None]
-        r_sigma_pow = r_pow[rows, sigma, np.arange(ne)[None, :]]  # (w, e)
-        for _ in range(100_000):
+    def policy_operator(sigma):
+        r_sigma_pow = r_pow[np.arange(nw)[:, None], sigma, np.arange(ne)[None, :]]  # (w, e)
+
+        def apply(h):
             inner = (r_sigma_pow + beta * h[sigma] ** alpha) ** (gamma / alpha)
-            h_new = (inner @ phi) ** (1 / gamma)
-            step = np.max(np.abs(h_new - h) / (1.0 + np.abs(h)))
-            h = h_new
-            if step <= tolerance:
-                return h
-        raise ConvergenceError("policy evaluation hit the cap", last=h)
+            return (inner @ phi) ** (1 / gamma)
+
+        return apply
 
     h = np.full(nw, float(e_grid @ phi))
-    sigma = np.zeros((nw, ne), dtype=np.int64)
+    return _warm_policy_iteration(greedy, policy_operator, h, (nw, ne), tolerance, max_policy_iter)
+
+
+def _warm_policy_iteration(greedy, policy_operator, v, shape, tolerance, max_policy_iter):
+    """Policy iteration from the zero policy until it repeats; returns ``(sigma, v)``.
+
+    Each evaluation iterates ``policy_operator(sigma)`` from the last
+    value to a weighted step of at most ``tolerance``.
+    """
+    sigma = np.zeros(shape, dtype=np.int64)
+    weighted = lambda new, old: np.max(np.abs(new - old) / (1.0 + np.abs(old)))
     for _ in range(max_policy_iter):
-        h = evaluate(sigma, h)
-        sigma_new = greedy(h)
+        v = fixed_point.iterate(policy_operator(sigma), v, tolerance, 100_000, error=weighted)[0]
+        sigma_new = greedy(v)
         if np.array_equal(sigma_new, sigma):
-            return sigma, h
+            return sigma, v
         sigma = sigma_new
-    raise ConvergenceError("policy iteration failed to settle", last=h)
+    raise ConvergenceError("policy iteration failed to settle", last=v)
 
 
 # ---------------------------------------------------------------------------

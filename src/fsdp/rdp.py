@@ -181,35 +181,30 @@ def rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
     stab = model.stability
     if isinstance(stab, UserCertified):
         return np.asarray(stab.evaluator(model, sigma), dtype=float)
+    apply = partial(rdp_policy_apply, model, sigma)
     if isinstance(stab, ConvexConcave):
-        lo = np.asarray(stab.lower, dtype=float).copy()
-        hi = np.asarray(stab.upper, dtype=float).copy()
-        for _ in range(max_iter):
-            lo = rdp_policy_apply(model, sigma, lo)
-            hi = rdp_policy_apply(model, sigma, hi)
+
+        def gap(lo, hi):
             scale = 1.0 + np.max(np.abs(hi))
-            if np.max(np.abs(hi - lo)) <= tolerance * scale:
-                return 0.5 * (lo + hi)
-        raise ConvergenceError("bracketed policy evaluation hit the cap", last=hi)
-    v = np.zeros(model.n_states)
+            return fixed_point.within(np.max(np.abs(hi - lo)), tolerance * scale)
+
+        lo, hi, _ = fixed_point.squeeze(apply, stab.lower, stab.upper, 0.0, max_iter, gap)
+        return 0.5 * (lo + hi)
     eps = np.finfo(float).eps
-    for _ in range(max_iter):
-        v_new = rdp_policy_apply(model, sigma, v)
+
+    def step(v_new, v):
         if not np.all(np.isfinite(v_new)):
             raise ConvergenceError("policy evaluation diverged", last=v)
-        step = np.max(np.abs(v_new - v))
-        v = v_new
+        scale = 1.0 + np.max(np.abs(v_new))
+        # A step below tol * (1 - modulus) pins the fixed point to tol;
+        # the floor guards against stalling at rounding noise.
         if isinstance(stab, Contracting):
-            # A step below tol * (1 - modulus) pins the fixed point to tol;
-            # the floor guards against stalling at rounding noise.
-            threshold = max(
-                tolerance * (1.0 - stab.modulus), 64 * eps * (1.0 + np.max(np.abs(v)))
-            )
+            threshold = max(tolerance * (1.0 - stab.modulus), 64 * eps * scale)
         else:
-            threshold = tolerance * (1.0 + np.max(np.abs(v)))
-        if step <= threshold:
-            return v
-    raise ConvergenceError("policy evaluation hit the iteration cap", last=v)
+            threshold = tolerance * scale
+        return fixed_point.within(np.max(np.abs(v_new - v)), threshold)
+
+    return fixed_point.iterate(apply, np.zeros(model.n_states), 0.0, max_iter, error=step)[0]
 
 
 def _start_value(model):
@@ -433,14 +428,12 @@ def smooth_ambiguity_policy_value_conjugate(model, sigma, tolerance=1e-12, max_i
         return (r_sigma + beta * mixed ** (1 / zeta)) ** zeta
 
     lower, upper = ex["bracket"]
-    # kappa < 0 reverses the interval under t -> t^kappa.
-    lo = upper**kappa
-    hi = lower**kappa
-    for _ in range(max_iter):
-        lo, hi = conjugate_apply(lo), conjugate_apply(hi)
-        if np.max(np.abs(hi - lo) / np.abs(hi)) <= tolerance:
-            return (0.5 * (lo + hi)) ** (1 / kappa)
-    raise ConvergenceError("conjugate policy evaluation hit the cap", last=hi)
+    # kappa < 0 reverses the interval under t -> t^kappa.  The gap is
+    # relative to hi.
+    lo, hi, _ = fixed_point.squeeze(
+        conjugate_apply, upper**kappa, lower**kappa, tolerance, max_iter, fixed_point.relative_step
+    )
+    return (0.5 * (lo + hi)) ** (1 / kappa)
 
 
 # ---------------------------------------------------------------------------

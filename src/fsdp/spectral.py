@@ -139,36 +139,30 @@ def local_spectral_radius_seq(a, h, kmax):
         raise ValueError("h must be strictly positive")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    out = np.empty(kmax)
-    v = h.copy()
-    for k in range(1, kmax + 1):
-        v = a @ v
-        norm = np.linalg.norm(v, np.inf)
-        out[k - 1] = norm ** (1.0 / k)
-        if norm == 0.0:
-            out[k - 1 :] = 0.0
-            break
-        # Rescale to dodge overflow/underflow over long horizons; the
-        # correction keeps out[k] equal to the unscaled value.
-        if norm > 1e100 or norm < 1e-100:
-            return _local_radius_seq_logs(a, h, kmax)
-    return out
+    return _local_radius_seq(a, h, kmax)[0]
 
 
-def _local_radius_seq_logs(a, h, kmax):
-    out = np.empty(kmax)
-    v = np.asarray(h, dtype=float).copy()
+def _local_radius_seq(a, h, kmax):
+    """``||a^k h||_inf ** (1/k)`` for k = 1..kmax, and the first k at which it is below one.
+
+    Rescaled at every step, with the norms summed in logs; the first k is
+    read off the sign of that sum, since ``exp`` can round it to one.
+    """
+    out = np.zeros(kmax)
+    first = None
+    v = np.asarray(h, dtype=float)
     log_scale = 0.0
     for k in range(1, kmax + 1):
         v = a @ v
         norm = np.linalg.norm(v, np.inf)
         if norm == 0.0:
-            out[k - 1 :] = 0.0
-            return out
+            return out, first or k
         log_scale += np.log(norm)
         out[k - 1] = np.exp(log_scale / k)
+        if first is None and log_scale < 0:
+            first = k
         v = v / norm
-    return out
+    return out, first
 
 
 def spectral_bound(a):

@@ -168,7 +168,7 @@ def test_criterion_07_factorization_identities():
     rng = np.random.default_rng(7)
     for _ in range(5):
         model = random_mdp(rng, n=8, m=3)
-        ops = dp.factorized_ops(model)
+        ops = dp.FactorizedOperators(model)
         v_star = dp.solve_hpi(model).value
         g_star = ops.fixed_point(ops.R, np.zeros((8, 3)))
         q_star = ops.fixed_point(ops.S, np.zeros((8, 3)))
@@ -178,7 +178,7 @@ def test_criterion_07_factorization_identities():
     # Refactored OPI tracks expected values of the value iterates.
     model = random_mdp(rng, n=8, m=3)
     model.reward += rng.random((8, 3)) * 1e-3  # keep greedy choices unique
-    ops = dp.factorized_ops(model)
+    ops = dp.FactorizedOperators(model)
     sigma0 = dp.greedy(model, np.zeros(8))
     v = dp.policy_value(model, sigma0)
     refactored = dp.solve_refactored_opi(model, g0=ops.E(v), m=4, tolerance=1e-11)

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,12 @@ from hypothesis import strategies as st
 
 from fsdp import cli, dp, spectral
 from fsdp.dp import (
+    FactorizedOperators,
     MDPModel,
     bellman,
     certify_stability,
     enumerate_policies,
-    factorized_ops,
     greedy,
-    greedy_min,
     gumbel_ev_operator,
     policy_apply,
     policy_matrix,
@@ -105,7 +105,7 @@ class TestPolicyValue:
         rng = np.random.default_rng(0)
         model = random_mdp(rng)
         bound = np.max(np.abs(model.reward)) / (1 - model.beta)
-        for sigma in (greedy(model, np.zeros(6)), greedy_min(model, np.zeros(6))):
+        for sigma in (greedy(model, np.zeros(6)), greedy(model, np.zeros(6), "min")):
             assert np.max(np.abs(policy_value(model, sigma))) <= bound + 1e-9
 
     def test_iteration_matches_partial_sums(self):
@@ -427,7 +427,7 @@ class TestGreedy:
         model2 = MDPModel(
             feasible=np.ones((1, 3), dtype=bool), reward=reward2, kernel=kernel, beta=0.5
         )
-        assert greedy_min(model2, np.zeros(1))[0] == 1
+        assert greedy(model2, np.zeros(1), "min")[0] == 1
 
     def test_greedy_at_optimum_is_optimal(self):
         rng = np.random.default_rng(3)
@@ -587,6 +587,56 @@ class TestStateDependentDiscounting:
             l_sigma = policy_matrix(model, sigma, discounted=True)
             assert spectral.spectral_radius(l_sigma) < 1
 
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_one_action_row_above_the_bound_is_rejected(self, storage):
+        rng = np.random.default_rng(26)
+        n, m, b_max = 5, 3, 0.95
+        p = rng.random((n, n)) + 0.05
+        p /= p.sum(axis=1, keepdims=True)
+        kernel = np.repeat(p[:, None, :], m, axis=1)
+        weights = rng.uniform(0.8, b_max, size=(n, m, n))
+        # Row (x, a) = (3, 2) breaks the bound at one entry; its neighbours
+        # (3, 1) and (4, 2) stay within it.
+        weights[3, 2, 1] = b_max * 1.01
+        for broken in (False, True):
+            w = weights if broken else np.minimum(weights, b_max)
+            flat_kernel, flat_w = kernel.reshape(n * m, n), w.reshape(n * m, n)
+            if storage == "csr":
+                flat_kernel, flat_w = sp.csr_matrix(flat_kernel), sp.csr_matrix(flat_w)
+            model = MDPModel(
+                feasible=np.ones((n, m), dtype=bool),
+                reward=rng.standard_normal((n, m)),
+                kernel=flat_kernel,
+                discount_weights=flat_w,
+            )
+            if broken:
+                with pytest.raises(StabilityError):
+                    certify_stability(model, b_max * p)
+            else:
+                certify_stability(model, b_max * p)
+
+    def test_dominating_check_makes_no_kernel_sized_copy(self):
+        rng = np.random.default_rng(27)
+        n, m, b_max = 60, 20, 0.95
+        p = rng.random((n, n)) + 0.05
+        p /= p.sum(axis=1, keepdims=True)
+        model = MDPModel(
+            feasible=np.ones((n, m), dtype=bool),
+            reward=rng.standard_normal((n, m)),
+            kernel=np.repeat(p[:, None, :], m, axis=1),
+            discount_weights=rng.uniform(0.8, b_max, size=(n, m, n)),
+        )
+        dominating = b_max * p
+        discounted = model.transitions.discounted()  # cached before the check
+        tracemalloc.start()
+        try:
+            certify_stability(model, dominating)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Comparing against dominating[rows] copied L to kernel size.
+        assert peak < discounted.nbytes / 2
+
     def test_triad_agrees_under_sdd(self):
         rng = np.random.default_rng(17)
         model = self.build_sdd(rng)
@@ -628,7 +678,7 @@ class TestFactorizedOperators:
     def test_explicit_forms(self):
         rng = np.random.default_rng(20)
         model = random_mdp(rng, n=5, m=3)
-        ops = factorized_ops(model)
+        ops = FactorizedOperators(model)
         v = rng.standard_normal(5)
         g = rng.standard_normal((5, 3))
         q = rng.standard_normal((5, 3))
@@ -646,7 +696,7 @@ class TestFactorizedOperators:
     def test_composition_identities(self):
         rng = np.random.default_rng(21)
         model = random_mdp(rng, n=4, m=2)
-        ops = factorized_ops(model)
+        ops = FactorizedOperators(model)
         v = rng.standard_normal(4)
         for k in range(1, 6):
             tk = v.copy()
@@ -661,7 +711,7 @@ class TestFactorizedOperators:
     def test_fixed_point_relationships(self):
         rng = np.random.default_rng(22)
         model = random_mdp(rng, n=6, m=3)
-        ops = factorized_ops(model)
+        ops = FactorizedOperators(model)
         v_star = solve_hpi(model).value
         g_star = ops.fixed_point(ops.R, np.zeros((6, 3)))
         q_star = ops.fixed_point(ops.S, np.zeros((6, 3)))
@@ -672,7 +722,7 @@ class TestFactorizedOperators:
     def test_greedy_policies_coincide(self):
         rng = np.random.default_rng(23)
         model = random_mdp(rng, n=6, m=3)
-        ops = factorized_ops(model)
+        ops = FactorizedOperators(model)
         v_star = solve_hpi(model).value
         g_star = ops.fixed_point(ops.R, np.zeros((6, 3)))
         q_star = ops.fixed_point(ops.S, np.zeros((6, 3)))
@@ -683,7 +733,7 @@ class TestFactorizedOperators:
     def test_nonexpansive_and_contraction_parts(self):
         rng = np.random.default_rng(24)
         model = random_mdp(rng, n=5, m=3)
-        ops = factorized_ops(model)
+        ops = FactorizedOperators(model)
         for _ in range(10):
             v, w = rng.standard_normal((2, 5))
             g, h = rng.standard_normal((2, 5, 3))
@@ -700,7 +750,7 @@ class TestRefactoredOPI:
         model = random_mdp(rng, n=6, m=3)
         # Perturb rewards so greedy policies are unique along the run.
         model.reward += rng.random((6, 3)) * 1e-3
-        ops = factorized_ops(model)
+        ops = FactorizedOperators(model)
         sigma0 = greedy(model, np.zeros(6))
         v0 = policy_value(model, sigma0)
         g0 = ops.E(v0)
@@ -716,7 +766,7 @@ class TestRefactoredOPI:
     def test_final_policy_matches_regular_opi(self):
         rng = np.random.default_rng(26)
         model = random_mdp(rng, n=6, m=3)
-        ops = factorized_ops(model)
+        ops = FactorizedOperators(model)
         sigma0 = greedy(model, np.zeros(6))
         v0 = policy_value(model, sigma0)
         refactored = solve_refactored_opi(model, g0=ops.E(v0), m=20, tolerance=1e-11)
@@ -726,7 +776,7 @@ class TestRefactoredOPI:
     def test_m1_is_expected_value_vfi(self):
         rng = np.random.default_rng(27)
         model = random_mdp(rng, n=5, m=2)
-        ops = factorized_ops(model)
+        ops = FactorizedOperators(model)
         g0 = np.zeros((5, 2))
         result = solve_refactored_opi(model, g0=g0, m=1, tolerance=1e-10)
         g = g0.copy()

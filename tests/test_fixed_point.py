@@ -1,17 +1,27 @@
+import contextlib
+import json
+import re
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from fsdp import dp, rdp, spectral
+from fsdp import cli, discounting, dp, fixed_point, koopmans, markov, models, rdp, spectral
 from fsdp.errors import ConvergenceError, SingularJacobianError
 from fsdp.fixed_point import (
+    DIVERGENCE_LIMIT,
     IterationConfig,
+    IterationTrace,
     convergence_order,
+    finite_difference_jacobian,
     newton_fixed_point,
     optimistic_policy_iteration,
     policy_iteration,
     successive_approx,
     value_iteration,
 )
+from fsdp.models import ZOO
 
 A_SMALL = np.array([[0.4, 0.1], [0.7, 0.2]])
 B_SMALL = np.array([1.0, 2.0])
@@ -243,3 +253,764 @@ class TestSolverCore:
         assert wrapped.iterations == native.iterations
         assert np.array_equal(wrapped.policy, native.policy)
         assert np.max(np.abs(wrapped.value - native.value)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Parity with the hand-written loops that ``fixed_point.iterate`` replaced.
+# Each ``_oracle_*`` is such a loop as it stood, with its own stopping rule;
+# the caller now built on ``iterate`` must give the same iteration count,
+# iterates, histories and cap errors, bit for bit.
+
+
+def _oracle_value_iteration(bellman, v, tolerance, max_iter, history=None):
+    for k in range(1, max_iter + 1):
+        v_new = bellman(v)
+        step = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if history is not None:
+            history.append(v.copy())
+        if step <= tolerance:
+            return v, k, step
+    raise ConvergenceError("value function iteration hit the iteration cap", last=v)
+
+
+def _oracle_opi(greedy, policy_operator, v, m, tolerance, max_iter, history=None):
+    for k in range(1, max_iter + 1):
+        apply = policy_operator(greedy(v))
+        v_new = v
+        for _ in range(m):
+            v_new = apply(v_new)
+        step = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if history is not None:
+            history.append(v.copy())
+        if step <= tolerance:
+            return v, k
+    raise ConvergenceError("optimistic policy iteration hit the iteration cap", last=v)
+
+
+def _oracle_as_vector(u):
+    u = np.asarray(u, dtype=float)
+    scalar = u.ndim == 0
+    return np.atleast_1d(u), scalar
+
+
+def _oracle_successive_approx(op, u0, cfg=None):
+    cfg = cfg or IterationConfig()
+    u, scalar = _oracle_as_vector(u0)
+    trace = IterationTrace(iterates=[u0 if scalar else u.copy()])
+    alpha = cfg.damping
+    for k in range(1, cfg.max_iter + 1):
+        image = np.atleast_1d(np.asarray(op(u if not scalar else u[0]), dtype=float))
+        u_new = (1 - alpha) * u + alpha * image
+        if not np.all(np.isfinite(u_new)) or np.linalg.norm(u_new, np.inf) > DIVERGENCE_LIMIT:
+            raise ConvergenceError(
+                f"divergence detected at iteration {k}", last=u[0] if scalar else u
+            )
+        step = float(np.linalg.norm(u_new - u, np.inf))
+        trace.errors.append(step)
+        trace.iterates.append(float(u_new[0]) if scalar else u_new.copy())
+        trace.iterations = k
+        u = u_new
+        if step <= cfg.tolerance:
+            trace.converged = True
+            break
+    return trace
+
+
+def _oracle_newton(op, u0, cfg=None, jacobian=None):
+    cfg = cfg or IterationConfig()
+    u, scalar = _oracle_as_vector(u0)
+
+    def vec_op(v):
+        return np.atleast_1d(np.asarray(op(v[0] if scalar else v), dtype=float))
+
+    if jacobian is None:
+        jac_fn = lambda v: finite_difference_jacobian(vec_op, v)
+    else:
+        jac_fn = lambda v: np.atleast_2d(np.asarray(jacobian(v[0] if scalar else v), dtype=float))
+
+    trace = IterationTrace(iterates=[u0 if scalar else u.copy()])
+    eye = np.eye(u.size)
+    for k in range(1, cfg.max_iter + 1):
+        jac = jac_fn(u)
+        try:
+            u_new = np.linalg.solve(eye - jac, vec_op(u) - jac @ u)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(f"I - J is singular at iteration {k}") from exc
+        if not np.all(np.isfinite(u_new)) or np.linalg.norm(u_new, np.inf) > DIVERGENCE_LIMIT:
+            raise ConvergenceError(
+                f"divergence detected at iteration {k}", last=u[0] if scalar else u
+            )
+        step = float(np.linalg.norm(u_new - u, np.inf))
+        trace.errors.append(step)
+        trace.iterates.append(float(u_new[0]) if scalar else u_new.copy())
+        trace.iterations = k
+        u = u_new
+        if step <= cfg.tolerance:
+            trace.converged = True
+            break
+    return trace
+
+
+def _oracle_bracketed_fixed_point(op, lower, upper, tol=1e-10, max_iter=100_000):
+    lo = np.asarray(lower, dtype=float).copy()
+    hi = np.asarray(upper, dtype=float).copy()
+    for k_iter in range(1, max_iter + 1):
+        lo, hi = op(lo), op(hi)
+        if np.linalg.norm(hi - lo, np.inf) <= tol:
+            return 0.5 * (lo + hi), k_iter
+    raise ConvergenceError("bracketed iteration hit the iteration cap", last=0.5 * (lo + hi))
+
+
+def _oracle_lifetime_value(k, cfg=None):
+    """The successive-approximation branches of ``solve_lifetime_value``."""
+    tol = cfg.tolerance if cfg else 1e-10
+    max_iter = cfg.max_iter if cfg else 100_000
+    n = k.ce.p.shape[0]
+    v0 = np.full(n, 1.0) if k.ce.requires_positive else np.zeros(n)
+    trace = _oracle_successive_approx(k, v0, IterationConfig(tolerance=tol, max_iter=max_iter))
+    if not trace.converged:
+        raise ConvergenceError("lifetime-value iteration hit the iteration cap", last=trace.final)
+    return trace.final, trace.iterations
+
+
+def _oracle_power_affine_solve(h, a, theta, cfg=None):
+    h = np.asarray(h, dtype=float)
+    a = spectral.require_square(a)
+    koopmans.check_power_affine_stable(a, theta)
+    if theta == 1:
+        return spectral.neumann_solve(a, h)
+
+    def op(v):
+        return (h + (a @ v) ** (1 / theta)) ** theta
+
+    tol = cfg.tolerance if cfg else 1e-13
+    max_iter = cfg.max_iter if cfg else 200_000
+    v = h**theta
+    for _ in range(max_iter):
+        v_new = op(v)
+        step = np.max(np.abs(v_new - v) / np.abs(v))
+        v = v_new
+        if step <= tol:
+            return v
+    raise ConvergenceError("power-affine iteration hit the iteration cap", last=v)
+
+
+def _oracle_rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
+    sigma = np.asarray(sigma, dtype=np.int64)
+    stab = model.stability
+    if isinstance(stab, rdp.UserCertified):
+        return np.asarray(stab.evaluator(model, sigma), dtype=float)
+    if isinstance(stab, rdp.ConvexConcave):
+        lo = np.asarray(stab.lower, dtype=float).copy()
+        hi = np.asarray(stab.upper, dtype=float).copy()
+        for _ in range(max_iter):
+            lo = rdp.rdp_policy_apply(model, sigma, lo)
+            hi = rdp.rdp_policy_apply(model, sigma, hi)
+            scale = 1.0 + np.max(np.abs(hi))
+            if np.max(np.abs(hi - lo)) <= tolerance * scale:
+                return 0.5 * (lo + hi)
+        raise ConvergenceError("bracketed policy evaluation hit the cap", last=hi)
+    v = np.zeros(model.n_states)
+    eps = np.finfo(float).eps
+    for _ in range(max_iter):
+        v_new = rdp.rdp_policy_apply(model, sigma, v)
+        if not np.all(np.isfinite(v_new)):
+            raise ConvergenceError("policy evaluation diverged", last=v)
+        step = np.max(np.abs(v_new - v))
+        v = v_new
+        if isinstance(stab, rdp.Contracting):
+            threshold = max(
+                tolerance * (1.0 - stab.modulus), 64 * eps * (1.0 + np.max(np.abs(v)))
+            )
+        else:
+            threshold = tolerance * (1.0 + np.max(np.abs(v)))
+        if step <= threshold:
+            return v
+    raise ConvergenceError("policy evaluation hit the iteration cap", last=v)
+
+
+def _oracle_smooth_conjugate(model, sigma, tolerance=1e-12, max_iter=200_000):
+    ex = model.extras
+    kernels, mu = ex["kernels"], ex["mu"]
+    reward, beta = ex["reward"], ex["beta"]
+    alpha, kappa, gamma = ex["alpha"], ex["kappa"], ex["gamma"]
+    xi, zeta = gamma / kappa, kappa / alpha
+    n, m = reward.shape
+    sigma = np.asarray(sigma, dtype=np.int64)
+    rows = np.arange(n)
+    r_sigma = reward[rows, sigma]
+
+    def conjugate_apply(v_hat):
+        inner = np.stack(
+            [np.asarray(flat @ v_hat**xi).reshape(n, m)[rows, sigma] for flat in kernels],
+            axis=-1,
+        )
+        mixed = np.einsum("xk,xk->x", inner ** (1 / xi), mu)
+        return (r_sigma + beta * mixed ** (1 / zeta)) ** zeta
+
+    lower, upper = ex["bracket"]
+    lo = upper**kappa
+    hi = lower**kappa
+    for _ in range(max_iter):
+        lo, hi = conjugate_apply(lo), conjugate_apply(hi)
+        if np.max(np.abs(hi - lo) / np.abs(hi)) <= tolerance:
+            return (0.5 * (lo + hi)) ** (1 / kappa)
+    raise ConvergenceError("conjugate policy evaluation hit the cap", last=hi)
+
+
+def _oracle_factorized_fixed_point(ops, operator, start, tolerance=1e-13, max_iter=200_000):
+    current = np.asarray(start, dtype=float)
+    mask = ops.model.feasible
+    for _ in range(max_iter):
+        nxt = operator(current)
+        if nxt.shape == mask.shape:
+            gap = np.max(np.abs(nxt[mask] - current[mask]))
+        else:
+            gap = np.max(np.abs(nxt - current))
+        current = nxt
+        if gap <= tolerance:
+            return current
+    raise ConvergenceError("factorized fixed-point iteration hit the cap", last=current)
+
+
+def _oracle_refactored_opi(model, g0=None, m=50, tolerance=1e-8, max_iter=100_000):
+    ops = dp.FactorizedOperators(model)
+    g = np.zeros(model.feasible.shape) if g0 is None else np.asarray(g0, dtype=float).copy()
+    mask = model.feasible
+    history = [g.copy()]
+    for k in range(1, max_iter + 1):
+        sigma = dp.greedy_from_expected(model, g)
+        g_new = g
+        for _ in range(m):
+            g_new = ops.R_sigma(g_new, sigma)
+        step = float(np.max(np.abs(g_new[mask] - g[mask])))
+        g = g_new
+        history.append(g.copy())
+        if step <= tolerance:
+            sigma = dp.greedy_from_expected(model, g)
+            v = ops.M(ops.D(g))
+            residual = float(np.max(np.abs(ops.R(g)[mask] - g[mask])))
+            return dp.SolveResult(
+                value=v,
+                policy=sigma,
+                iterations=k,
+                method=f"refactored-opi(m={m})",
+                residual=residual,
+                history=history,
+            )
+    raise ConvergenceError("refactored OPI hit the iteration cap", last=g)
+
+
+def _oracle_ez_savings_solve_direct(built, tolerance=1e-9, max_policy_iter=200):
+    alpha, beta, gamma = built["alpha"], built["beta"], built["gamma"]
+    phi, e_grid, w_grid = built["phi"], built["e_grid"], built["w_grid"]
+    nw, ne = w_grid.size, e_grid.size
+
+    def greedy(v):
+        sigma = np.zeros((nw, ne), dtype=np.int64)
+        for iw in range(nw):
+            feas = iw + 1
+            for ie in range(ne):
+                cont = (np.power(v[:feas, :], gamma) @ phi) ** (1 / gamma)
+                r = w_grid[iw] - w_grid[:feas] + e_grid[ie]
+                values = (r**alpha + beta * cont**alpha) ** (1 / alpha)
+                sigma[iw, ie] = int(values.argmax())
+        return sigma
+
+    def evaluate(sigma, v0):
+        v = v0.copy()
+        r_sigma = w_grid[:, None] - w_grid[sigma] + e_grid[None, :]
+        for _ in range(100_000):
+            inner = np.einsum("weE,E->we", np.power(v, gamma)[sigma], phi)
+            v_new = (r_sigma**alpha + beta * inner ** (alpha / gamma)) ** (1 / alpha)
+            step = np.max(np.abs(v_new - v) / (1.0 + np.abs(v)))
+            v = v_new
+            if step <= tolerance:
+                return v
+        raise ConvergenceError("policy evaluation hit the cap", last=v)
+
+    v = np.tile(e_grid[None, :], (nw, 1))
+    sigma = np.zeros((nw, ne), dtype=np.int64)
+    for _ in range(max_policy_iter):
+        v = evaluate(sigma, v)
+        sigma_new = greedy(v)
+        if np.array_equal(sigma_new, sigma):
+            return sigma, v
+        sigma = sigma_new
+    raise ConvergenceError("policy iteration failed to settle", last=v)
+
+
+def _oracle_ez_savings_solve_subordinate(built, tolerance=1e-9, max_policy_iter=200):
+    alpha, beta, gamma = built["alpha"], built["beta"], built["gamma"]
+    phi, e_grid, w_grid = built["phi"], built["e_grid"], built["w_grid"]
+    nw, ne = w_grid.size, e_grid.size
+    feas = np.tril(np.ones((nw, nw), dtype=bool))[:, :, None]
+    r_table = np.where(
+        feas,
+        w_grid[:, None, None] - w_grid[None, :, None] + e_grid[None, None, :],
+        1.0,
+    )
+    r_pow = r_table**alpha
+
+    def greedy(h):
+        inner = (r_pow + beta * (h[None, :, None] ** alpha)) ** (1 / alpha)
+        return np.where(feas, inner, -np.inf).argmax(axis=1)
+
+    def evaluate(sigma, h0):
+        h = h0.copy()
+        rows = np.arange(nw)[:, None]
+        r_sigma_pow = r_pow[rows, sigma, np.arange(ne)[None, :]]
+        for _ in range(100_000):
+            inner = (r_sigma_pow + beta * h[sigma] ** alpha) ** (gamma / alpha)
+            h_new = (inner @ phi) ** (1 / gamma)
+            step = np.max(np.abs(h_new - h) / (1.0 + np.abs(h)))
+            h = h_new
+            if step <= tolerance:
+                return h
+        raise ConvergenceError("policy evaluation hit the cap", last=h)
+
+    h = np.full(nw, float(e_grid @ phi))
+    sigma = np.zeros((nw, ne), dtype=np.int64)
+    for _ in range(max_policy_iter):
+        h = evaluate(sigma, h)
+        sigma_new = greedy(h)
+        if np.array_equal(sigma_new, sigma):
+            return sigma, h
+        sigma = sigma_new
+    raise ConvergenceError("policy iteration failed to settle", last=h)
+
+
+def _oracle_local_radius_seq(a, h, kmax):
+    """The unscaled loop, which fell back to logs outside [1e-100, 1e100]."""
+    out = np.empty(kmax)
+    v = np.asarray(h, dtype=float).copy()
+    for k in range(1, kmax + 1):
+        v = a @ v
+        norm = np.linalg.norm(v, np.inf)
+        out[k - 1] = norm ** (1.0 / k)
+        if norm == 0.0:
+            out[k - 1 :] = 0.0
+            break
+        if norm > 1e100 or norm < 1e-100:
+            return _oracle_spectral_test_sequence(a, h, kmax)[0]
+    return out
+
+
+def _oracle_spectral_test_sequence(matrix, h, tmax):
+    values = np.empty(tmax)
+    first = None
+    v = np.asarray(h, dtype=float).copy()
+    log_scale = 0.0
+    for t in range(1, tmax + 1):
+        v = matrix @ v
+        norm = np.linalg.norm(v, np.inf)
+        if norm == 0.0:
+            values[t - 1 :] = 0.0
+            first = first if first is not None else t
+            break
+        log_scale += np.log(norm)
+        values[t - 1] = np.exp(log_scale / t)
+        if first is None and log_scale < 0:
+            first = t
+        v = v / norm
+    return values, first
+
+
+def _outcome(run):
+    """What a run gives: its result, or the type, shape and value of the ``last`` it raised."""
+    try:
+        return ("returned", run())
+    except ConvergenceError as exc:
+        return ("raised", type(exc.last), np.shape(exc.last), exc.last)
+
+
+def _assert_identical(new, old):
+    """Bit-for-bit equality through tuples, lists, traces and solve results."""
+    if isinstance(old, (dp.SolveResult, IterationTrace)):
+        assert type(new) is type(old)
+        _assert_identical(vars(new), vars(old))
+    elif isinstance(old, dict):
+        assert new.keys() == old.keys()
+        for key in old:
+            _assert_identical(new[key], old[key])
+    elif isinstance(old, (tuple, list)):
+        assert type(new) is type(old) and len(new) == len(old)
+        for a, b in zip(new, old):
+            _assert_identical(a, b)
+    elif isinstance(old, np.ndarray):
+        assert isinstance(new, np.ndarray) and new.dtype == old.dtype
+        assert np.array_equal(new, old)
+    else:
+        assert type(new) is type(old) and (new == old or (new != new and old != old))
+
+
+def _patched(patches, run):
+    """Run with module attributes replaced by the given oracles."""
+    with contextlib.ExitStack() as stack:
+        for obj, name, value in patches:
+            stack.enter_context(mock.patch.object(obj, name, value))
+        return run()
+
+
+# RDP solves and MDP solves reach their loops through module attributes,
+# so the oracle run swaps the parent's loops in.
+OLD_RDP_LOOPS = [
+    (rdp, "rdp_policy_value", _oracle_rdp_policy_value),
+    (fixed_point, "value_iteration", _oracle_value_iteration),
+    (fixed_point, "optimistic_policy_iteration", _oracle_opi),
+]
+
+
+def _solve_pairs(name, solve):
+    return {name: (solve, lambda: _patched(OLD_RDP_LOOPS, solve))}
+
+
+def _robust_model():
+    rng = np.random.default_rng(3)
+    n, m = 7, 3
+    kernels = [rng.random((n, m, n)) + 0.05 for _ in range(3)]
+    kernels = [k / k.sum(axis=2, keepdims=True) for k in kernels]
+    return rdp.make_robust_aggregator(rng.standard_normal((n, m)), 0.9, kernels)
+
+
+def _smooth_model():
+    rng = np.random.default_rng(4)
+    reward = rng.random((4, 2)) + 0.5
+    kernels = [rng.random((4, 2, 4)) + 0.05 for _ in range(2)]
+    kernels = [k / k.sum(axis=2, keepdims=True) for k in kernels]
+    mu = rng.random((4, 2)) + 0.2
+    mu /= mu.sum(axis=1, keepdims=True)
+    return rdp.make_smooth_ambiguity_aggregator(
+        reward, 0.95, kernels, mu, alpha=0.5, kappa=-3.0, gamma=-2.0
+    )
+
+
+def _path_costs():
+    cost = np.full((6, 6), np.inf)
+    edges = [(0, 1, 1.0), (0, 2, 4.0), (1, 2, 1.5), (1, 3, 3.0), (2, 3, 1.0), (2, 4, 0.5)]
+    edges += [(3, 5, 2.0), (4, 5, 0.7), (0, 5, 9.0)]
+    for a, b, c in edges:
+        cost[a, b] = c
+    cost[5, 5] = 0.0
+    return cost
+
+
+def _chain(n=40):
+    return markov.tauchen(n, rho=0.9, nu=0.2)
+
+
+def _lifetime_value(k, cfg):
+    result = koopmans.solve_lifetime_value(k, cfg)
+    return result.value, result.iterations
+
+
+def _entropic():
+    grid, p = _chain()
+    return koopmans.KoopmansOperator(koopmans.Additive(grid, 0.95), koopmans.Entropic(-2.0, p))
+
+
+def _uzawa():
+    grid, p = _chain()
+    return koopmans.KoopmansOperator(
+        koopmans.Uzawa(grid, np.linspace(0.8, 0.95, grid.size)), koopmans.Expectation(p)
+    )
+
+
+def _ez_inputs():
+    grid, p = _chain()
+    return (1 - 0.95) * np.exp(grid) ** 0.5, 0.95, 0.5, -3.0, p
+
+
+def _capped_bracket(v):
+    grid, p = _chain()
+    return np.minimum(grid + 0.9 * (p @ v), 50.0)
+
+
+BRACKET = (np.full(40, -100.0), np.full(40, 100.0))
+
+
+def _point_mass_mdp():
+    """Infeasible pairs move to one state for sure, so their step is the largest."""
+    rng = np.random.default_rng(9)
+    n, m = 8, 3
+    kernel = rng.random((n, m, n)) + 0.05
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    feasible = np.ones((n, m), dtype=bool)
+    feasible[:, 2] = False
+    kernel[:, 2, :] = np.eye(n)
+    return dp.MDPModel(feasible, rng.standard_normal((n, m)), kernel, beta=0.9)
+
+
+def _parity_cases():
+    cases = {}
+    for ci_scale in (True, False):
+        built = ZOO["optimal_default"].build(ci_scale=ci_scale)
+        for algorithm, tol in (("hpi", 1e-10), ("vfi", 1e-8), ("opi", 1e-8)):
+            solve = partial(
+                rdp.rdp_solve, built["rdp"], algorithm=algorithm, tolerance=tol
+            )
+            cases.update(_solve_pairs(f"rdp {algorithm} optimal_default ci={ci_scale}", solve))
+    robust, smooth, cost = _robust_model(), _smooth_model(), _path_costs()
+    for algorithm in ("hpi", "vfi", "opi"):
+        cases.update(
+            _solve_pairs(
+                f"rdp {algorithm} robust",
+                partial(rdp.rdp_solve, robust, algorithm=algorithm),
+            )
+        )
+        cases.update(
+            _solve_pairs(
+                f"path costs {algorithm}",
+                partial(rdp.solve_path_costs, cost, 5, algorithm=algorithm),
+            )
+        )
+        cases.update(
+            _solve_pairs(
+                f"negative discounting {algorithm}",
+                partial(rdp.negative_discount_solve, cost, 1.05, 5, algorithm=algorithm),
+            )
+        )
+    sigma = np.array([0, 1, 1, 0])
+    for max_iter in (200_000, 1):
+        cases[f"smooth bracket max_iter={max_iter}"] = (
+            partial(rdp.rdp_policy_value, smooth, sigma, max_iter=max_iter),
+            partial(_oracle_rdp_policy_value, smooth, sigma, max_iter=max_iter),
+        )
+        cases[f"smooth conjugate max_iter={max_iter}"] = (
+            partial(rdp.smooth_ambiguity_policy_value_conjugate, smooth, sigma, max_iter=max_iter),
+            partial(_oracle_smooth_conjugate, smooth, sigma, max_iter=max_iter),
+        )
+    contracting = ZOO["optimal_default"].build(ci_scale=True)["rdp"]
+    for name, model in (("bracket", robust), ("contracting", contracting)):
+        start = np.zeros(model.n_states, dtype=np.int64)
+        cases[f"rdp {name} cap"] = (
+            partial(rdp.rdp_policy_value, model, start, max_iter=1),
+            partial(_oracle_rdp_policy_value, model, start, max_iter=1),
+        )
+
+    for name, build in (("entropic", _entropic), ("uzawa", _uzawa)):
+        k = build()
+        for cfg in (None, IterationConfig(max_iter=1)):
+            cases[f"lifetime value {name} cfg={cfg}"] = (
+                partial(_lifetime_value, k, cfg),
+                partial(_oracle_lifetime_value, k, cfg),
+            )
+    h, beta, alpha, gamma, p = _ez_inputs()
+    for cfg in (None, IterationConfig(max_iter=1)):
+        solve = partial(koopmans.epstein_zin_value, h, beta, alpha, gamma, p, cfg)
+        old_loop = [(koopmans, "power_affine_solve", _oracle_power_affine_solve)]
+        cases[f"epstein-zin cfg={cfg}"] = (solve, partial(_patched, old_loop, solve))
+        cases[f"power affine cfg={cfg}"] = (
+            partial(koopmans.power_affine_solve, h, 0.9 * p, 2.0, cfg),
+            partial(_oracle_power_affine_solve, h, 0.9 * p, 2.0, cfg),
+        )
+    for max_iter in (100_000, 1):
+        cases[f"bracketed max_iter={max_iter}"] = (
+            partial(koopmans.bracketed_fixed_point, _capped_bracket, *BRACKET, max_iter=max_iter),
+            partial(_oracle_bracketed_fixed_point, _capped_bracket, *BRACKET, max_iter=max_iter),
+        )
+
+    ez = models.ez_savings(n=20, w_size=25)
+    for max_policy_iter in (200, 1):
+        cases[f"ez_savings direct max_policy_iter={max_policy_iter}"] = (
+            partial(models.ez_savings_solve_direct, ez, max_policy_iter=max_policy_iter),
+            partial(_oracle_ez_savings_solve_direct, ez, max_policy_iter=max_policy_iter),
+        )
+        cases[f"ez_savings subordinate max_policy_iter={max_policy_iter}"] = (
+            partial(models.ez_savings_solve_subordinate, ez, max_policy_iter=max_policy_iter),
+            partial(_oracle_ez_savings_solve_subordinate, ez, max_policy_iter=max_policy_iter),
+        )
+
+    cards = {
+        name: ZOO[name].build(ci_scale=True)["mdp"]
+        for name in ("job_search_markov", "firm_exit", "optimal_investment", "optimal_savings")
+    }
+    cards["point masses off the feasible set"] = _point_mass_mdp()
+    for name, model in cards.items():
+        ops = dp.FactorizedOperators(model)
+        g0, v0 = np.zeros(model.feasible.shape), np.zeros(model.n_states)
+        for max_iter in (100_000, 1):
+            cases[f"refactored opi {name} max_iter={max_iter}"] = (
+                partial(dp.solve_refactored_opi, model, m=10, max_iter=max_iter),
+                partial(_oracle_refactored_opi, model, m=10, max_iter=max_iter),
+            )
+            cases[f"factorized R {name} max_iter={max_iter}"] = (
+                partial(ops.fixed_point, ops.R, g0, 1e-10, max_iter),
+                partial(_oracle_factorized_fixed_point, ops, ops.R, g0, 1e-10, max_iter),
+            )
+        cases[f"factorized T {name}"] = (
+            partial(ops.fixed_point, ops.T, v0, 1e-10),
+            partial(_oracle_factorized_fixed_point, ops, ops.T, v0, 1e-10),
+        )
+        # The point-mass model's myopic start is optimal: OPI stops at once.
+        for max_iter in (100_000, 1) if name in ZOO else ():
+            cases.update(
+                _solve_pairs(
+                    f"vfi {name} max_iter={max_iter}",
+                    partial(dp.solve_vfi, model, max_iter=max_iter, record_history=True),
+                )
+            )
+            cases.update(
+                _solve_pairs(
+                    f"opi {name} max_iter={max_iter}",
+                    partial(
+                        dp.solve_opi, model, m=5, max_iter=max_iter, record_history=True
+                    ),
+                )
+            )
+
+    linear = lambda u: A_SMALL @ u + B_SMALL
+    traced = {
+        "vector": (linear, np.ones(2), IterationConfig(tolerance=1e-10)),
+        "damped": (linear, np.zeros(2), IterationConfig(tolerance=1e-12, damping=0.3)),
+        "scalar": (solow_map, 1.0, None),
+        "cap": (lambda u: 0.99999 * u + 1.0, np.zeros(1), IterationConfig(1e-12, 10)),
+        "cap of one": (linear, np.zeros(2), IterationConfig(max_iter=1)),
+        "divergent vector": (lambda u: 3.0 * u + 1.0, np.ones(1), None),
+        "divergent scalar": (lambda u: 3.0 * u + 1.0, 1.0, None),
+        "non-finite": (lambda u: u * np.nan, np.ones(2), None),
+    }
+    for name, (op, u0, cfg) in traced.items():
+        cases[f"successive approx {name}"] = (
+            partial(successive_approx, op, u0, cfg),
+            partial(_oracle_successive_approx, op, u0, cfg),
+        )
+    newton = {
+        "golden ratio": (lambda u: 1 + u / (u + 1), 0.5, None, None),
+        "solow": (solow_map, 1.0, IterationConfig(tolerance=1e-13), None),
+        "linear": (linear, np.zeros(2), None, lambda u: A_SMALL),
+        "cap": (solow_map, 1.0, IterationConfig(tolerance=1e-300, max_iter=3), None),
+        "divergent": (lambda u: 1e7 * u**2, 1.0, None, None),
+    }
+    for name, (op, u0, cfg, jac) in newton.items():
+        cases[f"newton {name}"] = (
+            partial(newton_fixed_point, op, u0, cfg, jac),
+            partial(_oracle_newton, op, u0, cfg, jac),
+        )
+
+    grid, p = _chain()
+    _, p_alt = markov.tauchen(40, rho=0.8, nu=0.1, m=10.0)
+    d = np.exp(grid * 0.1)
+
+    def hk_op(pi):
+        payout = pi + d
+        return np.maximum(0.9 * (p @ payout), 0.9 * (p_alt @ payout))
+
+    cases["harrison-kreps price"] = (
+        lambda: discounting.harrison_kreps_price(p, p_alt, 0.9, d, return_trace=True)[1],
+        lambda: _oracle_successive_approx(hk_op, np.zeros(d.size), IterationConfig(1e-8)),
+    )
+    operator = discounting.build_discount_operator(np.linspace(0.9, 1.05, 40), p)
+    cases["spectral test sequence"] = (
+        lambda: tuple(discounting.spectral_test_sequence(operator, 500)),
+        lambda: _oracle_spectral_test_sequence(operator.matrix, np.ones(40), 500),
+    )
+    return cases
+
+
+PARITY = _parity_cases()
+
+
+class TestParityWithReplacedLoops:
+    @pytest.mark.parametrize("case", sorted(PARITY))
+    def test_same_counts_iterates_and_cap_errors(self, case):
+        run, oracle = PARITY[case]
+        _assert_identical(_outcome(run), _outcome(oracle))
+
+    def test_every_moved_loop_raises_at_its_cap(self):
+        capped = [case for case in PARITY if re.search(r"max_(policy_)?iter=1(,|$)| cap", case)]
+        # Successive approximation and Newton return their trace at the cap.
+        traced = {"successive approx cap", "successive approx cap of one", "newton cap"}
+        assert len(capped) == 32
+        for case in capped:
+            assert (_outcome(PARITY[case][0])[0] == "returned") == (case in traced), case
+
+    @pytest.mark.parametrize(
+        "a, h, kmax",
+        [
+            (A_SMALL, np.ones(2), 300),
+            (np.diag([0.3, 0.9]), np.ones(2), 300),
+            (np.diag([2.0, 3.0]), np.ones(2), 800),
+            (0.9 * _chain()[1], np.ones(40), 200),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), 5),
+        ],
+        ids=["reference", "diagonal", "long horizon", "tauchen", "nilpotent"],
+    )
+    def test_local_radius_within_1e15_of_the_unscaled_loop(self, a, h, kmax):
+        new = spectral.local_spectral_radius_seq(a, h, kmax)
+        old = _oracle_local_radius_seq(a, h, kmax)
+        scale = np.where(old == 0, 1.0, np.abs(old))
+        assert np.max(np.abs(new - old) / scale) <= 1e-15
+
+    def test_local_radius_of_random_matrices_within_log_sum_rounding(self):
+        # The rescaled loop sums k logs; its rounding grows like
+        # sqrt(k) * |log rho| * eps, a few ulps at k = 400.
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            n = int(rng.integers(2, 30))
+            a = rng.random((n, n)) * rng.uniform(0.01, 3.0) / n
+            h = rng.random(n) + 0.1
+            new = spectral.local_spectral_radius_seq(a, h, 400)
+            old = _oracle_local_radius_seq(a, h, 400)
+            assert np.max(np.abs(new - old) / old) <= 1e-14
+
+    def test_first_contraction_time_from_the_sign_of_the_log(self):
+        # ||L 1|| = 1 - 1e-17 rounds to 1.0 in exp, but the log is negative.
+        matrix = np.array([[0.5, 0.5 - 2e-16]])
+        matrix = np.vstack([matrix, matrix])
+        result = discounting.spectral_test_sequence(matrix, 3)
+        assert result.first_contraction_time == _oracle_spectral_test_sequence(
+            matrix, np.ones(2), 3
+        )[1]
+
+
+class TestStopRules:
+    def test_bounded_step_stops_a_diverging_iterate(self):
+        old = np.ones(3)
+        for bad in (np.array([1.0, np.inf, 0.0]), np.full(3, 2 * DIVERGENCE_LIMIT)):
+            with pytest.raises(ConvergenceError) as info:
+                fixed_point.bounded_step(bad, old)
+            assert info.value.last is old
+        assert fixed_point.bounded_step(np.array([1.0, 0.5, 3.0]), old) == 2.0
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 2.0, np.nan])
+    @pytest.mark.parametrize("step", [0.0, 0.5, 1.0, np.nan, np.inf])
+    def test_within_stops_on_exactly_the_comparison(self, step, threshold):
+        assert (fixed_point.within(step, threshold) <= 0.0) == (step <= threshold)
+
+
+class TestConvergenceSteps:
+    def _vfi_steps(self, model, k):
+        v, steps = np.zeros(model.n_states), []
+        for _ in range(k):
+            v_new = dp.bellman(model, v)
+            steps.append(float(np.max(np.abs(v_new - v))))
+            v = v_new
+        return v, steps
+
+    def test_capped_vfi_carries_its_last_steps(self):
+        model = ZOO["optimal_investment"].build(ci_scale=True)["mdp"]
+        with pytest.raises(ConvergenceError) as info:
+            dp.solve_vfi(model, max_iter=12)
+        v, steps = self._vfi_steps(model, 12)
+        assert info.value.steps == steps[-8:]
+        assert np.array_equal(info.value.last, v)
+
+    def test_short_run_keeps_every_step(self):
+        with pytest.raises(ConvergenceError) as info:
+            value_iteration(halve_plus_one, np.zeros(3), 1e-12, 3)
+        assert info.value.steps == [1.0, 0.5, 0.25]
+
+    def test_fsdp_solve_prints_the_steps_on_exit_4(self, tmp_path, monkeypatch, capsys):
+        card = ZOO["optimal_investment"]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "optimal_investment", "solver": "vfi"}))
+        monkeypatch.setattr(dp, "solve_vfi", partial(dp.solve_vfi, max_iter=5))
+        overrides = [f"--override={k}={v}" for k, v in card.ci_overrides.items()]
+        args = ["solve", "--config", str(config), "--out", str(tmp_path / "out"), *overrides]
+        assert cli.main(args) == 4
+        _, steps = self._vfi_steps(card.build(ci_scale=True)["mdp"], 5)
+        printed = "last steps " + ", ".join(f"{step:.3e}" for step in steps)
+        assert printed in capsys.readouterr().err

@@ -17,7 +17,6 @@ from fsdp.koopmans import (
     blackwell_contraction_check,
     epstein_zin_value,
     ez_sdd_value,
-    koopmans_apply,
     power_affine_solve,
     solve_lifetime_value,
 )
@@ -122,7 +121,7 @@ class TestKoopmansApply:
         r = rng.standard_normal(5)
         k = KoopmansOperator(Additive(r, 0.95), Expectation(p))
         v = rng.standard_normal(5)
-        assert koopmans_apply(k, v) == pytest.approx(r + 0.95 * (p @ v))
+        assert k(v) == pytest.approx(r + 0.95 * (p @ v))
 
     def test_epstein_zin_constant_stream_identity(self):
         p = random_stochastic(np.random.default_rng(7), 4)
@@ -130,7 +129,7 @@ class TestKoopmansApply:
         r = (1 - beta) ** (1 / alpha) * np.full(4, c)
         k = KoopmansOperator(CES(r, beta, alpha), KrepsPorteus(gamma, p), "positive")
         v = np.full(4, c)
-        assert np.max(np.abs(koopmans_apply(k, v) - v)) < 1e-12
+        assert np.max(np.abs(k(v) - v)) < 1e-12
 
     def test_additive_quantile_form(self):
         rng = np.random.default_rng(8)
@@ -139,7 +138,7 @@ class TestKoopmansApply:
         k = KoopmansOperator(Additive(r, 0.9), QuantileCE(0.5, p))
         v = rng.standard_normal(5)
         expected = r + 0.9 * markov.conditional_quantile(0.5, v, p)
-        assert koopmans_apply(k, v) == pytest.approx(expected)
+        assert k(v) == pytest.approx(expected)
 
     def test_order_preserving(self):
         rng = np.random.default_rng(9)
