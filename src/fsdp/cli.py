@@ -169,7 +169,7 @@ def build_model(config):
             raise ConfigError(f"unknown model {spec_entry!r}; known models: {known}")
         try:
             built = card.build(**overrides)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad override for {spec_entry!r}: {exc}") from exc
         built["name"] = spec_entry
         built["kind"] = card.kind

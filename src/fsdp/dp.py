@@ -70,6 +70,11 @@ def _check_beta(beta):
         raise ValueError("constant discount beta must lie in (0, 1)")
 
 
+def _check_nonnegative(entries, what):
+    if np.any(entries < 0):
+        raise ValueError(f"{what} has negative entries")
+
+
 def _check_rows(sums, what):
     bad = np.abs(sums - 1.0) > ROW_SUM_TOL
     if bad.any():
@@ -112,6 +117,7 @@ class Flat:
         return weights
 
     def check(self, feasible):
+        _check_nonnegative(self.kernel.data if sp.issparse(self.kernel) else self.kernel, "kernel")
         sums = np.asarray(self.kernel.sum(axis=1)).reshape(-1)
         _check_rows(sums[feasible.reshape(-1)], "feasible kernel")
 
@@ -179,8 +185,10 @@ class Factored:
                 raise ValueError("discount vector needs one factor per exogenous state")
             if np.any(self.discount < 0):
                 raise ValueError("discount factors must be nonnegative")
+        _check_nonnegative(self.q, "exogenous matrix")
         _check_rows(self.q.sum(axis=1), "exogenous")
         if self.endogenous is not None:
+            _check_nonnegative(self.endogenous, "endogenous kernel")
             used = feasible.reshape(n_e, n_z, m).any(axis=1)
             _check_rows(self.endogenous.sum(axis=2)[used], "feasible endogenous")
         self.shape = (n_e, n_z, m)

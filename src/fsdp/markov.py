@@ -309,7 +309,10 @@ def is_monotone_increasing(p, values=None):
     return True
 
 
-def quantile(tau, values, phi, tol=1e-12):
+_QUANTILE_TOL = 1e-12
+
+
+def quantile(tau, values, phi, tol=_QUANTILE_TOL):
     """The tau-th quantile of a discrete random variable.
 
     Returns the smallest value whose cumulative probability (after
@@ -330,7 +333,19 @@ def quantile(tau, values, phi, tol=1e-12):
 
 
 def conditional_quantile(tau, v, p):
-    """Per-state tau-th quantile of ``v`` under each row of ``p``."""
+    """Per-state tau-th quantile of ``v`` under each row of ``p``.
+
+    Row by row the same as :func:`quantile`: ``v`` is sorted once, and
+    the index is the count of cumulative masses below ``tau`` less
+    :func:`quantile`'s default tolerance.
+    """
+    if not 0 <= tau <= 1:
+        raise ValueError("tau must lie in [0, 1]")
     p = require_stochastic_matrix(p)
     v = np.asarray(v, dtype=float)
-    return np.array([quantile(tau, v, row) for row in p])
+    if v.shape != p.shape[1:]:
+        raise ValueError("values and weights must align")
+    order = np.argsort(v, kind="stable")
+    cum = np.cumsum(p[:, order], axis=1)
+    idx = np.minimum(np.count_nonzero(cum < tau - _QUANTILE_TOL, axis=1), v.size - 1)
+    return v[order][idx]

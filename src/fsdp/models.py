@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.special import betaln, comb
 
 from . import ctmdp, dp, fixed_point, markov, rdp, spectral
-from .errors import ConvergenceError, SpectralRadiusError
+from .errors import ConvergenceError
 
 # ---------------------------------------------------------------------------
 # Job search, IID offers
@@ -30,35 +30,7 @@ def job_search_iid(n=50, w_min=10.0, w_max=60.0, a=200, b=100, beta=0.96, c=10.0
     offer_probs = comb(n, draws) * np.exp(betaln(draws + a, n - draws + b) - betaln(a, b))
     offer_probs = offer_probs / offer_probs.sum()
     nw = wages.size
-    n_states = 2 * nw
-    feasible = np.zeros((n_states, 2), dtype=bool)
-    reward = np.zeros((n_states, 2))
-    rows, cols, data = [], [], []
-
-    for i, w in enumerate(wages):
-        u, e = i, nw + i
-        # Unemployed: reject draws a fresh offer, accept starts the job.
-        feasible[u] = [True, True]
-        reward[u] = [c, w]
-        for j, prob in enumerate(offer_probs):
-            if prob > 0:
-                rows.append(u * 2 + 0)
-                cols.append(j)
-                data.append(prob)
-        rows.append(u * 2 + 1)
-        cols.append(e)
-        data.append(1.0)
-        # Employed: the job is permanent.
-        feasible[e, 1] = True
-        reward[e, 1] = w
-        rows.append(e * 2 + 1)
-        cols.append(e)
-        data.append(1.0)
-
-    kernel = sp.csr_matrix(
-        (data, (rows, cols)), shape=(n_states * 2, n_states)
-    )
-    mdp_model = dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
+    mdp_model = _job_search_mdp(wages, np.tile(offer_probs, (nw, 1)), c, beta, 0.0)
     return {
         "mdp": mdp_model,
         "wages": wages,
@@ -68,6 +40,37 @@ def job_search_iid(n=50, w_min=10.0, w_max=60.0, a=200, b=100, beta=0.96, c=10.0
         "unemployed": slice(0, nw),
         "employed": slice(nw, 2 * nw),
     }
+
+
+def _job_search_mdp(wages, offers, c, beta, sep):
+    """Job search over (unemployed, offer ``i``) then (employed, wage ``i``) states.
+
+    Row ``i`` of ``offers`` is the law of the next offer from offer or
+    wage ``i``.  Rejecting pays ``c`` and draws it; accepting starts the
+    job at the offered wage; a job ends with probability ``sep``, leaving
+    the worker with a fresh offer.
+    """
+    nw = wages.size
+    unemployed = np.arange(nw)
+    employed = nw + unemployed
+    src, dst = np.nonzero(offers > 0)
+    draw = offers[src, dst]
+    quits = slice(None) if sep > 0 else slice(0)  # lasting jobs store no zero entries
+    feasible = np.zeros((2 * nw, 2), dtype=bool)
+    feasible[:nw] = True
+    feasible[nw:, 1] = True
+    reward = np.zeros((2 * nw, 2))
+    reward[:nw, 0] = c
+    reward[:nw, 1] = wages
+    reward[nw:, 1] = wages
+    # Row 2 * state + action; the employed only ever hold (action 1).
+    rows = np.concatenate(
+        [2 * src, 2 * unemployed + 1, 2 * employed[src[quits]] + 1, 2 * employed + 1]
+    )
+    cols = np.concatenate([dst, employed, dst[quits], employed])
+    data = np.concatenate([draw, np.ones(nw), sep * draw[quits], np.full(nw, 1.0 - sep)])
+    kernel = sp.csr_matrix((data, (rows, cols)), shape=(4 * nw, 2 * nw))
+    return dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
 
 
 def job_search_iid_continuation(built, tolerance=1e-10, max_iter=10_000):
@@ -118,42 +121,7 @@ def job_search_markov(
     wages = np.exp(grid)
     if variant in ("plain", "separation"):
         sep = 0.0 if variant == "plain" else alpha
-        nw = wages.size
-        n_states = 2 * nw
-        feasible = np.zeros((n_states, 2), dtype=bool)
-        reward = np.zeros((n_states, 2))
-        rows, cols, data = [], [], []
-        for i, w in enumerate(wages):
-            u, e = i, nw + i
-            feasible[u] = [True, True]
-            reward[u] = [c, w]
-            for j in range(nw):
-                if p[i, j] > 0:
-                    rows.append(u * 2 + 0)
-                    cols.append(j)
-                    data.append(p[i, j])
-            rows.append(u * 2 + 1)
-            cols.append(e)
-            data.append(1.0)
-            feasible[e, 1] = True
-            reward[e, 1] = w
-            if sep > 0:
-                for j in range(nw):
-                    if p[i, j] > 0:
-                        rows.append(e * 2 + 1)
-                        cols.append(j)
-                        data.append(sep * p[i, j])
-                rows.append(e * 2 + 1)
-                cols.append(e)
-                data.append(1.0 - sep)
-            else:
-                rows.append(e * 2 + 1)
-                cols.append(e)
-                data.append(1.0)
-        kernel = sp.csr_matrix((data, (rows, cols)), shape=(n_states * 2, n_states))
-        mdp_model = dp.MDPModel(
-            feasible=feasible, reward=reward, kernel=kernel, beta=beta
-        )
+        mdp_model = _job_search_mdp(wages, p, c, beta, sep)
         return {
             "kind": "mdp",
             "mdp": mdp_model,
@@ -161,7 +129,7 @@ def job_search_markov(
             "transition": p,
             "beta": beta,
             "c": c,
-            "unemployed": slice(0, nw),
+            "unemployed": slice(0, wages.size),
         }
 
     stopping = wages / (1 - beta)
@@ -221,28 +189,7 @@ def firm_exit(n=200, rho=0.95, mu=0.1, nu=0.1, beta=0.98, s=100.0):
     """
     grid, q = markov.tauchen(n, rho=rho, nu=nu, b=mu)
     profits = grid
-    n_states = n + 1  # trailing absorbing "out" state
-    out = n
-    feasible = np.zeros((n_states, 2), dtype=bool)
-    reward = np.zeros((n_states, 2))
-    rows, cols, data = [], [], []
-    for i in range(n):
-        feasible[i] = [True, True]
-        reward[i] = [profits[i], s]
-        for j in range(n):
-            if q[i, j] > 0:
-                rows.append(i * 2 + 0)
-                cols.append(j)
-                data.append(q[i, j])
-        rows.append(i * 2 + 1)
-        cols.append(out)
-        data.append(1.0)
-    feasible[out, 0] = True
-    rows.append(out * 2 + 0)
-    cols.append(out)
-    data.append(1.0)
-    kernel = sp.csr_matrix((data, (rows, cols)), shape=(n_states * 2, n_states))
-    mdp_model = dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
+    mdp_model = _stopping_mdp(q, profits, s, beta)
     no_exit_value = spectral.neumann_solve(beta * q, profits)
     return {
         "mdp": mdp_model,
@@ -254,6 +201,28 @@ def firm_exit(n=200, rho=0.95, mu=0.1, nu=0.1, beta=0.98, s=100.0):
         "beta": beta,
         "active": slice(0, n),
     }
+
+
+def _stopping_mdp(continue_rows, continue_reward, stop_reward, beta):
+    """Continue-or-stop MDP over the live states plus a trailing absorbing exit state.
+
+    Action 0 pays ``continue_reward`` and moves by ``continue_rows``
+    (dense or sparse, live by live); action 1 pays ``stop_reward`` and
+    exits for good.  The exit state only continues, at zero reward.
+    """
+    moves = sp.coo_matrix(continue_rows)
+    keep = moves.data > 0
+    n = moves.shape[0]
+    feasible = np.ones((n + 1, 2), dtype=bool)
+    feasible[n, 1] = False
+    reward = np.zeros((n + 1, 2))
+    reward[:n, 0] = continue_reward
+    reward[:n, 1] = stop_reward
+    rows = np.concatenate([2 * moves.row[keep], 2 * np.arange(n) + 1, [2 * n]])
+    cols = np.concatenate([moves.col[keep], np.full(n + 1, n)])
+    data = np.concatenate([moves.data[keep], np.ones(n + 1)])
+    kernel = sp.csr_matrix((data, (rows, cols)), shape=(2 * n + 2, n + 1))
+    return dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +246,8 @@ def american_option(n=100, mu=10.0, rho=0.98, nu=0.2, s=0.3, r=0.01, K=10.0, T=2
     n_dates = T + 1
 
     def exit_reward(date_idx):
-        live = 1.0 if date_idx < T else 0.0
-        return live * (z_vals[None, :] + w_vals[:, None] - K)  # (w, z)
+        # One (w, z) table per date index; an array of dates stacks them.
+        return np.multiply.outer(np.less(date_idx, T), z_vals[None, :] + w_vals[:, None] - K)
 
     def continuation_operator(h):
         out = np.empty_like(h)
@@ -317,42 +286,20 @@ def american_option_mdp(built):
     used as a cross-check for the reduced continuation-value solution.
     """
     z_vals, q = built["z_vals"], built["transition"]
-    w_vals, w_probs = built["w_vals"], built["w_probs"]
-    beta, n_dates = built["beta"], built["n_dates"]
-    nz, nw = z_vals.size, w_vals.size
-    n_states = n_dates * nw * nz + 1
-    done = n_states - 1
+    w_probs, n_dates = built["w_probs"], built["n_dates"]
+    nz, nw = z_vals.size, w_probs.size
+    dates = np.arange(n_dates)
+    # Date i moves to date i + 1 (the last date repeats), the shock is
+    # redrawn and z moves by q.
+    nxt = np.minimum(dates + 1, n_dates - 1)
+    shift = sp.csr_matrix((np.ones(n_dates), (dates, nxt)), shape=(n_dates, n_dates))
+    moves = sp.kron(shift, np.kron(np.tile(w_probs, (nw, 1)), q), format="coo")
+    payoff = built["exit_reward"](dates).reshape(-1)
+    model = _stopping_mdp(moves, 0.0, payoff, built["beta"])
 
     def idx(i, iw, iz):
         return (i * nw + iw) * nz + iz
 
-    feasible = np.zeros((n_states, 2), dtype=bool)
-    reward = np.zeros((n_states, 2))
-    rows, cols, data = [], [], []
-    for i in range(n_dates):
-        nxt = min(i + 1, n_dates - 1)
-        payoff = built["exit_reward"](i)
-        for iw in range(nw):
-            for iz in range(nz):
-                state = idx(i, iw, iz)
-                feasible[state] = [True, True]
-                reward[state, 1] = payoff[iw, iz]
-                for jw in range(nw):
-                    for jz in range(nz):
-                        prob = w_probs[jw] * q[iz, jz]
-                        if prob > 0:
-                            rows.append(state * 2 + 0)
-                            cols.append(idx(nxt, jw, jz))
-                            data.append(prob)
-                rows.append(state * 2 + 1)
-                cols.append(done)
-                data.append(1.0)
-    feasible[done, 0] = True
-    rows.append(done * 2 + 0)
-    cols.append(done)
-    data.append(1.0)
-    kernel = sp.csr_matrix((data, (rows, cols)), shape=(n_states * 2, n_states))
-    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
     return model, idx
 
 
@@ -422,24 +369,39 @@ def _geometric_demand(p, d_max):
     return demand / demand.sum()
 
 
-def inventory_mdp(beta=0.98, K=40, c=0.2, kappa=2.0, p=0.6, d_max=100):
-    """Inventory control with fixed ordering costs and geometric demand."""
+def _restock(K, c, kappa, p, d_max):
+    """Rewards and kernel ``(n, n, n)`` of a store of capacity ``K``, ``n = K + 1``.
+
+    From stock ``x`` an order ``a`` is feasible while ``x + a <= K``; it
+    earns the expected sales less ``c a`` and, when positive, the fixed
+    cost ``kappa``, and the next stock is ``max(x - D, 0) + a`` under
+    geometric demand ``D``.  Infeasible pairs get reward ``-inf`` and a
+    zero row.
+    """
     phi = _geometric_demand(p, d_max)
     d_vals = np.arange(d_max + 1)
-    n = K + 1
-    feasible = np.zeros((n, n), dtype=bool)
-    reward = np.full((n, n), -np.inf)
-    kernel = np.zeros((n, n, n))
-    expected_sales = np.array([np.minimum(x, d_vals) @ phi for x in range(n)])
-    for x in range(n):
-        next_no_order = np.maximum(x - d_vals, 0)
-        for a in range(n - x):
-            feasible[x, a] = True
-            reward[x, a] = expected_sales[x] - c * a - kappa * (a > 0)
-            np.add.at(kernel[x, a], next_no_order + a, phi)
+    stock = np.arange(K + 1)
+    feasible = np.add.outer(stock, stock) <= K
+    # Stacked (1, D) @ (D, 1) products take one BLAS dot per stock level,
+    # which rounds as a per-level dot does; a matrix-vector product does not.
+    sales = (np.minimum(stock[:, None], d_vals)[:, None, :] @ phi[:, None])[:, 0, 0]
+    reward = np.where(feasible, sales[:, None] - c * stock - kappa * (stock > 0), -np.inf)
+    # Law of max(x - D, 0); add.at sums the demand at or above x in order.
+    left = np.zeros((K + 1, K + 1))
+    np.add.at(left, (stock[:, None], np.maximum(stock[:, None] - d_vals, 0)), phi)
+    x, a, j = np.nonzero(feasible[:, :, None] & feasible)  # x + a <= K and a + j <= K
+    kernel = np.zeros((K + 1, K + 1, K + 1))
+    kernel[x, a, a + j] = left[x, j]
+    return reward, kernel
+
+
+def inventory_mdp(beta=0.98, K=40, c=0.2, kappa=2.0, p=0.6, d_max=100):
+    """Inventory control with fixed ordering costs and geometric demand."""
+    reward, kernel = _restock(K, c, kappa, p, d_max)
+    feasible = np.add.outer(np.arange(K + 1), np.arange(K + 1)) <= K
     return {
         "mdp": dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta),
-        "demand_probs": phi,
+        "demand_probs": _geometric_demand(p, d_max),
         "capacity": K,
     }
 
@@ -482,25 +444,11 @@ def inventory_sdd(
     z_grid, q = markov.tauchen(n_z, rho=rho, nu=nu)
     z_vals = z_grid + b
     l_z = z_vals[:, None] * q
-    rho_l = spectral.spectral_radius(l_z)
-    if rho_l >= 1:
-        raise SpectralRadiusError(
-            f"discount operator radius {rho_l:.6g} >= 1", spectral_radius=rho_l
-        )
-    phi = _geometric_demand(p, d_max)
-    d_vals = np.arange(d_max + 1)
-    n_y = K + 1
-    restock = np.zeros((n_y, n_y, n_y))
-    reward_y = np.full((n_y, n_y), -np.inf)
-    expected_sales = np.array([np.minimum(y, d_vals) @ phi for y in range(n_y)])
-    for y in range(n_y):
-        next_no_order = np.maximum(y - d_vals, 0)
-        for a in range(n_y - y):
-            reward_y[y, a] = expected_sales[y] - c * a - kappa * (a > 0)
-            np.add.at(restock[y, a], next_no_order + a, phi)
+    rho_l = spectral.check_radius_below_one(l_z, "exogenous discount operator")
+    reward_y, restock = _restock(K, c, kappa, p, d_max)
 
     # State y * n_z + iz; order a is feasible while y + a <= K.
-    feasible = np.repeat(np.add.outer(np.arange(n_y), np.arange(n_y)) < n_y, n_z, axis=0)
+    feasible = np.repeat(np.add.outer(np.arange(K + 1), np.arange(K + 1)) <= K, n_z, axis=0)
     model = dp.MDPModel(
         feasible=feasible,
         reward=np.repeat(reward_y, n_z, axis=0),
@@ -783,37 +731,41 @@ def optimal_default(
     def state_index(iy, ib, d):
         return (iy * b_size + ib) * 2 + d
 
-    feasible = np.zeros((n, m), dtype=bool)
-    reward = np.full((n, m), -np.inf)
-    rows, cols, data = [], [], []
-    for iy in range(y_size):
-        y = y_grid[iy]
-        penalty_utility = crra_utility(haircut * y, crra)
-        for ib in range(b_size):
-            s_good = state_index(iy, ib, 0)
-            s_bad = state_index(iy, ib, 1)
-            # Repaying: choose next bonds, consume y + b - q b'.
-            for ba in range(b_size):
-                c = y + b_grid[ib] - q_price * b_grid[ba]
-                if c > 0:
-                    feasible[s_good, ba] = True
-                    reward[s_good, ba] = crra_utility(c, crra)
-                    for jy in range(y_size):
-                        rows.append(s_good * m + ba)
-                        cols.append(state_index(jy, ba, 0))
-                        data.append(q[iy, jy])
-            # Defaulting: debt wiped, consumption haircut, random re-entry.
-            for s in (s_good, s_bad):
-                feasible[s, default_action] = True
-                reward[s, default_action] = penalty_utility
-                for jy in range(y_size):
-                    rows.append(s * m + default_action)
-                    cols.append(state_index(jy, zero_idx, 0))
-                    data.append(reentry * q[iy, jy])
-                    rows.append(s * m + default_action)
-                    cols.append(state_index(jy, zero_idx, 1))
-                    data.append((1 - reentry) * q[iy, jy])
+    # Repaying from good standing: choose next bonds, consume y + b - q b'.
+    consumption = y_grid[:, None, None] + b_grid[None, :, None] - q_price * b_grid
+    repay = consumption > 0
+    feasible = np.zeros((y_size, b_size, 2, m), dtype=bool)
+    feasible[:, :, 0, :b_size] = repay
+    feasible[..., default_action] = True
+    reward = np.full((y_size, b_size, 2, m), -np.inf)
+    reward[:, :, 0, :b_size][repay] = crra_utility(consumption[repay], crra)
+    reward[..., default_action] = crra_utility(haircut * y_grid, crra)[:, None, None]
+    # Repaying moves to (jy, b', good).  Defaulting, from either standing,
+    # wipes the debt, haircuts consumption and re-enters at random.
+    iy, ib, ba = np.nonzero(repay)
+    jy = np.arange(y_size)
+    states = np.arange(n)
+    q_now = q[states // (2 * b_size)]
+    rows = np.concatenate(
+        [
+            np.repeat(state_index(iy, ib, 0) * m + ba, y_size),
+            np.repeat(states * m + default_action, 2 * y_size),
+        ]
+    )
+    cols = np.concatenate(
+        [
+            state_index(jy, ba[:, None], 0).reshape(-1),
+            np.tile(state_index(jy[:, None], zero_idx, np.arange(2)).reshape(-1), n),
+        ]
+    )
+    data = np.concatenate(
+        [
+            q[iy].reshape(-1),
+            np.stack([reentry * q_now, (1 - reentry) * q_now], axis=-1).reshape(-1),
+        ]
+    )
     kernel = sp.csr_matrix((data, (rows, cols)), shape=(n * m, n))
+    feasible, reward = feasible.reshape(n, m), reward.reshape(n, m)
     mdp_model = dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
     return {
         "mdp": mdp_model,
@@ -830,12 +782,8 @@ def optimal_default(
 def default_region(built, result):
     """Boolean (income, bonds) table: does the solved policy default?"""
     y_size, b_size = built["shape"]
-    out = np.zeros((y_size, b_size), dtype=bool)
-    for iy in range(y_size):
-        for ib in range(b_size):
-            s = built["state_index"](iy, ib, 0)
-            out[iy, ib] = result.policy[s] == built["default_action"]
-    return out
+    good = built["state_index"](np.arange(y_size)[:, None], np.arange(b_size), 0)
+    return result.policy[good] == built["default_action"]
 
 
 # ---------------------------------------------------------------------------
@@ -1002,10 +950,11 @@ def ct_inventory_restock(alpha=0.7, capacity=10, rate=0.5):
     pi[0, capacity] = 1.0
     sizes = np.arange(1, capacity + 1)
     weights = (1 - alpha) ** (sizes - 1) * alpha
-    for x in range(1, n):
-        for u, w in zip(sizes, weights):
-            pi[x, max(x - u, 0)] += w
-        pi[x] /= pi[x].sum()
+    # A purchase of u units leaves max(x - u, 0); add.at sums the
+    # purchases that empty the shelf in order of size.
+    stock = np.arange(1, n)[:, None]
+    np.add.at(pi, (stock, np.maximum(stock - sizes, 0)), weights)
+    pi[1:] /= pi[1:].sum(axis=1, keepdims=True)
     spec = ctmdp.JumpChainSpec(rates=np.full(n, rate), jump_matrix=pi)
     return {
         "jump_spec": spec,
@@ -1039,21 +988,20 @@ def ct_job_search(
     n_states = 2 * n  # unemployed block then employed block
     m = 2  # reject / accept (employed rows only use action 0)
     feasible = np.zeros((n_states, m), dtype=bool)
+    feasible[:n] = True
+    feasible[n:, 0] = True
     reward = np.zeros((n_states, m))
+    reward[:n] = c
+    reward[n:, 0] = wages
     kernel = np.zeros((n_states, m, n_states))
-    for i in range(n):
-        u, e = i, n + i
-        feasible[u] = [True, True]
-        reward[u] = [c, c]
-        # Rejecting keeps searching; accepting takes the next offer.
-        kernel[u, 0, :n] = kappa * p[i]
-        kernel[u, 0, u] -= kappa
-        kernel[u, 1, n : 2 * n] = kappa * p[i]
-        kernel[u, 1, u] -= kappa
-        feasible[e, 0] = True
-        reward[e, 0] = wages[i]
-        kernel[e, 0, :n] = alpha * p[i]
-        kernel[e, 0, e] -= alpha
+    u, e = np.arange(n), n + np.arange(n)
+    # Rejecting keeps searching; accepting takes the next offer.
+    kernel[:n, 0, :n] = kappa * p
+    kernel[u, 0, u] -= kappa
+    kernel[:n, 1, n:] = kappa * p
+    kernel[u, 1, u] -= kappa
+    kernel[n:, 0, :n] = alpha * p
+    kernel[e, 0, e] -= alpha
     model = ctmdp.CTMDPModel(
         feasible=feasible, discount_rate=delta, reward=reward, kernel=kernel
     )

@@ -63,6 +63,25 @@ class TestSolve:
         cfg = write_config(tmp_path, "bad.json", {"model": "no_such_model"})
         assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("job_search_markov", {"variant": "risk_sensitive", "theta": 0}),
+            ("job_search_markov", {"variant": "separation", "alpha": 1.5}),
+            ("firm_exit", {"n": 0}),
+        ],
+    )
+    def test_bad_override_exits_2(self, tmp_path, capsys, name, overrides):
+        cfg = write_config(tmp_path, "bad.json", {"model": name, "overrides": overrides})
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "bad override" in capsys.readouterr().err
+
+    def test_inline_negative_kernel_exits_2(self, tmp_path, capsys):
+        model = {"type": "mdp", "reward": [[0.0], [1.0]], "kernel": [[[1.5, -0.5]], [[0.0, 1.0]]], "beta": 0.9}
+        cfg = write_config(tmp_path, "neg.json", {"model": model, "solver": "hpi"})
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "negative" in capsys.readouterr().err
+
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {"solver": "vfi"})
         assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2

@@ -76,6 +76,29 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             single_state_model(beta=1.0)
 
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    def test_negative_entries_rejected(self, storage):
+        """Rows that sum to one are not distributions when an entry is negative."""
+        kernel = storage(np.array([[1.5, -0.5], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="negative"):
+            MDPModel(np.ones((2, 1), dtype=bool), np.zeros((2, 1)), kernel, beta=0.9)
+
+    def test_factored_negative_entries_rejected(self):
+        signed = np.array([[1.5, -0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="negative"):
+            MDPModel(np.ones((2, 1), dtype=bool), np.zeros((2, 1)), dp.Factored(signed, 0.9))
+        endogenous = signed.reshape(2, 1, 2)
+        with pytest.raises(ValueError, match="negative"):
+            MDPModel(
+                np.ones((4, 1), dtype=bool),
+                np.zeros((4, 1)),
+                dp.Factored(np.full((2, 2), 0.5), 0.9, endogenous=endogenous),
+            )
+
+    def test_separation_above_one_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            ZOO["job_search_markov"].build(ci_scale=True, variant="separation", alpha=1.5)
+
     def test_sparse_kernel_accepted(self):
         kernel = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8]]))
         model = MDPModel(

@@ -282,6 +282,12 @@ class TestStructuralCertificate:
         dp.solve_vfi(model)
         assert shapes == [(10, 10)]
 
+    def test_borderline_calibration_raises_at_build(self):
+        """rho(diag(z) Q) within the shared slack of one: refused before any solve."""
+        with pytest.raises(SpectralRadiusError) as info:
+            models.inventory_sdd(rho=0.5, nu=1e-15, n_z=2, b=1 - 5e-13, K=2, d_max=5)
+        assert 1 - 1e-12 < info.value.spectral_radius < 1
+
     @pytest.mark.parametrize("radius", [1.0, 1.05])
     def test_radius_at_or_above_one_raises(self, radius):
         with pytest.raises(SpectralRadiusError) as info:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom, norm
 
 from fsdp import markov
@@ -369,3 +371,26 @@ class TestQuantile:
         v = np.array([1.0, 5.0])
         out = markov.conditional_quantile(0.5, v, p)
         assert out == pytest.approx([1.0, 1.0])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        tau=st.sampled_from([0.0, 0.1, 0.5, 0.95, 1.0]),
+    )
+    def test_conditional_quantile_is_the_row_quantile(self, seed, n, tau):
+        """Ties in ``v`` and zero masses in ``p`` included."""
+        rng = np.random.default_rng(seed)
+        v = rng.integers(0, 4, n).astype(float)
+        p = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        p[:, 0] += 0.01
+        p /= p.sum(axis=1, keepdims=True)
+        want = np.array([markov.quantile(tau, v, row) for row in p])
+        assert np.array_equal(markov.conditional_quantile(tau, v, p), want)
+
+    def test_conditional_quantile_checks_inputs(self):
+        p = np.eye(2)
+        with pytest.raises(ValueError):
+            markov.conditional_quantile(1.5, np.zeros(2), p)
+        with pytest.raises(ValueError):
+            markov.conditional_quantile(0.5, np.zeros(3), p)
