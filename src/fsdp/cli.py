@@ -390,6 +390,8 @@ def cmd_spectral(args):
         raw = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read matrix file: {exc}") from exc
+    if isinstance(raw, dict) and "matrix" not in raw:
+        raise ConfigError('matrix file holds an object with no "matrix" key')
     payload = raw["matrix"] if isinstance(raw, dict) else raw
     try:
         matrix = spectral.require_square(payload)

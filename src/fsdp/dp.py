@@ -70,13 +70,16 @@ def _check_beta(beta):
         raise ValueError("constant discount beta must lie in (0, 1)")
 
 
-def _check_nonnegative(entries, what):
+def _check_entries(entries, what):
+    if not np.all(np.isfinite(entries)):
+        raise ValueError(f"{what} has non-finite entries")
     if np.any(entries < 0):
         raise ValueError(f"{what} has negative entries")
 
 
 def _check_rows(sums, what):
-    bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+    # Written so that a NaN sum counts as bad.
+    bad = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
     if bad.any():
         raise ValueError(f"{int(bad.sum())} {what} rows do not sum to 1 (tol {ROW_SUM_TOL})")
 
@@ -112,12 +115,11 @@ class Flat:
             values = weights
         if weights.shape != self.kernel.shape:
             raise ValueError("discount weights must align with the kernel")
-        if np.any(values < 0):
-            raise ValueError("discount weights must be nonnegative")
+        _check_entries(values, "discount weights")
         return weights
 
     def check(self, feasible):
-        _check_nonnegative(self.kernel.data if sp.issparse(self.kernel) else self.kernel, "kernel")
+        _check_entries(self.kernel.data if sp.issparse(self.kernel) else self.kernel, "kernel")
         sums = np.asarray(self.kernel.sum(axis=1)).reshape(-1)
         _check_rows(sums[feasible.reshape(-1)], "feasible kernel")
 
@@ -183,12 +185,11 @@ class Factored:
         if self.beta is None:
             if self.discount.shape != (n_z,):
                 raise ValueError("discount vector needs one factor per exogenous state")
-            if np.any(self.discount < 0):
-                raise ValueError("discount factors must be nonnegative")
-        _check_nonnegative(self.q, "exogenous matrix")
+            _check_entries(self.discount, "discount vector")
+        _check_entries(self.q, "exogenous matrix")
         _check_rows(self.q.sum(axis=1), "exogenous")
         if self.endogenous is not None:
-            _check_nonnegative(self.endogenous, "endogenous kernel")
+            _check_entries(self.endogenous, "endogenous kernel")
             used = feasible.reshape(n_e, n_z, m).any(axis=1)
             _check_rows(self.endogenous.sum(axis=2)[used], "feasible endogenous")
         self.shape = (n_e, n_z, m)

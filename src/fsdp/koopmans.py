@@ -332,11 +332,18 @@ def bracketed_fixed_point(op, lower, upper, tol=1e-10, max_iter=100_000):
 
 
 def check_power_affine_stable(a, theta):
-    """Verify ``rho(A)**(1/theta) < 1``; returns the measured radius.
+    """Verify ``rho(A)**(1/theta) < 1``, raising StabilityError otherwise.
 
     Equivalent to ``rho(A) < 1`` for positive ``theta`` and
-    ``rho(A) > 1`` for negative ``theta``.
+    ``rho(A) > 1`` for negative ``theta``.  For a nonnegative ``A`` the
+    row/column-sum bracket of :func:`spectral.spectral_radius_bounds`
+    decides when it lies wholly on the stable side; the radius is
+    computed only when it does not.
     """
+    if not np.any(np.asarray(a) < 0):
+        lower, upper = spectral.spectral_radius_bounds(a)
+        if (upper < 1.0 - spectral.RADIUS_SLACK) if theta > 0 else (lower > 1.0 + spectral.RADIUS_SLACK):
+            return
     rho = spectral.spectral_radius(a)
     stable = rho < 1.0 - spectral.RADIUS_SLACK if theta > 0 else rho > 1.0 + spectral.RADIUS_SLACK
     if not stable:
@@ -344,7 +351,6 @@ def check_power_affine_stable(a, theta):
             f"rho(A) = {rho:.12g} with exponent 1/theta = {1/theta:.6g} is not stable: "
             "no strictly positive fixed point exists"
         )
-    return rho
 
 
 def power_affine_solve(h, a, theta, cfg=None):

@@ -10,17 +10,14 @@ numpy arrays.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eig, expm
+from scipy.sparse import issparse
 
 from .errors import ConvergenceError, SpectralRadiusError
 
 # Slack used when classifying a computed radius as "< 1".  Borderline
 # values raise rather than proceed.
 RADIUS_SLACK = 1e-12
-
-# Above this order, eigenvalue-based routines switch from dense
-# eigendecomposition to power iteration.
-DENSE_EIG_LIMIT = 512
 
 
 class EigenpairResult(NamedTuple):
@@ -38,6 +35,8 @@ class EigenpairResult(NamedTuple):
 
 def require_square(a, name="matrix"):
     """Validate and return ``a`` as a finite square 2-d float array."""
+    if issparse(a):
+        raise ValueError(f"{name} is a scipy sparse matrix; the spectral routines take dense arrays")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
@@ -49,32 +48,10 @@ def require_square(a, name="matrix"):
 def spectral_radius(a):
     """Return the largest eigenvalue modulus of a square matrix.
 
-    Uses a dense eigendecomposition for orders up to ``DENSE_EIG_LIMIT``
-    and power iteration on ``|a|`` above that.
+    A dense eigendecomposition at every order, so the cost grows as
+    ``n**3``.
     """
-    a = require_square(a)
-    n = a.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        return float(np.max(np.abs(np.linalg.eigvals(a))))
-    # Power-iteration fallback: rho(|A|) bounds rho(A) from above and the
-    # two coincide for the nonnegative matrices used at this scale.
-    return _power_radius(np.abs(a))
-
-
-def _power_radius(a, tol=1e-13, max_iter=10_000):
-    n = a.shape[0]
-    h = np.ones(n)
-    value = 0.0
-    for _ in range(max_iter):
-        ah = a @ h
-        new_value = np.linalg.norm(ah, np.inf)
-        if new_value == 0.0:
-            return 0.0
-        h = ah / new_value
-        if abs(new_value - value) <= tol * max(1.0, new_value):
-            return float(new_value)
-        value = new_value
-    raise ConvergenceError("power iteration did not converge", last=value)
+    return float(np.max(np.abs(np.linalg.eigvals(require_square(a)))))
 
 
 def spectral_radius_bounds(a):
@@ -116,11 +93,14 @@ def neumann_solve(a, b):
     """Solve ``u = a @ u + b`` for ``u``; requires ``rho(a) < 1``.
 
     Equivalent to ``inv(I - a) @ b``, the limit of the power series
-    ``sum_k a^k b``.
+    ``sum_k a^k b``.  A nonnegative ``a`` whose row/column-sum bracket
+    already lies below ``1 - RADIUS_SLACK`` needs no eigenvalues; any
+    other ``a`` goes through :func:`check_radius_below_one`.
     """
     a = require_square(a)
     b = np.asarray(b, dtype=float)
-    check_radius_below_one(a, what="coefficient matrix")
+    if np.any(a < 0) or spectral_radius_bounds(a)[1] >= 1.0 - RADIUS_SLACK:
+        check_radius_below_one(a, what="coefficient matrix")
     eye = np.eye(a.shape[0])
     return np.linalg.solve(eye - a, b)
 
@@ -176,27 +156,28 @@ def matrix_exponential(a):
     return expm(require_square(a))
 
 
-def dominant_eigenpair(a, assume_irreducible=False, tol=1e-12, max_iter=50_000):
-    """Dominant eigenpair of a nonnegative matrix.
+def dominant_eigenpair(a, assume_irreducible=False):
+    """Dominant (Perron) eigenpair of a nonnegative matrix.
 
     Returns an :class:`EigenpairResult` with ``a @ right = value * right``
     and ``left @ a = value * left``.  The right eigenvector is normalized
     to sum to one and the left eigenvector is scaled so that
     ``left @ right = 1``.  With ``assume_irreducible=True`` the routine
     additionally verifies that both eigenvectors are strictly positive.
+
+    One dense eigendecomposition gives both eigenvectors.  The eigenvalue
+    taken is the one with the largest real part: for a nonnegative matrix
+    that is the Perron root ``rho(a)``, also when ``-rho(a)`` or other
+    eigenvalues of modulus ``rho(a)`` exist (periodic matrices).
     """
     a = require_square(a)
     if np.any(a < 0):
         raise ValueError("matrix must be nonnegative elementwise")
-    n = a.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        value, right = _dense_dominant(a)
-        _, left = _dense_dominant(a.T)
-    else:
-        value, right = _power_eigvec(a, tol, max_iter)
-        _, left = _power_eigvec(a.T, tol, max_iter)
-    right = _fix_sign(right)
-    left = _fix_sign(left)
+    values, lefts, rights = eig(a, left=True, right=True)
+    idx = int(np.argmax(values.real))
+    value = values[idx].real
+    right = _fix_sign(rights[:, idx].real)
+    left = _fix_sign(lefts[:, idx].real)
     if assume_irreducible and (np.any(right <= 0) or np.any(left <= 0)):
         raise ValueError("eigenvectors are not strictly positive; matrix may be reducible")
     # Clip tiny negative round-off before normalizing.
@@ -213,29 +194,5 @@ def dominant_eigenpair(a, assume_irreducible=False, tol=1e-12, max_iter=50_000):
     return EigenpairResult(value=float(value), right=right, left=left, normalized=True)
 
 
-def _dense_dominant(a):
-    values, vectors = np.linalg.eig(a)
-    idx = int(np.argmax(np.abs(values)))
-    value = values[idx].real
-    vector = vectors[:, idx].real
-    return value, vector
-
-
 def _fix_sign(v):
     return -v if v.sum() < 0 else v
-
-
-def _power_eigvec(a, tol, max_iter):
-    n = a.shape[0]
-    v = np.ones(n) / n
-    value = 0.0
-    for _ in range(max_iter):
-        av = a @ v
-        new_value = np.linalg.norm(av, np.inf)
-        if new_value == 0.0:
-            return 0.0, v
-        new_v = av / new_value
-        if np.linalg.norm(new_v - v, np.inf) <= tol:
-            return new_value, new_v
-        v, value = new_v, new_value
-    raise ConvergenceError("power iteration did not converge", last=value)

@@ -82,6 +82,13 @@ class TestSolve:
         assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
         assert "negative" in capsys.readouterr().err
 
+    def test_inline_nan_kernel_exits_2(self, tmp_path, capsys):
+        """Python's json reads and writes NaN, so an inline kernel can hold one."""
+        model = {"type": "mdp", "reward": [[0.0], [1.0]], "kernel": [[[np.nan, 1.0]], [[0.0, 1.0]]], "beta": 0.9}
+        cfg = write_config(tmp_path, "nan.json", {"model": model, "solver": "vfi"})
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {"solver": "vfi"})
         assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
@@ -282,6 +289,28 @@ class TestSpectral:
         matrix_file = tmp_path / "bad.json"
         matrix_file.write_text(json.dumps([[1.0, 2.0]]))
         assert run_cli(["spectral", matrix_file]) == 2
+
+    def test_object_without_matrix_key_exits_2(self, tmp_path, capsys):
+        matrix_file = tmp_path / "rows.json"
+        matrix_file.write_text(json.dumps({"rows": [[0.5]]}))
+        assert run_cli(["spectral", matrix_file]) == 2
+        assert '"matrix" key' in capsys.readouterr().err
+
+    def test_period_two_matrix_above_512_states(self, tmp_path, capsys):
+        """Bipartite with positive blocks: radius sqrt(rho(BC)), and -rho is an eigenvalue too."""
+        rng = np.random.default_rng(0)
+        b, c = rng.random((300, 300)) / 600, rng.random((300, 300)) / 600
+        zero = np.zeros((300, 300))
+        matrix = np.block([[zero, b], [c, zero]])
+        radius = np.sqrt(np.max(np.abs(np.linalg.eigvals(b @ c))))
+        matrix_file = tmp_path / "period2.json"
+        matrix_file.write_text(json.dumps(matrix.tolist()))
+        assert run_cli(["spectral", matrix_file]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["spectral_radius"] == pytest.approx(radius, rel=1e-12)
+        assert report["dominant_value"] == pytest.approx(radius, rel=1e-12)
+        right = np.asarray(report["dominant_right"])
+        assert np.max(np.abs(matrix @ right - radius * right)) <= 1e-10 * np.max(right)
 
     def test_seventeen_digit_round_trip(self, tmp_path, capsys):
         matrix_file = tmp_path / "m.json"

@@ -99,6 +99,44 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="negative"):
             ZOO["job_search_markov"].build(ci_scale=True, variant="separation", alpha=1.5)
 
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_rejected(self, storage, bad):
+        kernel = storage(np.array([[bad, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            MDPModel(np.ones((2, 1), dtype=bool), np.zeros((2, 1)), kernel, beta=0.9)
+
+    def test_non_finite_row_of_infeasible_pair_rejected(self):
+        kernel = np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            MDPModel(np.array([[True, False], [True, True]]), np.zeros((2, 2)), kernel, beta=0.9)
+
+    def test_non_finite_discount_weights_rejected(self):
+        weights = np.full((2, 1, 2), 0.9)
+        weights[0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            MDPModel(
+                np.ones((2, 1), dtype=bool),
+                np.zeros((2, 1)),
+                np.full((2, 1, 2), 0.5),
+                discount_weights=weights,
+            )
+
+    def test_factored_non_finite_entries_rejected(self):
+        nan_rows = np.array([[np.nan, 1.0], [0.0, 1.0]])
+        uniform = np.full((2, 2), 0.5)
+        for kernel, n in [
+            (dp.Factored(nan_rows, 0.9), 2),
+            (dp.Factored(uniform, 0.9, endogenous=nan_rows.reshape(2, 1, 2)), 4),
+            (dp.Factored(uniform, np.array([0.9, np.nan])), 2),
+        ]:
+            with pytest.raises(ValueError, match="non-finite"):
+                MDPModel(np.ones((n, 1), dtype=bool), np.zeros((n, 1)), kernel)
+
+    def test_row_check_counts_nan_sums_as_bad(self):
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            dp._check_rows(np.array([1.0, np.nan]), "kernel")
+
     def test_sparse_kernel_accepted(self):
         kernel = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8]]))
         model = MDPModel(

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fsdp import spectral
-from fsdp.errors import SpectralRadiusError
+from fsdp import koopmans, spectral
+from fsdp.errors import SpectralRadiusError, StabilityError
 
 A_SMALL = np.array([[0.4, 0.1], [0.7, 0.2]])
 
@@ -49,11 +52,51 @@ class TestSpectralRadius:
             p = random_stochastic(rng, n)
             assert spectral.spectral_radius(p) == pytest.approx(1.0, abs=1e-10)
 
-    def test_power_iteration_path_matches_dense(self):
-        rng = np.random.default_rng(3)
-        a = rng.random((40, 40))
-        dense = spectral.spectral_radius(a)
-        assert spectral._power_radius(np.abs(a)) == pytest.approx(dense, rel=1e-8)
+    def test_rejects_sparse_input(self):
+        with pytest.raises(ValueError, match="dense arrays"):
+            spectral.spectral_radius(scipy.sparse.csr_matrix(A_SMALL))
+
+
+LARGE = 600  # above the order where power iteration used to take over
+
+
+def period_two(n, seed=0):
+    """Bipartite ``[[0, B], [C, 0]]`` of order ``n`` with positive blocks, and its radius.
+
+    Its eigenvalues come in pairs ``+-lam`` with ``lam**2`` an eigenvalue
+    of ``BC``, so the radius is ``sqrt(rho(BC))``.
+    """
+    rng = np.random.default_rng(seed)
+    k = n // 2
+    b = rng.random((k, n - k)) / n
+    c = rng.random((n - k, k)) / n
+    a = np.block([[np.zeros((k, k)), b], [c, np.zeros((n - k, n - k))]])
+    return a, float(np.sqrt(np.max(np.abs(np.linalg.eigvals(b @ c)))))
+
+
+class TestSpectralRadiusAtLargeOrder:
+    """Closed-form radii at an order above 512, where the old power loop failed."""
+
+    def test_signed_rotation_blocks(self):
+        a = np.kron(np.eye(LARGE // 2), 0.5 * np.array([[1.0, -1.0], [1.0, 1.0]]))
+        assert spectral.spectral_radius(a) == pytest.approx(1 / np.sqrt(2), rel=1e-12)
+
+    def test_scaled_cyclic_permutation(self):
+        a = 0.9 * np.roll(np.eye(LARGE), 1, axis=1)
+        assert spectral.spectral_radius(a) == pytest.approx(0.9, rel=1e-12)
+
+    def test_nilpotent_shift_and_permuted_copy(self):
+        shift = np.eye(LARGE, k=1)
+        perm = np.random.default_rng(0).permutation(LARGE)
+        assert spectral.spectral_radius(shift) == 0.0
+        assert spectral.spectral_radius(shift[np.ix_(perm, perm)]) == 0.0
+
+    def test_zero_matrix(self):
+        assert spectral.spectral_radius(np.zeros((LARGE, LARGE))) == 0.0
+
+    def test_period_two(self):
+        a, radius = period_two(LARGE)
+        assert spectral.spectral_radius(a) == pytest.approx(radius, rel=1e-12)
 
 
 class TestSpectralRadiusBounds:
@@ -128,6 +171,72 @@ class TestNeumannSolve:
     def test_raises_at_unit_radius(self):
         with pytest.raises(SpectralRadiusError):
             spectral.neumann_solve(np.eye(2), np.ones(2))
+
+
+# Row sums 1.1 and 0.25 (the same by columns), so the sum bracket
+# [0.25, 1.1] straddles one, while the radius is 0.9447.
+STRADDLING = np.array([[0.9, 0.2], [0.2, 0.05]])
+
+
+@pytest.fixture
+def radius_calls(monkeypatch):
+    calls = []
+    original = spectral.spectral_radius
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(spectral, "spectral_radius", counting)
+    return calls
+
+
+class TestBracketDecidesStability:
+    """Eigenvalues are computed only when the sum bracket cannot decide."""
+
+    def test_neumann_solve_inside_bracket(self, radius_calls):
+        p = random_stochastic(np.random.default_rng(20), 50)
+        b = np.arange(50.0)
+        u = spectral.neumann_solve(0.9 * p, b)
+        assert radius_calls == []
+        assert np.array_equal(u, np.linalg.solve(np.eye(50) - 0.9 * p, b))
+
+    def test_neumann_solve_straddling_bracket(self, radius_calls):
+        b = np.array([1.0, 2.0])
+        u = spectral.neumann_solve(STRADDLING, b)
+        assert radius_calls == [(2, 2)]
+        assert np.array_equal(u, np.linalg.solve(np.eye(2) - STRADDLING, b))
+
+    def test_neumann_solve_signed_matrix(self, radius_calls):
+        a = np.array([[0.1, -0.2], [0.3, 0.1]])
+        spectral.neumann_solve(a, np.ones(2))
+        assert radius_calls == [(2, 2)]
+
+    def test_neumann_solve_raises_with_radius(self, radius_calls):
+        with pytest.raises(SpectralRadiusError) as info:
+            spectral.neumann_solve(STRADDLING / 0.9, np.ones(2))
+        assert radius_calls == [(2, 2)]
+        assert info.value.spectral_radius == pytest.approx(spectral.spectral_radius(STRADDLING) / 0.9)
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0, -0.5, -2.0])
+    def test_power_affine_inside_bracket(self, radius_calls, theta):
+        p = random_stochastic(np.random.default_rng(21), 50)
+        assert koopmans.check_power_affine_stable(0.95**theta * p, theta) is None
+        assert radius_calls == []
+
+    @pytest.mark.parametrize("theta, scale", [(2.0, 1.0), (-2.0, 1.1)])
+    def test_power_affine_straddling_bracket(self, radius_calls, theta, scale):
+        """Radius 0.9447 (stable for theta > 0) and 1.039 (stable for theta < 0)."""
+        koopmans.check_power_affine_stable(scale * STRADDLING, theta)
+        assert radius_calls == [(2, 2)]
+
+    @pytest.mark.parametrize("theta, factor", [(2.0, 1.0), (2.0, 1.3), (-2.0, 1.0), (-2.0, 0.7)])
+    def test_power_affine_unstable_raises(self, radius_calls, theta, factor):
+        a = factor * random_stochastic(np.random.default_rng(22), 6)
+        with pytest.raises(StabilityError) as info:
+            koopmans.check_power_affine_stable(a, theta)
+        assert radius_calls == [(6, 6)]
+        assert f"rho(A) = {np.max(np.abs(np.linalg.eigvals(a))):.12g} " in str(info.value)
 
 
 class TestLocalSpectralRadius:
@@ -261,3 +370,60 @@ class TestDominantEigenpair:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             spectral.dominant_eigenpair([[1.0, -0.1], [0.2, 0.5]])
+
+    def test_sparse_input_rejected(self):
+        with pytest.raises(ValueError, match="dense arrays"):
+            spectral.dominant_eigenpair(scipy.sparse.csr_matrix(A_SMALL))
+
+    @pytest.mark.parametrize("n", [6, LARGE])
+    def test_period_two_gives_plus_rho(self, n):
+        """``-rho`` is an eigenvalue too; the Perron root is ``+rho``."""
+        a, radius = period_two(n, seed=1)
+        result = spectral.dominant_eigenpair(a, assume_irreducible=True)
+        assert result.value == pytest.approx(radius, rel=1e-12)
+        _assert_eigen_residuals(a, result)
+
+
+def _assert_eigen_residuals(a, result, tol=1e-10):
+    scale = max(1.0, np.max(np.abs(a).sum(axis=1)))
+    right_gap = np.max(np.abs(a @ result.right - result.value * result.right))
+    left_gap = np.max(np.abs(result.left @ a - result.value * result.left))
+    assert right_gap <= tol * scale * np.max(result.right)
+    assert left_gap <= tol * scale * np.max(result.left)
+
+
+def _random_nonnegative(seed, n, kind):
+    """Irreducible (sparse plus a cycle), bipartite, or block upper-triangular reducible."""
+    rng = np.random.default_rng(seed)
+    if kind == "irreducible":
+        a = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+        a[np.arange(n), (np.arange(n) + 1) % n] += 0.1 + rng.random(n)
+        return a
+    k = int(rng.integers(1, n))
+    a = rng.random((n, n))
+    if kind == "bipartite":
+        a[:k, :k] = 0.0
+        a[k:, k:] = 0.0
+    else:
+        a[k:, :k] = 0.0
+    return a
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    kind=st.sampled_from(["irreducible", "bipartite", "reducible"]),
+)
+def test_perron_value_is_the_radius(seed, n, kind):
+    assume(n >= 2 or kind == "irreducible")
+    a = _random_nonnegative(seed, n, kind)
+    result = spectral.dominant_eigenpair(a)
+    radius = np.max(np.abs(np.linalg.eigvals(a)))
+    assert result.value == pytest.approx(radius, rel=1e-10)
+    lower, upper = spectral.spectral_radius_bounds(a)
+    assert lower * (1 - 1e-12) <= result.value <= upper * (1 + 1e-12)
+    assert np.all(result.right >= 0) and np.all(result.left >= 0)
+    assert result.right.sum() == pytest.approx(1.0)
+    assert result.left @ result.right == pytest.approx(1.0)
+    _assert_eigen_residuals(a, result)
