@@ -397,16 +397,12 @@ def cmd_spectral(args):
         matrix = spectral.require_square(payload)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = {
-        "order": matrix.shape[0],
-        "spectral_radius": spectral.spectral_radius(matrix),
-        "spectral_bound": spectral.spectral_bound(matrix),
-    }
-    if np.all(matrix >= 0):
+    radius, bound, pair = spectral.spectral_summary(matrix)
+    report = {"order": matrix.shape[0], "spectral_radius": radius, "spectral_bound": bound}
+    if pair is not None:
         lower, upper = spectral.spectral_radius_bounds(matrix)
         report["radius_lower_bound"] = lower
         report["radius_upper_bound"] = upper
-        pair = spectral.dominant_eigenpair(matrix)
         report["dominant_value"] = pair.value
         report["dominant_right"] = pair.right
         report["dominant_left"] = pair.left
@@ -488,7 +484,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         notes = [] if exc.bound is None else [f"error bound {exc.bound:.3e}"]
         if exc.steps:
-            notes.append("last steps " + ", ".join(f"{step:.3e}" for step in exc.steps))
+            notes.append(f"last {exc.measure} " + ", ".join(f"{step:.3e}" for step in exc.steps))
         detail = f" ({'; '.join(notes)})" if notes else ""
         print(f"convergence failure: {exc}{detail}", file=sys.stderr)
         return EXIT_CONVERGENCE

@@ -17,7 +17,8 @@ expected-value space, and the log-sum-exp closed form for Gumbel taste
 shocks.
 
 Policy evaluation solves ``(I - L_sigma) v = r_sigma`` by BiCGSTAB on
-the policy operator, so ``I - L_sigma`` is never assembled or factored,
+the policy operator (:func:`fsdp.fixed_point.certified_solve`), so
+``I - L_sigma`` is never assembled or factored,
 and certifies the answer: a positive ``h`` with ``L_sigma h <= lam h``,
 ``lam < 1``, bounds the error by the weighted residual (see
 :func:`policy_value`).  Under state-dependent discounting every solver
@@ -33,7 +34,6 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, bicgstab
 from scipy.special import logsumexp
 
 from . import fixed_point, spectral
@@ -44,11 +44,6 @@ ROW_SUM_TOL = 1e-10
 # Exhaustive per-policy stability checks are combinatorial; above this
 # many policies a uniform dominating operator must be supplied.
 POLICY_ENUMERATION_LIMIT = 10_000
-
-# BiCGSTAB passes per policy evaluation, each restarted from the last
-# iterate with a tighter tolerance, before the evaluation gives up.
-EVALUATION_PASSES = 8
-
 
 def _flatten_kernel(kernel, n, m):
     if sp.issparse(kernel):
@@ -228,7 +223,7 @@ class Factored:
         n_e, n_z, _ = self.shape
         dq = self.discount[:, None] * self.q
         h = np.linalg.solve(np.eye(n_z) - dq, np.ones(n_z))
-        return np.tile(h, n_e), _ratio_bound(dq @ h, h)
+        return np.tile(h, n_e), fixed_point.ratio_bound(dq @ h, h)
 
     def _row_discount(self, z):
         """Discount of states with exogenous index ``z``, as a column."""
@@ -446,7 +441,7 @@ def policy_value(model, sigma):
     lam)``.  The solve restarts with a tighter tolerance until that bound
     is at most ``max(1e-12, 64 eps / (1 - lam)) * max(1, ||x||_inf)``,
     and raises :class:`ConvergenceError`, with the bound attached, if
-    :data:`EVALUATION_PASSES` passes do not get there.
+    :data:`fixed_point.SOLVE_PASSES` passes do not get there.
 
     A state-dependent model that :func:`certify_stability` has not
     certified gets the per-policy radius check ``rho(L_sigma) < 1``
@@ -459,17 +454,7 @@ def policy_value(model, sigma):
     sigma = _checked_policy(model, sigma)
     apply = model.transitions.policy_operator(sigma)
     h, lam = _bounding_pair(model, apply)
-    return _certified_solve(apply, policy_reward(model, sigma), h, lam)[0]
-
-
-def _ratio_bound(lh, h):
-    """``max (L h)_i / h_i``, or raise if ``h`` is not a positive bounding vector below 1."""
-    lam = float(np.max(lh / h)) if np.all(h > 0) else np.nan
-    if not lam < 1:
-        raise ConvergenceError(
-            f"no bounding vector certifies the policy operator (ratio {lam:.6g})", bound=np.inf
-        )
-    return lam
+    return fixed_point.certified_solve(apply, policy_reward(model, sigma), h, lam)[0]
 
 
 def _bounding_pair(model, apply):
@@ -478,8 +463,7 @@ def _bounding_pair(model, apply):
     Constant ``beta``: ``h = 1`` and ``lam = beta``.  A factored kernel
     with a discount vector: the exogenous pair recorded on the model (see
     :meth:`Factored.bounding_pair`).  Any other state-dependent model:
-    ``h`` solves ``(I - L_sigma) h = 1`` and ``lam`` is read off the
-    product ``L_sigma h`` itself, so it holds however accurate ``h`` is.
+    :func:`fixed_point.bounding_pair` of ``L_sigma``.
     """
     if not model.state_dependent:
         return np.ones(model.n_states), model.beta
@@ -487,56 +471,14 @@ def _bounding_pair(model, apply):
         if model._bounding is None:
             model._bounding = model.transitions.bounding_pair()
         return model._bounding
-    ones = np.ones(model.n_states)
-    h, _ = bicgstab(_shifted(apply, ones.size), ones, rtol=1e-10, atol=0.0)
-    return h, _ratio_bound(apply(h), h)
-
-
-def _shifted(apply, n):
-    return LinearOperator((n, n), matvec=lambda v: v - apply(v), dtype=float)
-
-
-def _certified_solve(apply, b, h, lam):
-    """Solve ``(I - L) x = b`` by BiCGSTAB until the certified bound meets its target.
-
-    Works on ``b`` scaled to unit sup norm, so the stopping rule does not
-    depend on the units of the rewards.  Returns ``(x, bound)``.
-    """
-    scale = float(np.max(np.abs(b), initial=0.0))
-    if scale == 0:
-        return np.zeros_like(b, dtype=float), 0.0
-    system = _shifted(apply, b.size)
-    b = b / scale
-    tolerance = max(1e-12, 64 * np.finfo(float).eps / (1 - lam))
-    y, rtol = np.zeros_like(b), tolerance * (1 - lam)
-    for _ in range(EVALUATION_PASSES):
-        y, _ = bicgstab(system, b, x0=y, rtol=rtol, atol=0.0)
-        res = b - system.matvec(y)
-        bound = _error_bound(res, h, lam)
-        target = tolerance * max(1.0 / scale, np.max(np.abs(y)))
-        if bound <= target:
-            return scale * y, scale * bound
-        if not np.isfinite(bound):
-            bound = np.inf
-            break
-        rtol = np.linalg.norm(res) / np.linalg.norm(b) * min(0.1, 0.5 * target / bound)
-    raise ConvergenceError(
-        f"policy evaluation did not certify its bound ({scale * bound:.3e})",
-        last=scale * y,
-        bound=scale * bound,
-    )
-
-
-def _error_bound(res, h, lam):
-    """``max(h) * max(|res_i| / h_i) / (1 - lam)``, which bounds ``||x - v_sigma||_inf``."""
-    return float(np.max(h) * np.max(np.abs(res) / h) / (1 - lam))
+    return fixed_point.bounding_pair(apply, model.n_states)
 
 
 def _evaluation_bound(model, sigma, x):
     """The certified bound on ``||x - v_sigma||_inf`` that :func:`policy_value` stops on."""
     apply = model.transitions.policy_operator(sigma)
     h, lam = _bounding_pair(model, apply)
-    return _error_bound(policy_reward(model, sigma) - (x - apply(x)), h, lam)
+    return fixed_point.error_bound(policy_reward(model, sigma) - (x - apply(x)), h, lam)
 
 
 def certify_stability(model, dominating=None):

@@ -20,14 +20,17 @@ class ConvergenceError(RuntimeError):
     ``last`` holds the final finite iterate, when one is available,
     ``bound`` the certified error bound of a policy evaluation that
     stopped short of its target, and ``steps`` the last few errors of a
-    loop that hit its cap, oldest first.
+    loop that hit its cap, oldest first.  ``measure`` names what those
+    errors are: ``"steps"`` between iterates, or ``"residuals"``
+    ``||T v - v||`` of a Newton solve.
     """
 
-    def __init__(self, message, last=None, bound=None, steps=None):
+    def __init__(self, message, last=None, bound=None, steps=None, measure="steps"):
         super().__init__(message)
         self.last = last
         self.bound = bound
         self.steps = steps
+        self.measure = measure
 
 
 class SingularJacobianError(RuntimeError):

@@ -5,15 +5,22 @@ operator, found by iterating it.  :func:`iterate` is the one loop that
 does so; its stop rule is data, ``error(new, old) <= tolerance``.  On it
 sit value function iteration (``iterate`` itself), optimistic policy
 iteration, two-sided iteration over an order interval (:func:`squeeze`),
-and traced successive approximation and Newton iteration, which promote
-scalars to length-one vectors.  Also Howard policy iteration and
-convergence-rate diagnostics.
+traced successive approximation and Newton iteration, which promote
+scalars to length-one vectors, and :func:`newton_krylov`.
+
+:func:`certified_solve` solves ``(I - L) x = b`` by BiCGSTAB and
+certifies the answer with a bounding pair ``(h, lam)``, ``L h <= lam h``
+(:func:`bounding_pair`, :func:`error_bound`); policy evaluation uses it,
+and :func:`newton_krylov` solves each Newton step of a contraction with
+it, stopping on a certified bound on the distance to the fixed point.
+Also Howard policy iteration and convergence-rate diagnostics.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .errors import ConvergenceError, SingularJacobianError
 
@@ -22,6 +29,10 @@ DIVERGENCE_LIMIT = 1e12
 
 # A ConvergenceError raised at the cap carries this many of the last errors.
 STEPS_KEPT = 8
+
+# BiCGSTAB passes per certified solve, each restarted from the last
+# iterate with a tighter tolerance, before the solve gives up.
+SOLVE_PASSES = 8
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,134 @@ def squeeze(op, lo, hi, tolerance, max_iter, gap, last=lambda lo, hi: hi):
     return lo, hi, k
 
 
+def _shifted(apply, n):
+    return LinearOperator((n, n), matvec=lambda v: v - apply(v), dtype=float)
+
+
+def ratio_bound(lh, h):
+    """``max (L h)_i / h_i``, or raise if ``h`` is not a positive bounding vector below 1."""
+    lam = float(np.max(lh / h)) if np.all(h > 0) else np.nan
+    if not lam < 1:
+        raise ConvergenceError(
+            f"no bounding vector certifies the linear operator (ratio {lam:.6g})", bound=np.inf
+        )
+    return lam
+
+
+def bounding_pair(apply, n):
+    """``(h, lam)`` with ``h > 0``, ``lam < 1`` and ``L h <= lam h`` for a nonnegative linear ``L``.
+
+    ``h`` solves ``(I - L) h = 1`` by BiCGSTAB and ``lam`` is read off
+    the product ``L h`` itself, so it holds however accurate ``h`` is.
+    """
+    ones = np.ones(n)
+    h, _ = bicgstab(_shifted(apply, n), ones, rtol=1e-10, atol=0.0)
+    return h, ratio_bound(apply(h), h)
+
+
+def error_bound(res, h, lam):
+    """``max(h) * max(|res_i| / h_i) / (1 - lam)``, which bounds ``||x - x*||_inf``.
+
+    Here ``res`` is the residual of ``x`` in ``x = L x + b`` (or in a
+    fixed point ``x = T x``) and ``(h, lam)`` a bounding pair of ``L``
+    (or a contraction modulus of ``T`` in the ``h``-weighted sup norm).
+    """
+    return float(np.max(h) * np.max(np.abs(res) / h) / (1 - lam))
+
+
+def certified_solve(apply, b, h, lam, tolerance=None):
+    """Solve ``(I - L) x = b`` by BiCGSTAB until the certified bound meets its target.
+
+    ``apply`` is ``x -> L x`` and ``(h, lam)`` its bounding pair.  Works
+    on ``b`` scaled to unit sup norm, so the stopping rule does not
+    depend on its units.  The target is ``tolerance * max(1,
+    ||x||_inf)``, with ``tolerance`` by default ``max(1e-12, 64 eps / (1
+    - lam))``; returns ``(x, bound)``, and raises
+    :class:`ConvergenceError`, with the bound attached, if
+    :data:`SOLVE_PASSES` passes do not get there.
+    """
+    scale = float(np.max(np.abs(b), initial=0.0))
+    if scale == 0:
+        return np.zeros_like(b, dtype=float), 0.0
+    system = _shifted(apply, b.size)
+    b = b / scale
+    if tolerance is None:
+        tolerance = max(1e-12, 64 * np.finfo(float).eps / (1 - lam))
+    y, rtol = np.zeros_like(b), tolerance * (1 - lam)
+    for _ in range(SOLVE_PASSES):
+        y, _ = bicgstab(system, b, x0=y, rtol=rtol, atol=0.0)
+        res = b - system.matvec(y)
+        bound = error_bound(res, h, lam)
+        target = tolerance * max(1.0 / scale, np.max(np.abs(y)))
+        if bound <= target:
+            return scale * y, scale * bound
+        if not np.isfinite(bound):
+            bound = np.inf
+            break
+        rtol = np.linalg.norm(res) / np.linalg.norm(b) * min(0.1, 0.5 * target / bound)
+    raise ConvergenceError(
+        f"certified solve did not reach its bound ({scale * bound:.3e})",
+        last=scale * y,
+        bound=scale * bound,
+    )
+
+
+def newton_krylov(op, v0, jvp, h, lam, tolerance, max_iter):
+    """Newton's method for ``v = op(v)``, each step a :func:`certified_solve`.
+
+    ``op`` contracts with modulus ``lam`` in the sup norm weighted by
+    ``h > 0``, and ``jvp(v)`` returns ``d -> J(v) d`` for its Jacobian,
+    which ``(h, lam)`` bounds too; ``jvp=None`` takes forward differences
+    of ``op``.  A step solves ``(I - J(v)) d = op(v) - v`` and is kept only
+    if it lowers ``||op(v) - v||_inf``; otherwise the step is ``v <-
+    op(v)``.  Stops when the certified bound ``max(h) * max(|op(v) - v| /
+    h) / (1 - lam)`` on ``||v - v*||_inf`` is at most ``tolerance``, or at
+    most the rounding floor ``64 eps max(1, ||v||_inf) / (1 - lam)``, and
+    returns ``(v, k, bound)``.  After ``max_iter`` steps raises
+    :class:`ConvergenceError` with the last iterate as ``last`` and its
+    last ``STEPS_KEPT`` weighted residuals ``max(h) * max(|op(v) - v| /
+    h)`` as ``steps``, with ``measure`` set to ``"residuals"``.
+    """
+    eps = np.finfo(float).eps
+    # A forward difference is good to about sqrt(eps), so its steps are
+    # solved to the certified solve's floor at that precision.
+    inner = None if jvp is not None else 64 * np.sqrt(eps) / (1 - lam)
+
+    def step(state):
+        v, tv = state
+        linear = jvp(v) if jvp is not None else forward_difference(op, v, tv)
+        try:
+            d = certified_solve(linear, tv - v, h, lam, inner)[0]
+        except ConvergenceError as exc:
+            d = exc.last  # an inexact step; the residual test decides
+        w = v + d
+        tw = op(w)
+        if sup_step(tw, w) < sup_step(tv, v):
+            return w, tw
+        return tv, image(tv)
+
+    def image(v):
+        tv = op(v)
+        if not np.all(np.isfinite(tv)):
+            raise ConvergenceError("iteration diverged", last=v)
+        return tv
+
+    def weighted(state, _):
+        v, tv = state
+        floor = 64 * eps * max(1.0, float(np.max(np.abs(v))))
+        return within(error_bound(tv - v, h, 0.0), max(tolerance * (1 - lam), floor))
+
+    v0 = np.asarray(v0, dtype=float)
+    try:
+        (v, tv), k, _ = iterate(step, (v0, image(v0)), 0.0, max_iter, error=weighted)
+    except ConvergenceError as exc:
+        if isinstance(exc.last, tuple):
+            exc.last = exc.last[0]
+            exc.measure = "residuals"
+        raise
+    return v, k, error_bound(tv - v, h, lam)
+
+
 def policy_iteration(greedy, evaluate, sigma, max_iter):
     """Howard policy iteration from ``sigma``: exact evaluation, greedy improvement.
 
@@ -217,45 +356,52 @@ def successive_approx(op, u0, cfg=None):
     return _traced(lambda u, k: (1 - alpha) * u + alpha * vec_op(u), u0, cfg)
 
 
-def finite_difference_jacobian(op, u):
-    """Central-difference Jacobian of ``op`` at ``u``.
+def forward_difference(op, v, tv):
+    """Forward-difference Jacobian-vector product of ``op`` at ``v``, given ``tv = op(v)``.
 
-    Step per coordinate is ``1e-7 * (1 + |u_i|)``.
+    Returns ``d -> (op(v + e d) - tv) / e``, where ``e ||d||_inf =
+    sqrt(eps) max(1, ||v||_inf)`` balances truncation against rounding.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    n = u.size
-    jac = np.empty((n, n))
-    for i in range(n):
-        h = 1e-7 * (1.0 + abs(u[i]))
-        up, down = u.copy(), u.copy()
-        up[i] += h
-        down[i] -= h
-        jac[:, i] = (np.atleast_1d(op(up)) - np.atleast_1d(op(down))) / (2 * h)
-    return jac
+    size = np.sqrt(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(v))))
+
+    def jvp(d):
+        norm = float(np.max(np.abs(d)))
+        if norm == 0:
+            return np.zeros_like(d)
+        return (op(v + (size / norm) * d) - tv) * (norm / size)
+
+    return jvp
 
 
 def newton_fixed_point(op, u0, cfg=None, jacobian=None):
     """Newton iteration for the fixed point of ``op``.
 
-    Updates via ``u' = inv(I - J(u)) @ (op(u) - J(u) @ u)`` where ``J``
-    is the Jacobian of ``op``, supplied as a callback or computed by
-    central differences.  Scalar problems may pass scalar callables.
-    Returns the :class:`IterationTrace` of :func:`successive_approx`.
+    Each step solves ``(I - J(u)) d = op(u) - u`` by BiCGSTAB and moves to
+    ``u + d``.  ``J(u) d`` is the product with ``jacobian(u)``, when
+    given, or a forward difference of ``op`` (:func:`forward_difference`).
+    Scalar problems may pass scalar callables.  A breakdown of the solve
+    raises :class:`SingularJacobianError`.  Returns the
+    :class:`IterationTrace` of :func:`successive_approx`.
     """
     cfg = cfg or IterationConfig()
     scalar = np.ndim(u0) == 0
     vec_op = _vectorized(op, scalar)
-    if jacobian is None:
-        jac_fn = lambda v: finite_difference_jacobian(vec_op, v)
-    else:
-        jac_fn = lambda v: np.atleast_2d(np.asarray(jacobian(v[0] if scalar else v), dtype=float))
 
     def step(u, k):
-        jac = jac_fn(u)
-        try:
-            return np.linalg.solve(np.eye(u.size) - jac, vec_op(u) - jac @ u)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(f"I - J is singular at iteration {k}") from exc
+        tu = vec_op(u)
+        if jacobian is None:
+            jvp = forward_difference(vec_op, u, tu)
+        else:
+            jvp = np.atleast_2d(np.asarray(jacobian(u[0] if scalar else u), dtype=float)).__matmul__
+        # A unit right-hand side keeps BiCGSTAB's breakdown tests off a
+        # residual that is merely small.
+        scale = float(np.max(np.abs(tu - u)))
+        if not 0 < scale < np.inf:
+            return tu
+        d, info = bicgstab(_shifted(jvp, u.size), (tu - u) / scale, rtol=1e-12, atol=0.0)
+        if info < 0 or not np.all(np.isfinite(d)):
+            raise SingularJacobianError(f"I - J is singular at iteration {k}")
+        return u + scale * d
 
     return _traced(step, u0, cfg)
 

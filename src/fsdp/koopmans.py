@@ -2,9 +2,12 @@
 
 Certainty-equivalent operators, aggregators, Koopmans operators (their
 composition), and stability-aware solvers for the lifetime values they
-define: Blackwell contraction iteration, the power-transformed-affine
-conjugacy used for Epstein-Zin preferences, Uzawa linear reduction, and
-order-interval bracketing.
+define: Blackwell contractions, the power-transformed-affine conjugacy
+used for Epstein-Zin preferences, Uzawa linear reduction, and
+order-interval bracketing.  Additive aggregation of an expectation or
+entropic certainty equivalent, and the Uzawa reduction, are solved by
+Newton steps on the certainty equivalent's Jacobian, with a certified
+error bound (:func:`fsdp.fixed_point.newton_krylov`).
 """
 
 from dataclasses import dataclass
@@ -16,16 +19,25 @@ from . import fixed_point, markov, spectral
 from .errors import StabilityError
 
 
-def _weighted_logsumexp_rows(vals, weights):
-    """Stable ``log(weights @ exp(vals))`` per row of ``weights``.
+def _row_shifted(vals, weights):
+    """``(shift, weights * exp(vals - shift))`` per row of ``weights``.
 
-    Entries with zero weight are excluded from the max-shift, so large
+    Each row is shifted by the max of ``vals`` over its support, so large
     values off the support cannot poison the result.
     """
-    masked = np.where(weights > 0, vals[None, :], -np.inf)
-    shift = masked.max(axis=1)
-    total = np.einsum("ij,ij->i", weights, np.exp(masked - shift[:, None]))
-    return shift + np.log(total)
+    terms = np.where(weights > 0, vals[None, :], -np.inf)
+    shift = terms.max(axis=1)
+    terms -= shift[:, None]
+    np.exp(terms, out=terms)
+    terms *= weights
+    return shift, terms
+
+
+def _weighted_logsumexp_rows(vals, weights):
+    """Stable ``log(weights @ exp(vals))`` per row of ``weights``."""
+    shift, terms = _row_shifted(vals, weights)
+    return shift + np.log(terms.sum(axis=1))
+
 
 # ---------------------------------------------------------------------------
 # Certainty equivalents
@@ -53,6 +65,9 @@ class Expectation(_CertaintyEquivalent):
     def __call__(self, v):
         return self.p @ np.asarray(v, dtype=float)
 
+    def jacobian(self, v):
+        return self.p
+
 
 class Entropic(_CertaintyEquivalent):
     """Entropic risk adjustment ``(1/theta) log P exp(theta v)``.
@@ -73,6 +88,12 @@ class Entropic(_CertaintyEquivalent):
         v = np.asarray(v, dtype=float)
         # Log-space evaluation keeps exp(theta v) from overflowing.
         return _weighted_logsumexp_rows(self.theta * v, self.p) / self.theta
+
+    def jacobian(self, v):
+        """``W(v)``, the row-stochastic ``P * exp(theta v)`` with rows normalized."""
+        _, terms = _row_shifted(self.theta * np.asarray(v, dtype=float), self.p)
+        terms /= terms.sum(axis=1, keepdims=True)
+        return terms
 
 
 class KrepsPorteus(_CertaintyEquivalent):
@@ -253,10 +274,19 @@ def blackwell_contraction_check(k, rng=None, trials=20):
 
 
 class LifetimeValueResult(NamedTuple):
+    """A lifetime value and how it was found.
+
+    ``error_bound`` bounds ``||value - v*||_inf``: the certified bound of
+    a Newton solve, ``beta / (1 - beta)`` times the last step of a
+    contraction iteration, or half the final gap of a bracket.  The
+    conjugate solves state none.
+    """
+
     value: np.ndarray
     method: str
     iterations: int
     residual: float
+    error_bound: float | None = None
 
 
 def solve_lifetime_value(k, cfg=None, bracket=None):
@@ -267,20 +297,37 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
     linear reduction, and order-interval bracketing from a supplied
     ``bracket=(v1, v2)``.  Refuses to iterate blind: raises
     :class:`~fsdp.errors.StabilityError` when no certificate applies.
+
+    ``Additive`` aggregation of an ``Expectation`` or ``Entropic``
+    certainty equivalent, and the Uzawa reduction, are solved by
+    :func:`fixed_point.newton_krylov` with the certainty equivalent's
+    Jacobian; ``cfg.tolerance`` (default 1e-10) is then a certified bound
+    on ``||value - v*||_inf``.  Other contractions iterate until the step
+    is at most ``cfg.tolerance``, and a bracket until its gap is.
     """
     tol = cfg.tolerance if cfg else 1e-10
     max_iter = cfg.max_iter if cfg else 100_000
     agg, ce = k.aggregator, k.ce
     n = ce.p.shape[0]
 
-    def iterate_from(v0, method):
-        v, iterations, _ = fixed_point.iterate(k, v0, tol, max_iter, error=fixed_point.bounded_step)
-        return LifetimeValueResult(v, method, iterations, _residual(k, v))
+    def newton(slope, h, lam, method):
+        def jvp(v):
+            w = ce.jacobian(v)
+            return lambda d: slope * (w @ d)
+
+        v, iterations, bound = fixed_point.newton_krylov(k, np.zeros(n), jvp, h, lam, tol, max_iter)
+        return LifetimeValueResult(v, method, iterations, _residual(k, v), bound)
 
     check = blackwell_contraction_check(k)
     if check.classification == "contraction":
+        if isinstance(agg, Additive) and isinstance(ce, (Expectation, Entropic)):
+            return newton(agg.beta, np.ones(n), agg.beta, "blackwell-contraction")
         v0 = np.full(n, 1.0) if ce.requires_positive else np.zeros(n)
-        return iterate_from(v0, "blackwell-contraction")
+        v, iterations, step = fixed_point.iterate(
+            k, v0, tol, max_iter, error=fixed_point.bounded_step
+        )
+        bound = check.modulus / (1 - check.modulus) * step
+        return LifetimeValueResult(v, "blackwell-contraction", iterations, _residual(k, v), bound)
 
     if isinstance(agg, CES) and isinstance(ce, KrepsPorteus):
         if not agg.beta < 1:
@@ -295,11 +342,14 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
     if isinstance(agg, Uzawa) and isinstance(ce, Expectation):
         l_matrix = agg.b[:, None] * ce.p
         spectral.check_radius_below_one(l_matrix, what="discount operator b*P")
-        return iterate_from(np.zeros(n), "uzawa-spectral")
+        h, lam = fixed_point.bounding_pair(lambda d: agg.b * (ce.p @ d), n)
+        return newton(agg.b, h, lam, "uzawa-spectral")
 
     if bracket is not None:
-        v, iterations = bracketed_fixed_point(k, bracket[0], bracket[1], tol, max_iter)
-        return LifetimeValueResult(v, "order-interval-bracket", iterations, _residual(k, v))
+        lo, hi, iterations = _squeeze_bracket(k, bracket[0], bracket[1], tol, max_iter)
+        bound = 0.5 * float(np.max(hi - lo))
+        v = _midpoint(lo, hi)
+        return LifetimeValueResult(v, "order-interval-bracket", iterations, _residual(k, v), bound)
 
     raise StabilityError(
         "no stability certificate: operator is not Blackwell-contracting, has no "
@@ -311,6 +361,18 @@ def _residual(k, v):
     return float(np.linalg.norm(k(v) - v, np.inf))
 
 
+def _midpoint(lo, hi):
+    return 0.5 * (lo + hi)
+
+
+def _squeeze_bracket(op, lower, upper, tol, max_iter):
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
+    if np.any(lo > hi):
+        raise ValueError("bracket must satisfy lower <= upper")
+    return fixed_point.squeeze(op, lo, hi, tol, max_iter, fixed_point.sup_step, _midpoint)
+
+
 def bracketed_fixed_point(op, lower, upper, tol=1e-10, max_iter=100_000):
     """Monotone iteration from both ends of an invariant order interval.
 
@@ -318,13 +380,8 @@ def bracketed_fixed_point(op, lower, upper, tol=1e-10, max_iter=100_000):
     squeeze the unique fixed point; convergence is declared when they
     meet within ``tol``.
     """
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("bracket must satisfy lower <= upper")
-    midpoint = lambda lo, hi: 0.5 * (lo + hi)
-    lo, hi, k_iter = fixed_point.squeeze(op, lo, hi, tol, max_iter, fixed_point.sup_step, midpoint)
-    return midpoint(lo, hi), k_iter
+    lo, hi, k_iter = _squeeze_bracket(op, lower, upper, tol, max_iter)
+    return _midpoint(lo, hi), k_iter
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ value aggregator evaluated per state-action pair.  Each model declares
 the stability class that certifies its policy operators (sup-norm
 contraction, spectral domination, an invariant order interval, or a
 user-supplied evaluator), and the solvers refuse to iterate without a
-certificate.  Includes constructors for robust (worst-case kernel),
-smooth-ambiguity, shortest-path, and negative-discount-rate models.
+certificate.  A contracting model's policies are evaluated by Newton
+steps on a forward-difference Jacobian, certified to the solve's
+tolerance (:func:`fsdp.fixed_point.newton_krylov`).  Includes
+constructors for robust (worst-case kernel), smooth-ambiguity,
+shortest-path, and negative-discount-rate models.
 """
 
 from dataclasses import dataclass, field
@@ -173,15 +176,24 @@ def verify_certificate(model, mode="max"):
 def rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
     """Fixed point of the policy operator, computed per stability class.
 
-    Contracting and eventually-contracting classes iterate (the latter
-    is certified by the dominating operator); interval classes squeeze
-    the fixed point between iterations from both ends of the bracket.
+    Contracting classes take Newton steps on a forward-difference
+    Jacobian (:func:`fixed_point.newton_krylov` with ``h = 1`` and
+    ``lam`` the modulus), so ``tolerance`` bounds ``||v - v_sigma||_inf``.
+    The eventually-contracting class (certified by its dominating
+    operator) iterates until the step is at most ``tolerance * (1 +
+    ||v||_inf)``; interval classes squeeze the fixed point between
+    iterations from both ends of the bracket.
     """
     sigma = np.asarray(sigma, dtype=np.int64)
     stab = model.stability
     if isinstance(stab, UserCertified):
         return np.asarray(stab.evaluator(model, sigma), dtype=float)
     apply = partial(rdp_policy_apply, model, sigma)
+    n = model.n_states
+    if isinstance(stab, Contracting):
+        return fixed_point.newton_krylov(
+            apply, np.zeros(n), None, np.ones(n), stab.modulus, tolerance, max_iter
+        )[0]
     if isinstance(stab, ConvexConcave):
 
         def gap(lo, hi):
@@ -190,21 +202,14 @@ def rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
 
         lo, hi, _ = fixed_point.squeeze(apply, stab.lower, stab.upper, 0.0, max_iter, gap)
         return 0.5 * (lo + hi)
-    eps = np.finfo(float).eps
 
     def step(v_new, v):
         if not np.all(np.isfinite(v_new)):
             raise ConvergenceError("policy evaluation diverged", last=v)
-        scale = 1.0 + np.max(np.abs(v_new))
-        # A step below tol * (1 - modulus) pins the fixed point to tol;
-        # the floor guards against stalling at rounding noise.
-        if isinstance(stab, Contracting):
-            threshold = max(tolerance * (1.0 - stab.modulus), 64 * eps * scale)
-        else:
-            threshold = tolerance * scale
+        threshold = tolerance * (1.0 + np.max(np.abs(v_new)))
         return fixed_point.within(np.max(np.abs(v_new - v)), threshold)
 
-    return fixed_point.iterate(apply, np.zeros(model.n_states), 0.0, max_iter, error=step)[0]
+    return fixed_point.iterate(apply, np.zeros(n), 0.0, max_iter, error=step)[0]
 
 
 def _start_value(model):

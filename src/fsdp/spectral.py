@@ -173,7 +173,26 @@ def dominant_eigenpair(a, assume_irreducible=False):
     a = require_square(a)
     if np.any(a < 0):
         raise ValueError("matrix must be nonnegative elementwise")
-    values, lefts, rights = eig(a, left=True, right=True)
+    return _perron_pair(*eig(a, left=True, right=True), assume_irreducible)
+
+
+def spectral_summary(a):
+    """``(radius, bound, pair)`` of a square matrix from one decomposition.
+
+    ``pair`` is the :func:`dominant_eigenpair` of a nonnegative ``a``,
+    taken with the radius and bound from one ``eig`` call; a signed ``a``
+    gets ``None`` and one ``eigvals`` call.
+    """
+    a = require_square(a)
+    if np.any(a < 0):
+        values, pair = np.linalg.eigvals(a), None
+    else:
+        values, lefts, rights = eig(a, left=True, right=True)
+        pair = _perron_pair(values, lefts, rights)
+    return float(np.max(np.abs(values))), float(np.max(values.real)), pair
+
+
+def _perron_pair(values, lefts, rights, assume_irreducible=False):
     idx = int(np.argmax(values.real))
     value = values[idx].real
     right = _fix_sign(rights[:, idx].real)

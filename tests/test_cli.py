@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsdp import cli
+from fsdp import cli, rdp, spectral
 from fsdp.models import ZOO
 
 
@@ -144,6 +144,25 @@ class TestSolve:
         )
         values = (out / "value.csv").read_text().splitlines()
         assert len(values) == 1 + 25 + 1  # header + active states + exit state
+
+
+def test_capped_newton_evaluation_prints_residuals_on_exit_4(tmp_path, monkeypatch, capsys):
+    config = write_config(
+        tmp_path,
+        "cfg.json",
+        {
+            "model": "job_search_markov",
+            "solver": "hpi",
+            "overrides": {"variant": "risk_sensitive", "n": 30},
+        },
+    )
+    original = rdp.rdp_policy_value
+    monkeypatch.setattr(
+        rdp, "rdp_policy_value", lambda *args, **kwargs: original(*args, **kwargs, max_iter=1)
+    )
+    assert run_cli(["solve", "--config", config, "--out", tmp_path / "out"]) == 4
+    err = capsys.readouterr().err
+    assert "iteration hit its cap of 1" in err and "last residuals " in err
 
 
 class TestSimulate:
@@ -311,6 +330,48 @@ class TestSpectral:
         assert report["dominant_value"] == pytest.approx(radius, rel=1e-12)
         right = np.asarray(report["dominant_right"])
         assert np.max(np.abs(matrix @ right - radius * right)) <= 1e-10 * np.max(right)
+
+    @staticmethod
+    def _inputs():
+        """600-state aperiodic, signed (rotation blocks) and period-2 matrices."""
+        n = 600
+        aperiodic = np.random.default_rng(1).random((n, n)) / n * 0.9 + np.eye(n) * 0.05
+        signed = np.kron(np.eye(n // 2), 0.5 * np.array([[1.0, -1.0], [1.0, 1.0]]))
+        i, j = np.meshgrid(np.arange(n // 2), np.arange(n // 2), indexing="ij")
+        b, c = (1.0 + (i + 2 * j) % 7) / (4.0 * n), (1.0 + (3 * i + j) % 5) / (3.0 * n)
+        zero = np.zeros_like(b)
+        period2 = np.block([[zero, b], [c, zero]])
+        return {"aperiodic": aperiodic, "signed": signed, "period2": period2}
+
+    @pytest.mark.parametrize("name", ["aperiodic", "signed", "period2"])
+    def test_one_decomposition_per_matrix(self, name, tmp_path, capsys, monkeypatch):
+        matrix = self._inputs()[name]
+        # The report as three decompositions gave it: eigvals twice, eig once.
+        values = np.linalg.eigvals(matrix)
+        expected = {
+            "spectral_radius": np.max(np.abs(values)),
+            "spectral_bound": np.max(values.real),
+        }
+        if name != "signed":
+            pair = spectral.dominant_eigenpair(matrix)
+            expected.update(
+                dominant_value=pair.value, dominant_right=pair.right, dominant_left=pair.left
+            )
+        calls = []
+        for module, attr in ((np.linalg, "eigvals"), (spectral, "eig")):
+            original = getattr(module, attr)
+            monkeypatch.setattr(
+                module, attr, lambda *a, _f=original, _n=attr, **k: calls.append(_n) or _f(*a, **k)
+            )
+        matrix_file = tmp_path / f"{name}.json"
+        matrix_file.write_text(json.dumps(matrix.tolist()))
+        assert run_cli(["spectral", matrix_file]) == 0
+        assert calls == (["eigvals"] if name == "signed" else ["eig"])
+        report = json.loads(capsys.readouterr().out)
+        assert ("dominant_value" in report) == (name != "signed")
+        for key, want in expected.items():
+            got = np.asarray(report[key])
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), key
 
     def test_seventeen_digit_round_trip(self, tmp_path, capsys):
         matrix_file = tmp_path / "m.json"

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsdp import cli, dp, spectral
+from fsdp import cli, dp, fixed_point, spectral
 from fsdp.dp import (
     FactorizedOperators,
     MDPModel,
@@ -426,7 +426,7 @@ class TestCertifiedEvaluation:
         def stalled(a, b, x0=None, **kwargs):
             return (np.zeros_like(b) if x0 is None else x0), 1
 
-        monkeypatch.setattr(dp, "bicgstab", stalled)
+        monkeypatch.setattr(fixed_point, "bicgstab", stalled)
 
     def test_uncertified_evaluation_raises_with_its_bound(self, monkeypatch):
         model = random_mdp(np.random.default_rng(32))
@@ -506,6 +506,29 @@ class TestBellman:
             v, w = rng.standard_normal((2, 6))
             lhs = np.max(np.abs(bellman(model, v) - bellman(model, w)))
             assert lhs <= model.beta * np.max(np.abs(v - w)) + 1e-12
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 25),
+        m=st.integers(1, 4),
+        beta=st.floats(0.05, 0.99),
+        mode=st.sampled_from(["max", "min"]),
+    )
+    def test_monotone_beta_contraction(self, seed, n, m, beta, mode):
+        rng = np.random.default_rng(seed)
+        kernel = _stochastic(rng, (n, m, n))
+        feasible = rng.random((n, m)) < 0.7
+        feasible[np.arange(n), rng.integers(0, m, n)] = True
+        model = MDPModel(feasible, rng.standard_normal((n, m)), kernel, beta=beta)
+        v = 10 * rng.standard_normal(n)
+        w = v + rng.random(n) * (rng.random(n) < 0.5)
+        u = 10 * rng.standard_normal(n)
+        tv, tw = bellman(model, v, mode), bellman(model, w, mode)
+        slack = 1e-12 * max(1.0, np.max(np.abs(v)), np.max(np.abs(w)), np.max(np.abs(u)))
+        assert np.all(tv <= tw + slack)
+        step = np.max(np.abs(tv - bellman(model, u, mode)))
+        assert step <= beta * np.max(np.abs(v - u)) + slack
 
     def test_fixed_point_residual_after_solving(self):
         rng = np.random.default_rng(5)

@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsdp import cli, discounting, dp, fixed_point, koopmans, markov, models, rdp, spectral
 from fsdp.errors import ConvergenceError, SingularJacobianError
@@ -14,7 +16,6 @@ from fsdp.fixed_point import (
     IterationConfig,
     IterationTrace,
     convergence_order,
-    finite_difference_jacobian,
     newton_fixed_point,
     optimistic_policy_iteration,
     policy_iteration,
@@ -259,7 +260,10 @@ class TestSolverCore:
 # Parity with the hand-written loops that ``fixed_point.iterate`` replaced.
 # Each ``_oracle_*`` is such a loop as it stood, with its own stopping rule;
 # the caller now built on ``iterate`` must give the same iteration count,
-# iterates, histories and cap errors, bit for bit.
+# iterates, histories and cap errors, bit for bit.  The solves that Newton
+# steps replaced (Koopmans Entropic and Uzawa values, RDP evaluation of a
+# contracting model, ``newton_fixed_point``) are checked against their true
+# fixed points in ``TestNewtonKrylov`` instead.
 
 
 def _oracle_value_iteration(bellman, v, tolerance, max_iter, history=None):
@@ -318,41 +322,6 @@ def _oracle_successive_approx(op, u0, cfg=None):
     return trace
 
 
-def _oracle_newton(op, u0, cfg=None, jacobian=None):
-    cfg = cfg or IterationConfig()
-    u, scalar = _oracle_as_vector(u0)
-
-    def vec_op(v):
-        return np.atleast_1d(np.asarray(op(v[0] if scalar else v), dtype=float))
-
-    if jacobian is None:
-        jac_fn = lambda v: finite_difference_jacobian(vec_op, v)
-    else:
-        jac_fn = lambda v: np.atleast_2d(np.asarray(jacobian(v[0] if scalar else v), dtype=float))
-
-    trace = IterationTrace(iterates=[u0 if scalar else u.copy()])
-    eye = np.eye(u.size)
-    for k in range(1, cfg.max_iter + 1):
-        jac = jac_fn(u)
-        try:
-            u_new = np.linalg.solve(eye - jac, vec_op(u) - jac @ u)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(f"I - J is singular at iteration {k}") from exc
-        if not np.all(np.isfinite(u_new)) or np.linalg.norm(u_new, np.inf) > DIVERGENCE_LIMIT:
-            raise ConvergenceError(
-                f"divergence detected at iteration {k}", last=u[0] if scalar else u
-            )
-        step = float(np.linalg.norm(u_new - u, np.inf))
-        trace.errors.append(step)
-        trace.iterates.append(float(u_new[0]) if scalar else u_new.copy())
-        trace.iterations = k
-        u = u_new
-        if step <= cfg.tolerance:
-            trace.converged = True
-            break
-    return trace
-
-
 def _oracle_bracketed_fixed_point(op, lower, upper, tol=1e-10, max_iter=100_000):
     lo = np.asarray(lower, dtype=float).copy()
     hi = np.asarray(upper, dtype=float).copy()
@@ -361,18 +330,6 @@ def _oracle_bracketed_fixed_point(op, lower, upper, tol=1e-10, max_iter=100_000)
         if np.linalg.norm(hi - lo, np.inf) <= tol:
             return 0.5 * (lo + hi), k_iter
     raise ConvergenceError("bracketed iteration hit the iteration cap", last=0.5 * (lo + hi))
-
-
-def _oracle_lifetime_value(k, cfg=None):
-    """The successive-approximation branches of ``solve_lifetime_value``."""
-    tol = cfg.tolerance if cfg else 1e-10
-    max_iter = cfg.max_iter if cfg else 100_000
-    n = k.ce.p.shape[0]
-    v0 = np.full(n, 1.0) if k.ce.requires_positive else np.zeros(n)
-    trace = _oracle_successive_approx(k, v0, IterationConfig(tolerance=tol, max_iter=max_iter))
-    if not trace.converged:
-        raise ConvergenceError("lifetime-value iteration hit the iteration cap", last=trace.final)
-    return trace.final, trace.iterations
 
 
 def _oracle_power_affine_solve(h, a, theta, cfg=None):
@@ -701,11 +658,6 @@ def _chain(n=40):
     return markov.tauchen(n, rho=0.9, nu=0.2)
 
 
-def _lifetime_value(k, cfg):
-    result = koopmans.solve_lifetime_value(k, cfg)
-    return result.value, result.iterations
-
-
 def _entropic():
     grid, p = _chain()
     return koopmans.KoopmansOperator(koopmans.Additive(grid, 0.95), koopmans.Entropic(-2.0, p))
@@ -747,7 +699,7 @@ def _parity_cases():
     cases = {}
     for ci_scale in (True, False):
         built = ZOO["optimal_default"].build(ci_scale=ci_scale)
-        for algorithm, tol in (("hpi", 1e-10), ("vfi", 1e-8), ("opi", 1e-8)):
+        for algorithm, tol in (("vfi", 1e-8), ("opi", 1e-8)):
             solve = partial(
                 rdp.rdp_solve, built["rdp"], algorithm=algorithm, tolerance=tol
             )
@@ -782,21 +734,11 @@ def _parity_cases():
             partial(rdp.smooth_ambiguity_policy_value_conjugate, smooth, sigma, max_iter=max_iter),
             partial(_oracle_smooth_conjugate, smooth, sigma, max_iter=max_iter),
         )
-    contracting = ZOO["optimal_default"].build(ci_scale=True)["rdp"]
-    for name, model in (("bracket", robust), ("contracting", contracting)):
-        start = np.zeros(model.n_states, dtype=np.int64)
-        cases[f"rdp {name} cap"] = (
-            partial(rdp.rdp_policy_value, model, start, max_iter=1),
-            partial(_oracle_rdp_policy_value, model, start, max_iter=1),
-        )
-
-    for name, build in (("entropic", _entropic), ("uzawa", _uzawa)):
-        k = build()
-        for cfg in (None, IterationConfig(max_iter=1)):
-            cases[f"lifetime value {name} cfg={cfg}"] = (
-                partial(_lifetime_value, k, cfg),
-                partial(_oracle_lifetime_value, k, cfg),
-            )
+    start = np.zeros(robust.n_states, dtype=np.int64)
+    cases["rdp bracket cap"] = (
+        partial(rdp.rdp_policy_value, robust, start, max_iter=1),
+        partial(_oracle_rdp_policy_value, robust, start, max_iter=1),
+    )
     h, beta, alpha, gamma, p = _ez_inputs()
     for cfg in (None, IterationConfig(max_iter=1)):
         solve = partial(koopmans.epstein_zin_value, h, beta, alpha, gamma, p, cfg)
@@ -877,18 +819,6 @@ def _parity_cases():
             partial(successive_approx, op, u0, cfg),
             partial(_oracle_successive_approx, op, u0, cfg),
         )
-    newton = {
-        "golden ratio": (lambda u: 1 + u / (u + 1), 0.5, None, None),
-        "solow": (solow_map, 1.0, IterationConfig(tolerance=1e-13), None),
-        "linear": (linear, np.zeros(2), None, lambda u: A_SMALL),
-        "cap": (solow_map, 1.0, IterationConfig(tolerance=1e-300, max_iter=3), None),
-        "divergent": (lambda u: 1e7 * u**2, 1.0, None, None),
-    }
-    for name, (op, u0, cfg, jac) in newton.items():
-        cases[f"newton {name}"] = (
-            partial(newton_fixed_point, op, u0, cfg, jac),
-            partial(_oracle_newton, op, u0, cfg, jac),
-        )
 
     grid, p = _chain()
     _, p_alt = markov.tauchen(40, rho=0.8, nu=0.1, m=10.0)
@@ -921,9 +851,9 @@ class TestParityWithReplacedLoops:
 
     def test_every_moved_loop_raises_at_its_cap(self):
         capped = [case for case in PARITY if re.search(r"max_(policy_)?iter=1(,|$)| cap", case)]
-        # Successive approximation and Newton return their trace at the cap.
-        traced = {"successive approx cap", "successive approx cap of one", "newton cap"}
-        assert len(capped) == 32
+        # Successive approximation returns its trace at the cap.
+        traced = {"successive approx cap", "successive approx cap of one"}
+        assert len(capped) == 28
         for case in capped:
             assert (_outcome(PARITY[case][0])[0] == "returned") == (case in traced), case
 
@@ -1014,3 +944,206 @@ class TestConvergenceSteps:
         _, steps = self._vfi_steps(card.build(ci_scale=True)["mdp"], 5)
         printed = "last steps " + ", ".join(f"{step:.3e}" for step in steps)
         assert printed in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Newton-Krylov solves, checked against their true fixed points.
+
+
+def _contraction_limit(op, v0, beta, tolerance):
+    """Plain iteration of a beta-contraction until ``beta / (1 - beta) * step <= tolerance``."""
+    v, _, _ = value_iteration(op, v0, tolerance * (1 - beta) / beta, 1_000_000)
+    return v
+
+
+def _sup(x):
+    return float(np.max(np.abs(x)))
+
+
+class TestNewtonKrylov:
+    def test_entropic_lifetime_value_is_certified(self):
+        k = _entropic()
+        result = koopmans.solve_lifetime_value(k)
+        assert result.method == "blackwell-contraction"
+        residual_bound = _sup(k(result.value) - result.value) / (1 - 0.95)
+        assert result.error_bound == pytest.approx(residual_bound, rel=1e-12)
+        assert result.error_bound <= 1e-10
+        reference = _contraction_limit(k, np.zeros(40), 0.95, 1e-13)
+        assert _sup(result.value - reference) <= result.error_bound + 1e-13
+
+    def test_entropic_cap_raises_with_last_and_residuals(self):
+        k = _entropic()
+        with pytest.raises(ConvergenceError) as info:
+            koopmans.solve_lifetime_value(k, IterationConfig(max_iter=1))
+        last = info.value.last
+        assert isinstance(last, np.ndarray) and last.shape == (40,)
+        assert info.value.measure == "residuals"
+        assert info.value.steps == [_sup(k(last) - last)]
+
+    def test_uzawa_lifetime_value_matches_the_neumann_solve(self):
+        k = _uzawa()
+        result = koopmans.solve_lifetime_value(k)
+        exact = spectral.neumann_solve(k.aggregator.b[:, None] * k.ce.p, k.aggregator.r)
+        assert result.method == "uzawa-spectral"
+        assert 0 <= result.error_bound <= 1e-10
+        assert _sup(result.value - exact) <= result.error_bound + 1e-12 * _sup(exact)
+
+    def test_uzawa_is_one_newton_step(self):
+        # The Uzawa operator is affine, so the first Newton step lands on
+        # the fixed point and a cap of one step does not bind.
+        k = _uzawa()
+        result = koopmans.solve_lifetime_value(k, IterationConfig(tolerance=1e-10, max_iter=1))
+        exact = spectral.neumann_solve(k.aggregator.b[:, None] * k.ce.p, k.aggregator.r)
+        assert result.iterations == 1 and result.error_bound <= 1e-10
+        assert _sup(result.value - exact) <= result.error_bound + 1e-12 * _sup(exact)
+
+    @pytest.mark.parametrize("ci_scale", [True, False], ids=["ci", "default"])
+    def test_rdp_hpi_of_optimal_default_is_the_mdp_solution(self, ci_scale):
+        built = ZOO["optimal_default"].build(ci_scale=ci_scale)
+        mdp = built["mdp"]
+        wrapped = rdp.rdp_solve(built["rdp"], algorithm="hpi", tolerance=1e-10)
+        native = dp.solve_hpi(mdp)
+        assert np.array_equal(wrapped.policy, native.policy)
+        assert wrapped.iterations == native.iterations
+        l_sigma = dp.policy_matrix(mdp, native.policy, discounted=True)
+        l_sigma = l_sigma.toarray() if hasattr(l_sigma, "toarray") else l_sigma
+        r_sigma = dp.policy_reward(mdp, native.policy)
+        exact = np.linalg.solve(np.eye(mdp.n_states) - l_sigma, r_sigma)
+        assert _sup(wrapped.value - exact) <= 1e-10 + 1e-13 * _sup(exact)
+
+    def test_rdp_contracting_cap_raises_with_last_and_residuals(self):
+        model = ZOO["optimal_default"].build(ci_scale=True)["rdp"]
+        sigma = rdp.rdp_greedy(model, np.zeros(model.n_states))
+        with pytest.raises(ConvergenceError) as info:
+            rdp.rdp_policy_value(model, sigma, max_iter=1)
+        last = info.value.last
+        assert isinstance(last, np.ndarray) and last.shape == (model.n_states,)
+        assert info.value.measure == "residuals"
+        assert info.value.steps == [_sup(rdp.rdp_policy_apply(model, sigma, last) - last)]
+
+    def test_newton_golden_ratio(self):
+        trace = newton_fixed_point(lambda u: 1 + u / (u + 1), 0.5, IterationConfig(tolerance=1e-14))
+        assert trace.converged
+        assert abs(trace.final - (1 + np.sqrt(5)) / 2) <= 1e-15
+
+    def test_newton_solow_closed_form(self):
+        trace = newton_fixed_point(solow_map, 1.0, IterationConfig(tolerance=1e-13))
+        assert trace.converged and trace.iterations <= 8
+        assert abs(trace.final - solow_fixed_point()) <= 1e-13
+
+    def test_newton_linear_map_with_its_jacobian(self):
+        trace = newton_fixed_point(
+            lambda u: A_SMALL @ u + B_SMALL, np.zeros(2), jacobian=lambda u: A_SMALL
+        )
+        exact = spectral.neumann_solve(A_SMALL, B_SMALL)
+        assert trace.converged and trace.iterations == 2
+        assert np.max(np.abs(trace.iterates[1] - exact)) <= 1e-14
+        assert trace.errors[1] <= 1e-14
+
+    def test_newton_cap_returns_an_unconverged_trace_closing_in(self):
+        cfg = IterationConfig(tolerance=1e-300, max_iter=3)
+        trace = newton_fixed_point(solow_map, 1.0, cfg)
+        assert not trace.converged and trace.iterations == 3 and len(trace.errors) == 3
+        gaps = [abs(u - solow_fixed_point()) for u in trace.iterates]
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    def test_newton_finds_the_fixed_point_plain_iteration_flees(self):
+        # u -> 1e7 u^2 repels from its fixed point 1e-7, and plain iteration
+        # from 1 diverges; Newton halves its way in, then closes quadratically.
+        op = lambda u: 1e7 * u**2
+        with pytest.raises(ConvergenceError):
+            successive_approx(op, 1.0)
+        trace = newton_fixed_point(op, 1.0, IterationConfig(tolerance=1e-22))
+        assert trace.converged
+        assert abs(trace.final - 1e-7) <= 1e-20
+
+    def test_a_rejected_step_falls_back_to_a_plain_step(self):
+        # A wrong Jacobian gives steps that raise the residual; each is
+        # replaced by v <- T v, so the solve still reaches the fixed point.
+        op = lambda v: A_SMALL @ v + B_SMALL
+        wrong = lambda v: (lambda d: -3.0 * d)
+        exact = spectral.neumann_solve(A_SMALL, B_SMALL)
+        h = spectral.dominant_eigenpair(A_SMALL).right
+        lam = float(np.max((A_SMALL @ h) / h))
+        v, k, bound = fixed_point.newton_krylov(op, np.zeros(2), wrong, h, lam, 1e-12, 1000)
+        assert k > 10
+        assert bound <= 1e-12
+        assert _sup(v - exact) <= bound
+
+    def test_bound_covers_the_error_and_meets_the_tolerance(self):
+        op = lambda v: A_SMALL @ v + B_SMALL
+        exact = spectral.neumann_solve(A_SMALL, B_SMALL)
+        h, lam = fixed_point.bounding_pair(lambda d: A_SMALL @ d, 2)
+        for tolerance in (1e-2, 1e-6, 1e-12):
+            v, _, bound = fixed_point.newton_krylov(op, np.zeros(2), None, h, lam, tolerance, 100)
+            assert bound <= tolerance
+            assert _sup(v - exact) <= bound
+
+    def test_tolerance_zero_stops_at_the_rounding_floor(self):
+        k = _entropic()
+
+        def jvp(v):
+            w = k.ce.jacobian(v)
+            return lambda d: 0.95 * (w @ d)
+
+        v, _, bound = fixed_point.newton_krylov(k, np.zeros(40), jvp, np.ones(40), 0.95, 0.0, 50)
+        assert bound <= 64 * np.finfo(float).eps * max(1.0, _sup(v)) / (1 - 0.95)
+
+    def test_forward_difference_of_a_linear_map(self):
+        rng = np.random.default_rng(5)
+        a = rng.random((6, 6))
+        op = lambda v: a @ v + 1.0
+        v = 100 * rng.standard_normal(6)
+        jvp = fixed_point.forward_difference(op, v, op(v))
+        for d in (rng.standard_normal(6), 1e-9 * rng.standard_normal(6)):
+            assert _sup(jvp(d) - a @ d) <= 1e-6 * _sup(a @ d)
+        assert np.array_equal(jvp(np.zeros(6)), np.zeros(6))
+
+    def test_entropic_jacobian_is_the_stochastic_derivative(self):
+        k = _entropic()
+        v = np.random.default_rng(6).standard_normal(40)
+        w = k.ce.jacobian(v)
+        assert np.all(w >= 0) and np.allclose(w.sum(axis=1), 1.0, atol=1e-14)
+        d = np.random.default_rng(7).standard_normal(40)
+        step = 1e-6
+        central = (k.ce(v + step * d) - k.ce(v - step * d)) / (2 * step)
+        assert _sup(w @ d - central) <= 1e-8
+
+
+class TestNewtonKrylovProperties:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 25),
+        beta=st.floats(0.5, 0.99),
+        theta=st.floats(-3.0, 3.0).filter(lambda t: abs(t) > 1e-3),
+    )
+    def test_entropic_newton_meets_its_tolerance(self, seed, n, beta, theta):
+        rng = np.random.default_rng(seed)
+        p = rng.random((n, n)) * (rng.random((n, n)) < 0.5) + np.eye(n) * 0.01
+        p /= p.sum(axis=1, keepdims=True)
+        k = koopmans.KoopmansOperator(
+            koopmans.Additive(rng.random(n), beta), koopmans.Entropic(theta, p)
+        )
+        tol = 1e-9
+        v = koopmans.solve_lifetime_value(k, IterationConfig(tolerance=tol)).value
+        assert _sup(k(v) - v) <= tol * (1 - beta)
+        assert _sup(v - _contraction_limit(k, np.zeros(n), beta, tol)) <= 2 * tol
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 25),
+        m=st.integers(1, 4),
+        beta=st.floats(0.05, 0.99),
+    )
+    def test_rdp_from_mdp_evaluates_as_the_mdp(self, seed, n, m, beta):
+        rng = np.random.default_rng(seed)
+        kernel = rng.random((n, m, n)) * (rng.random((n, m, n)) < 0.5) + 0.01
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        feasible = rng.random((n, m)) < 0.7
+        feasible[np.arange(n), rng.integers(0, m, n)] = True
+        model = dp.MDPModel(feasible, 10 * rng.standard_normal((n, m)), kernel, beta=beta)
+        sigma = np.array([rng.choice(np.flatnonzero(row)) for row in feasible])
+        v = rdp.rdp_policy_value(rdp.from_mdp(model), sigma)
+        assert _sup(v - dp.policy_value(model, sigma)) <= 1e-10 * max(1.0, _sup(v))

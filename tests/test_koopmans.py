@@ -27,6 +27,12 @@ def random_stochastic(rng, n):
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _iterated(k, v, steps):
+    for _ in range(steps):
+        v = k(v)
+    return v
+
+
 def all_ces(p, rng):
     return [
         Expectation(p),
@@ -242,6 +248,31 @@ class TestSolveLifetimeValue:
         result = solve_lifetime_value(k, bracket=(v1, v2))
         assert result.method == "order-interval-bracket"
         assert result.residual < 1e-8
+
+    def test_error_bound_of_each_branch(self):
+        rng = np.random.default_rng(17)
+        p = random_stochastic(rng, 6)
+        r = rng.random(6) + 0.5
+        reference = lambda k: _iterated(k, np.zeros(6), 3000)
+        # Newton: the certified bound; a plain contraction: beta / (1 - beta) times its last step.
+        for k in (
+            KoopmansOperator(Additive(r, 0.9), Entropic(-1.0, p)),
+            KoopmansOperator(Additive(r, 0.9), Expectation(p)),
+            KoopmansOperator(Leontief(r, 0.9), QuantileCE(0.5, p)),
+            KoopmansOperator(Uzawa(r, np.linspace(0.5, 0.9, 6)), Expectation(p)),
+        ):
+            result = solve_lifetime_value(k)
+            assert 0 <= result.error_bound <= 1e-10
+            assert np.max(np.abs(result.value - reference(k))) <= result.error_bound + 1e-13
+        # A bracket: half its final gap.
+        k = KoopmansOperator(Uzawa(r, np.full(6, 0.9)), Entropic(-0.5, p))
+        upper = np.full(6, (r.max() + 1) / (1 - 0.9))
+        result = solve_lifetime_value(k, bracket=(np.zeros(6), upper))
+        assert 0 < result.error_bound <= 0.5e-10
+        assert np.max(np.abs(result.value - reference(k))) <= result.error_bound + 1e-13
+        # The conjugate solves state none.
+        k = KoopmansOperator(CES(r, 0.9, 0.75), KrepsPorteus(-2.0, p), "positive")
+        assert solve_lifetime_value(k).error_bound is None
 
     def test_global_stability_from_three_terminals(self):
         rng = np.random.default_rng(15)
