@@ -278,7 +278,7 @@ class LifetimeValueResult(NamedTuple):
 
     ``error_bound`` bounds ``||value - v*||_inf``: the certified bound of
     a Newton solve, ``beta / (1 - beta)`` times the last step of a
-    contraction iteration, or half the final gap of a bracket.  The
+    contraction iteration, or half the bracket's tolerance.  The
     conjugate solves state none.
     """
 
@@ -346,10 +346,11 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
         return newton(agg.b, h, lam, "uzawa-spectral")
 
     if bracket is not None:
-        lo, hi, iterations = _squeeze_bracket(k, bracket[0], bracket[1], tol, max_iter)
-        bound = 0.5 * float(np.max(hi - lo))
-        v = _midpoint(lo, hi)
-        return LifetimeValueResult(v, "order-interval-bracket", iterations, _residual(k, v), bound)
+        v, iterations = bracketed_fixed_point(k, bracket[0], bracket[1], tol, max_iter)
+        # The fixed point lies between ends at most tol apart; v is their midpoint.
+        return LifetimeValueResult(
+            v, "order-interval-bracket", iterations, _residual(k, v), 0.5 * tol
+        )
 
     raise StabilityError(
         "no stability certificate: operator is not Blackwell-contracting, has no "
@@ -361,18 +362,6 @@ def _residual(k, v):
     return float(np.linalg.norm(k(v) - v, np.inf))
 
 
-def _midpoint(lo, hi):
-    return 0.5 * (lo + hi)
-
-
-def _squeeze_bracket(op, lower, upper, tol, max_iter):
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("bracket must satisfy lower <= upper")
-    return fixed_point.squeeze(op, lo, hi, tol, max_iter, fixed_point.sup_step, _midpoint)
-
-
 def bracketed_fixed_point(op, lower, upper, tol=1e-10, max_iter=100_000):
     """Monotone iteration from both ends of an invariant order interval.
 
@@ -380,8 +369,13 @@ def bracketed_fixed_point(op, lower, upper, tol=1e-10, max_iter=100_000):
     squeeze the unique fixed point; convergence is declared when they
     meet within ``tol``.
     """
-    lo, hi, k_iter = _squeeze_bracket(op, lower, upper, tol, max_iter)
-    return _midpoint(lo, hi), k_iter
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
+    if np.any(lo > hi):
+        raise ValueError("bracket must satisfy lower <= upper")
+    midpoint = lambda lo, hi: 0.5 * (lo + hi)
+    lo, hi, k_iter = fixed_point.squeeze(op, lo, hi, tol, max_iter, fixed_point.sup_step, midpoint)
+    return midpoint(lo, hi), k_iter
 
 
 # ---------------------------------------------------------------------------

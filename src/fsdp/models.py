@@ -115,7 +115,8 @@ def job_search_markov(
     ``alpha``), "risk_sensitive" (entropic continuation with parameter
     ``theta``), and "quantile" (tau-quantile continuation).  The first
     two build MDPs over (employment status, wage); the last two build
-    contracting RDPs over the wage state alone.
+    contracting RDPs over the wage state alone, the risk-sensitive one
+    declared smooth (:class:`~fsdp.rdp.Contracting`).
     """
     grid, p = markov.tauchen(n, rho=rho, nu=nu)
     wages = np.exp(grid)
@@ -155,7 +156,7 @@ def job_search_markov(
     model = rdp.RDPModel(
         feasible=np.ones((n, 2), dtype=bool),
         aggregator=aggregator,
-        stability=rdp.Contracting(beta),
+        stability=rdp.Contracting(beta, smooth=variant == "risk_sensitive"),
         extras={"wages": wages},
     )
     return {

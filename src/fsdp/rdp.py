@@ -5,8 +5,8 @@ value aggregator evaluated per state-action pair.  Each model declares
 the stability class that certifies its policy operators (sup-norm
 contraction, spectral domination, an invariant order interval, or a
 user-supplied evaluator), and the solvers refuse to iterate without a
-certificate.  A contracting model's policies are evaluated by Newton
-steps on a forward-difference Jacobian, certified to the solve's
+certificate.  A smooth contracting model's policies are evaluated by
+Newton steps on a forward-difference Jacobian, certified to the solve's
 tolerance (:func:`fsdp.fixed_point.newton_krylov`).  Includes
 constructors for robust (worst-case kernel), smooth-ambiguity,
 shortest-path, and negative-discount-rate models.
@@ -23,9 +23,15 @@ from .errors import ConvergenceError, StabilityError
 
 @dataclass(frozen=True)
 class Contracting:
-    """Every policy operator contracts in the sup norm with this modulus."""
+    """Every policy operator contracts in the sup norm with this modulus.
+
+    ``smooth`` declares the policy operators differentiable, so that a
+    policy is evaluated by Newton steps on forward differences; otherwise,
+    as at a kink of a quantile, by iteration.
+    """
 
     modulus: float
+    smooth: bool = False
 
 
 @dataclass(frozen=True)
@@ -176,13 +182,13 @@ def verify_certificate(model, mode="max"):
 def rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
     """Fixed point of the policy operator, computed per stability class.
 
-    Contracting classes take Newton steps on a forward-difference
+    Smooth contracting classes take Newton steps on a forward-difference
     Jacobian (:func:`fixed_point.newton_krylov` with ``h = 1`` and
     ``lam`` the modulus), so ``tolerance`` bounds ``||v - v_sigma||_inf``.
-    The eventually-contracting class (certified by its dominating
-    operator) iterates until the step is at most ``tolerance * (1 +
-    ||v||_inf)``; interval classes squeeze the fixed point between
-    iterations from both ends of the bracket.
+    Other contracting and eventually-contracting classes iterate (the
+    latter is certified by the dominating operator); interval classes
+    squeeze the fixed point between iterations from both ends of the
+    bracket.
     """
     sigma = np.asarray(sigma, dtype=np.int64)
     stab = model.stability
@@ -190,7 +196,7 @@ def rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
         return np.asarray(stab.evaluator(model, sigma), dtype=float)
     apply = partial(rdp_policy_apply, model, sigma)
     n = model.n_states
-    if isinstance(stab, Contracting):
+    if isinstance(stab, Contracting) and stab.smooth:
         return fixed_point.newton_krylov(
             apply, np.zeros(n), None, np.ones(n), stab.modulus, tolerance, max_iter
         )[0]
@@ -202,11 +208,18 @@ def rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
 
         lo, hi, _ = fixed_point.squeeze(apply, stab.lower, stab.upper, 0.0, max_iter, gap)
         return 0.5 * (lo + hi)
+    eps = np.finfo(float).eps
 
     def step(v_new, v):
         if not np.all(np.isfinite(v_new)):
             raise ConvergenceError("policy evaluation diverged", last=v)
-        threshold = tolerance * (1.0 + np.max(np.abs(v_new)))
+        scale = 1.0 + np.max(np.abs(v_new))
+        # A step below tol * (1 - modulus) pins the fixed point to tol;
+        # the floor guards against stalling at rounding noise.
+        if isinstance(stab, Contracting):
+            threshold = max(tolerance * (1.0 - stab.modulus), 64 * eps * scale)
+        else:
+            threshold = tolerance * scale
         return fixed_point.within(np.max(np.abs(v_new - v)), threshold)
 
     return fixed_point.iterate(apply, np.zeros(n), 0.0, max_iter, error=step)[0]
@@ -239,7 +252,9 @@ def rdp_solve(
     """Solve an RDP by HPI, VFI, or OPI after verifying its certificate.
 
     Returns a :class:`~fsdp.dp.SolveResult`; the residual reported is the
-    sup-norm Bellman residual of the returned value function.
+    sup-norm Bellman residual of the returned value function.  HPI on a
+    contracting model also reports ``error_bound``, the certified bound
+    on ``||v - v_sigma||_inf`` of its final policy evaluation.
     """
     verify_certificate(model, mode)
     if algorithm == "hpi":
@@ -251,20 +266,27 @@ def rdp_solve(
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _rdp_finish(model, v, mode, iterations, method):
+def _rdp_finish(model, v, mode, iterations, method, error_bound=None):
     return dp._finish(
-        v, rdp_greedy(model, v, mode), rdp_bellman(model, v, mode), iterations, method
+        v, rdp_greedy(model, v, mode), rdp_bellman(model, v, mode), iterations, method, error_bound
     )
 
 
 def _rdp_hpi(model, mode, sigma0, tolerance, max_iter):
+    evaluated = []
+
+    def evaluate(sigma):
+        evaluated.append(sigma)
+        return rdp_policy_value(model, sigma, tolerance)
+
     v, k = fixed_point.policy_iteration(
-        lambda v: rdp_greedy(model, v, mode),
-        lambda sigma: rdp_policy_value(model, sigma, tolerance),
-        _start_policy(model, sigma0, mode),
-        max_iter,
+        lambda v: rdp_greedy(model, v, mode), evaluate, _start_policy(model, sigma0, mode), max_iter
     )
-    return _rdp_finish(model, v, mode, k, "rdp-hpi")
+    bound = None
+    if isinstance(model.stability, Contracting):
+        res = rdp_policy_apply(model, evaluated[-1], v) - v
+        bound = fixed_point.error_bound(res, np.ones(model.n_states), model.stability.modulus)
+    return _rdp_finish(model, v, mode, k, "rdp-hpi", bound)
 
 
 def _rdp_vfi(model, mode, tolerance, max_iter):
@@ -301,7 +323,7 @@ def from_mdp(mdp_model):
     return RDPModel(
         feasible=mdp_model.feasible,
         aggregator=aggregator,
-        stability=Contracting(mdp_model.beta),
+        stability=Contracting(mdp_model.beta, smooth=True),
         extras={"mdp": mdp_model},
     )
 

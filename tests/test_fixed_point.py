@@ -150,6 +150,16 @@ class TestNewtonFixedPoint:
                 jacobian=lambda u: np.eye(1),
             )
 
+    def test_ill_conditioned_jacobian_raises(self):
+        # I - J = [[e, 1], [0, e]] has condition number about 1/e^2: BiCGSTAB
+        # reports success on it while its true residual is near 1e-4.
+        e = 1e-12
+        jac = np.array([[1 - e, -1.0], [0.0, 1 - e]])
+        with pytest.raises(SingularJacobianError, match="ill-conditioned"):
+            newton_fixed_point(
+                lambda u: jac @ u + np.array([1.0, 0.5]), np.zeros(2), jacobian=lambda u: jac
+            )
+
 
 def _bisect_fixed_point():
     f = lambda u: 1 + u / (u + 1) - u
@@ -1009,7 +1019,8 @@ class TestNewtonKrylov:
         l_sigma = l_sigma.toarray() if hasattr(l_sigma, "toarray") else l_sigma
         r_sigma = dp.policy_reward(mdp, native.policy)
         exact = np.linalg.solve(np.eye(mdp.n_states) - l_sigma, r_sigma)
-        assert _sup(wrapped.value - exact) <= 1e-10 + 1e-13 * _sup(exact)
+        assert wrapped.error_bound <= 1e-10
+        assert _sup(wrapped.value - exact) <= wrapped.error_bound + 1e-13 * _sup(exact)
 
     def test_rdp_contracting_cap_raises_with_last_and_residuals(self):
         model = ZOO["optimal_default"].build(ci_scale=True)["rdp"]
@@ -1020,6 +1031,19 @@ class TestNewtonKrylov:
         assert isinstance(last, np.ndarray) and last.shape == (model.n_states,)
         assert info.value.measure == "residuals"
         assert info.value.steps == [_sup(rdp.rdp_policy_apply(model, sigma, last) - last)]
+
+    @pytest.mark.parametrize("variant, smooth", [("risk_sensitive", True), ("quantile", False)])
+    def test_only_smooth_contracting_models_take_newton_steps(self, variant, smooth):
+        # A forward difference across a quantile's kinks is not linear in
+        # its direction, so the quantile variant evaluates by iteration.
+        model = models.job_search_markov(variant=variant, n=30, tau=0.9)["rdp"]
+        assert model.stability.smooth is smooth
+        with mock.patch.object(fixed_point, "newton_krylov", wraps=fixed_point.newton_krylov) as spy:
+            result = rdp.rdp_solve(model, algorithm="hpi")
+        assert spy.called is smooth
+        last = rdp.rdp_policy_apply(model, result.policy, result.value) - result.value
+        assert result.error_bound == pytest.approx(_sup(last) / (1 - model.stability.modulus))
+        assert result.error_bound <= 1e-10
 
     def test_newton_golden_ratio(self):
         trace = newton_fixed_point(lambda u: 1 + u / (u + 1), 0.5, IterationConfig(tolerance=1e-14))
