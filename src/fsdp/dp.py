@@ -21,10 +21,9 @@ the policy operator (:func:`fsdp.fixed_point.certified_solve`), so
 ``I - L_sigma`` is never assembled or factored,
 and certifies the answer: a positive ``h`` with ``L_sigma h <= lam h``,
 ``lam < 1``, bounds the error by the weighted residual (see
-:func:`policy_value`).  Under state-dependent discounting every solver
-checks the stability certificate once, before it iterates; the model
-records a successful check, and evaluation then skips the per-policy
-radius check.
+:func:`policy_value`); :func:`fsdp.spectral.bounding_pair` finds it.
+Under state-dependent discounting every solver checks the stability
+certificate once, before it iterates, and the model records a success.
 """
 
 import itertools
@@ -211,19 +210,6 @@ class Factored:
             return lambda v: self._grid(v, True).reshape(-1)[index]
         k = self.endogenous[np.arange(n_e)[:, None], sigma]  # (n_e, n_z, n_e')
         return lambda v: np.einsum("ezf,fz->ez", k, self._grid(v, True)).reshape(-1)
-
-    def bounding_pair(self):
-        """``(h, lam)`` with ``h > 0`` and ``L_sigma h <= lam h`` for every policy.
-
-        ``h`` solves ``(I - diag(d) Q) h = 1`` on the exogenous block and
-        is held constant in the endogenous index, so ``L_sigma h`` is
-        ``diag(d) Q h`` whatever the policy; ``lam`` is read off that
-        product.
-        """
-        n_e, n_z, _ = self.shape
-        dq = self.discount[:, None] * self.q
-        h = np.linalg.solve(np.eye(n_z) - dq, np.ones(n_z))
-        return np.tile(h, n_e), fixed_point.ratio_bound(dq @ h, h)
 
     def _row_discount(self, z):
         """Discount of states with exogenous index ``z``, as a column."""
@@ -443,35 +429,32 @@ def policy_value(model, sigma):
     and raises :class:`ConvergenceError`, with the bound attached, if
     :data:`fixed_point.SOLVE_PASSES` passes do not get there.
 
-    A state-dependent model that :func:`certify_stability` has not
-    certified gets the per-policy radius check ``rho(L_sigma) < 1``
-    first, and a violation raises with the offending policy attached.
+    A state-dependent ``L_sigma`` with no bounding pair raises, with the
+    policy attached if the model is uncertified and ``rho(L_sigma) >= 1``,
+    else with an infinite bound.
     """
-    if model.state_dependent and not model._certified:
-        spectral.check_radius_below_one(
-            policy_matrix(model, sigma, discounted=True), "policy discount operator", policy=sigma
-        )
     sigma = _checked_policy(model, sigma)
     apply = model.transitions.policy_operator(sigma)
-    h, lam = _bounding_pair(model, apply)
-    return fixed_point.certified_solve(apply, policy_reward(model, sigma), h, lam)[0]
+    pair = _bounding_pair(model, apply)
+    if pair is None:
+        if not model._certified:
+            l_sigma = policy_matrix(model, sigma, discounted=True)
+            spectral.check_radius_below_one(l_sigma, "policy discount operator", policy=sigma)
+        raise ConvergenceError("no bounding vector certifies the policy operator", bound=np.inf)
+    return fixed_point.certified_solve(apply, policy_reward(model, sigma), *pair)[0]
 
 
 def _bounding_pair(model, apply):
-    """``(h, lam)`` with ``h > 0``, ``lam < 1`` and ``L_sigma h <= lam h``.
+    """``(h, lam)`` with ``h > 0``, ``lam < 1`` and ``L_sigma h <= lam h``, or None.
 
-    Constant ``beta``: ``h = 1`` and ``lam = beta``.  A factored kernel
-    with a discount vector: the exogenous pair recorded on the model (see
-    :meth:`Factored.bounding_pair`).  Any other state-dependent model:
-    :func:`fixed_point.bounding_pair` of ``L_sigma``.
+    Constant ``beta``: ``h = 1`` and ``lam = beta``.  A certified factored
+    kernel with a discount vector: the exogenous pair recorded on the
+    model (see :func:`certify_stability`).  Any other state-dependent
+    model: :func:`spectral.bounding_pair` of ``L_sigma``.
     """
     if not model.state_dependent:
         return np.ones(model.n_states), model.beta
-    if isinstance(model.transitions, Factored):
-        if model._bounding is None:
-            model._bounding = model.transitions.bounding_pair()
-        return model._bounding
-    return fixed_point.bounding_pair(apply, model.n_states)
+    return model._bounding or spectral.bounding_pair(apply, model.n_states)
 
 
 def _evaluation_bound(model, sigma, x):
@@ -487,19 +470,18 @@ def certify_stability(model, dominating=None):
     Constant-discount models are always certified.  A factored kernel
     with per-exogenous-state discounts ``d`` is certified by its
     structure: ``rho(diag(d) Q) < 1`` is checked once, on the ``n_z x
-    n_z`` matrix.  That covers every policy, because the Perron vector of
-    ``diag(d) Q``, held constant in the endogenous index, is an
-    eigenvector of every ``L_sigma`` with the same eigenvalue (a
-    bounding vector when ``Q`` is reducible).  The certified model also
-    records the bounding pair that policy evaluation certifies its error
-    with (:meth:`Factored.bounding_pair`).  For any other
+    n_z`` matrix.  That covers every policy, because the bounding vector
+    of ``diag(d) Q``, held constant in the endogenous index, bounds every
+    ``L_sigma`` with the same ``lam``; the model records that pair, and
+    policy evaluation certifies its error with it.  For any other
     state-dependent model, a user-supplied uniform dominating matrix
-    ``L`` (with entrywise ``beta * P <= L`` and ``rho(L) < 1``) certifies
-    every policy at once; without one, per-policy radii are enumerated
-    when the policy space is small enough.  Passing the string
-    ``"certified"`` records that the caller has verified stability
-    through model structure.  Success is recorded on the model, so later
-    certificates and policy evaluations skip their radius checks.
+    ``L``, nonnegative and ``(n, n)``, with entrywise ``beta * P <= L``
+    and ``rho(L) < 1``, certifies every policy at once; without one,
+    per-policy radii are enumerated when the policy space is small
+    enough.  Passing the string ``"certified"`` records that the caller
+    has verified stability through model structure.  Success is recorded
+    on the model, so later certificates and policy evaluations skip
+    their radius checks.
     """
     if not model.state_dependent:
         return
@@ -508,14 +490,15 @@ def certify_stability(model, dominating=None):
     kernel = model.transitions
     if isinstance(kernel, Factored):
         if not model._certified:
-            spectral.check_radius_below_one(
+            pair = spectral.check_radius_below_one(
                 kernel.discount[:, None] * kernel.q, "exogenous discount operator"
             )
-            model._bounding = kernel.bounding_pair()
+            if pair is not None:
+                model._bounding = np.tile(pair[0], kernel.shape[0]), pair[1]
     elif dominating is None:
         _check_every_policy(model, lambda sigma: policy_matrix(model, sigma, discounted=True))
     elif not isinstance(dominating, str):
-        dominating = np.asarray(dominating, dtype=float)
+        dominating = dominating_matrix(dominating, model.n_states)
         discounted = kernel.discounted()
         # Row x*m + a of the flat kernel must be dominated by row x of L.
         n, m = model.n_states, model.n_actions
@@ -527,6 +510,14 @@ def certify_stability(model, dominating=None):
             raise StabilityError("dominating matrix does not bound the discounted kernel")
         spectral.check_radius_below_one(dominating, "dominating matrix")
     model._certified = True
+
+
+def dominating_matrix(dominating, n):
+    """``dominating`` as a float array, or ValueError unless it is ``(n, n)`` and nonnegative."""
+    dominating = spectral.require_square(dominating, "dominating matrix")
+    if dominating.shape != (n, n) or np.any(dominating < 0):
+        raise ValueError(f"dominating matrix must be nonnegative and ({n}, {n})")
+    return dominating
 
 
 def _check_every_policy(model, discount_operator):

@@ -9,10 +9,10 @@ traced successive approximation and Newton iteration, which promote
 scalars to length-one vectors, and :func:`newton_krylov`.
 
 :func:`certified_solve` solves ``(I - L) x = b`` by BiCGSTAB and
-certifies the answer with a bounding pair ``(h, lam)``, ``L h <= lam h``
-(:func:`bounding_pair`, :func:`error_bound`); policy evaluation uses it,
-and :func:`newton_krylov` solves each Newton step of a contraction with
-it, stopping on a certified bound on the distance to the fixed point.
+certifies the answer with a bounding pair ``L h <= lam h`` (see
+:func:`fsdp.spectral.bounding_pair`); policy evaluation uses it, and
+:func:`newton_krylov` solves each Newton step of a contraction with it,
+stopping on a certified bound on the distance to the fixed point.
 Also Howard policy iteration and convergence-rate diagnostics.
 """
 
@@ -20,9 +20,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, bicgstab
+from scipy.sparse.linalg import bicgstab
 
 from .errors import ConvergenceError, SingularJacobianError
+from .spectral import shifted
 
 # Iterates above this sup-norm abort with a divergence diagnostic.
 DIVERGENCE_LIMIT = 1e12
@@ -139,31 +140,6 @@ def squeeze(op, lo, hi, tolerance, max_iter, gap, last=lambda lo, hi: hi):
     return lo, hi, k
 
 
-def _shifted(apply, n):
-    return LinearOperator((n, n), matvec=lambda v: v - apply(v), dtype=float)
-
-
-def ratio_bound(lh, h):
-    """``max (L h)_i / h_i``, or raise if ``h`` is not a positive bounding vector below 1."""
-    lam = float(np.max(lh / h)) if np.all(h > 0) else np.nan
-    if not lam < 1:
-        raise ConvergenceError(
-            f"no bounding vector certifies the linear operator (ratio {lam:.6g})", bound=np.inf
-        )
-    return lam
-
-
-def bounding_pair(apply, n):
-    """``(h, lam)`` with ``h > 0``, ``lam < 1`` and ``L h <= lam h`` for a nonnegative linear ``L``.
-
-    ``h`` solves ``(I - L) h = 1`` by BiCGSTAB and ``lam`` is read off
-    the product ``L h`` itself, so it holds however accurate ``h`` is.
-    """
-    ones = np.ones(n)
-    h, _ = bicgstab(_shifted(apply, n), ones, rtol=1e-10, atol=0.0)
-    return h, ratio_bound(apply(h), h)
-
-
 def error_bound(res, h, lam):
     """``max(h) * max(|res_i| / h_i) / (1 - lam)``, which bounds ``||x - x*||_inf``.
 
@@ -188,7 +164,7 @@ def certified_solve(apply, b, h, lam, tolerance=None):
     scale = float(np.max(np.abs(b), initial=0.0))
     if scale == 0:
         return np.zeros_like(b, dtype=float), 0.0
-    system = _shifted(apply, b.size)
+    system = shifted(apply, b.size)
     b = b / scale
     if tolerance is None:
         tolerance = max(1e-12, 64 * np.finfo(float).eps / (1 - lam))
@@ -400,7 +376,7 @@ def newton_fixed_point(op, u0, cfg=None, jacobian=None):
         scale = float(np.max(np.abs(tu - u)))
         if not 0 < scale < np.inf:
             return tu
-        system, rhs = _shifted(jvp, u.size), (tu - u) / scale
+        system, rhs = shifted(jvp, u.size), (tu - u) / scale
         d, info = bicgstab(system, rhs, rtol=1e-12, atol=0.0)
         # BiCGSTAB's recurrence can report success after drifting from the
         # true residual; a user Jacobian is exact, so its residual is checked.

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fixed_point, markov, spectral
-from .errors import StabilityError
+from .errors import ConvergenceError, SpectralRadiusError, StabilityError
 
 
 def _row_shifted(vals, weights):
@@ -340,10 +340,10 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
         return LifetimeValueResult(v, "epstein-zin-sdd-conjugate", 0, _residual(k, v))
 
     if isinstance(agg, Uzawa) and isinstance(ce, Expectation):
-        l_matrix = agg.b[:, None] * ce.p
-        spectral.check_radius_below_one(l_matrix, what="discount operator b*P")
-        h, lam = fixed_point.bounding_pair(lambda d: agg.b * (ce.p @ d), n)
-        return newton(agg.b, h, lam, "uzawa-spectral")
+        pair = spectral.check_radius_below_one(agg.b[:, None] * ce.p, "discount operator b*P")
+        if pair is None:
+            raise ConvergenceError("no bounding vector certifies b*P", bound=np.inf)
+        return newton(agg.b, *pair, "uzawa-spectral")
 
     if bracket is not None:
         v, iterations = bracketed_fixed_point(k, bracket[0], bracket[1], tol, max_iter)
@@ -385,23 +385,30 @@ def bracketed_fixed_point(op, lower, upper, tol=1e-10, max_iter=100_000):
 def check_power_affine_stable(a, theta):
     """Verify ``rho(A)**(1/theta) < 1``, raising StabilityError otherwise.
 
-    Equivalent to ``rho(A) < 1`` for positive ``theta`` and
-    ``rho(A) > 1`` for negative ``theta``.  For a nonnegative ``A`` the
-    row/column-sum bracket of :func:`spectral.spectral_radius_bounds`
-    decides when it lies wholly on the stable side; the radius is
-    computed only when it does not.
+    That is ``rho(A) < 1`` (:func:`spectral.check_radius_below_one`) for
+    positive ``theta`` and ``rho(A) > 1`` for negative ``theta``, where a
+    nonnegative ``A`` with every row sum, or every column sum, above one
+    needs no eigenvalues (:func:`spectral.spectral_radius_bounds`).
     """
-    if not np.any(np.asarray(a) < 0):
-        lower, upper = spectral.spectral_radius_bounds(a)
-        if (upper < 1.0 - spectral.RADIUS_SLACK) if theta > 0 else (lower > 1.0 + spectral.RADIUS_SLACK):
+    if theta == 0:
+        raise ValueError("theta must be nonzero")
+    if theta > 0:
+        try:
+            spectral.check_radius_below_one(a)
             return
-    rho = spectral.spectral_radius(a)
-    stable = rho < 1.0 - spectral.RADIUS_SLACK if theta > 0 else rho > 1.0 + spectral.RADIUS_SLACK
-    if not stable:
-        raise StabilityError(
-            f"rho(A) = {rho:.12g} with exponent 1/theta = {1/theta:.6g} is not stable: "
-            "no strictly positive fixed point exists"
-        )
+        except SpectralRadiusError as exc:
+            rho = exc.spectral_radius
+    else:
+        signed = np.any(np.asarray(a) < 0)
+        if not signed and spectral.spectral_radius_bounds(a)[0] > 1.0 + spectral.RADIUS_SLACK:
+            return
+        rho = spectral.spectral_radius(a)
+        if rho > 1.0 + spectral.RADIUS_SLACK:
+            return
+    raise StabilityError(
+        f"rho(A) = {rho:.12g} with exponent 1/theta = {1/theta:.6g} is not stable: "
+        "no strictly positive fixed point exists"
+    )
 
 
 def power_affine_solve(h, a, theta, cfg=None):
@@ -413,8 +420,6 @@ def power_affine_solve(h, a, theta, cfg=None):
     """
     h = np.asarray(h, dtype=float)
     a = spectral.require_square(a)
-    if theta == 0:
-        raise ValueError("theta must be nonzero")
     if np.any(h <= 0):
         raise ValueError("h must be strictly positive")
     if np.any(a < 0):

@@ -439,13 +439,12 @@ def inventory_sdd(
     is factored: the stock moves by the small restock kernel, the
     discount state by ``Q``.  Stability is ``rho(diag(z) Q) < 1`` on the
     exogenous block, which carries over to every policy because actions
-    cannot influence the exogenous chain; :func:`fsdp.dp.certify_stability`
-    checks it from the factors.
+    cannot influence the exogenous chain; the model is certified at build
+    by :func:`fsdp.dp.certify_stability`, which checks it from the factors.
     """
     z_grid, q = markov.tauchen(n_z, rho=rho, nu=nu)
     z_vals = z_grid + b
     l_z = z_vals[:, None] * q
-    rho_l = spectral.check_radius_below_one(l_z, "exogenous discount operator")
     reward_y, restock = _restock(K, c, kappa, p, d_max)
 
     # State y * n_z + iz; order a is feasible while y + a <= K.
@@ -455,10 +454,11 @@ def inventory_sdd(
         reward=np.repeat(reward_y, n_z, axis=0),
         kernel=dp.Factored(q, z_vals, endogenous=restock),
     )
+    dp.certify_stability(model)
     return {
         "mdp": model,
         "z_vals": z_vals,
-        "discount_radius": rho_l,
+        "discount_radius": spectral.spectral_radius(l_z),
         "capacity": K,
         "n_z": n_z,
         "exogenous_certificate": l_z,

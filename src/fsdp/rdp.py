@@ -152,7 +152,8 @@ def verify_certificate(model, mode="max"):
             raise StabilityError(f"contraction modulus {stab.modulus} is not below one")
     elif isinstance(stab, EventuallyContracting):
         if stab.dominating is not None:
-            spectral.check_radius_below_one(stab.dominating, "dominating operator")
+            dominating = dp.dominating_matrix(stab.dominating, model.n_states)
+            spectral.check_radius_below_one(dominating, "dominating operator")
         elif stab.policy_radius is None:
             raise StabilityError(
                 "eventually-contracting class needs a dominating matrix or a "

@@ -4,7 +4,8 @@ Spectral radius and bound, the check that a radius is below one,
 Neumann-series solves, local spectral radius sequences, the matrix
 exponential, and dominant (Perron-Frobenius) eigenpairs of nonnegative
 matrices.  All routines operate on square real matrices given as 2-d
-numpy arrays.
+numpy arrays.  :func:`bounding_pair` decides ``rho < 1`` for nonnegative
+input; eigenvalues decide signed input and report rejections.
 """
 
 from typing import NamedTuple
@@ -12,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eig, expm
 from scipy.sparse import issparse
+from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .errors import ConvergenceError, SpectralRadiusError
 
@@ -71,38 +73,58 @@ def spectral_radius_bounds(a):
     return float(lower), float(upper)
 
 
-def check_radius_below_one(a, what="matrix", policy=None):
-    """Return rho(a), raising SpectralRadiusError unless rho(a) < 1.
+def shifted(apply, n):
+    """``I - L`` as a LinearOperator of order ``n``, given ``apply = v -> L v``."""
+    return LinearOperator((n, n), matvec=lambda v: v - apply(v), dtype=float)
 
-    Comparison against one uses strict inequality with slack
-    ``RADIUS_SLACK``; borderline radii raise rather than proceed.  When
-    ``a`` is the discount operator of a policy, pass it as ``policy`` and
-    the error carries it.
+
+def bounding_pair(apply, n):
+    """``(h, lam)`` with ``h > 0``, ``L h <= lam h`` and ``lam < 1 - RADIUS_SLACK``, or None.
+
+    ``apply`` is ``v -> L v`` for a nonnegative ``L`` of order ``n``; the
+    pair proves ``rho(L) <= lam``.  Tries ``h = 1`` (one product: ``lam``
+    is the largest row sum), then ``h`` solving ``(I - L) h = 1`` by
+    BiCGSTAB; ``lam`` is read off ``L h``, so it holds however inexact ``h`` is.
     """
-    rho = spectral_radius(a)
-    if rho >= 1.0 - RADIUS_SLACK:
-        raise SpectralRadiusError(
-            f"spectral radius of {what} is {rho:.12g}, expected < 1",
-            spectral_radius=rho,
-            policy=policy,
-        )
-    return rho
+    h = np.ones(n)
+    lam = float(np.max(apply(h)))
+    if not lam < 1.0 - RADIUS_SLACK:
+        h = bicgstab(shifted(apply, n), h, rtol=1e-10, atol=0.0)[0]
+        lam = float(np.max(apply(h) / h)) if np.all((h > 0) & (h < np.inf)) else np.inf
+    return (h, lam) if lam < 1.0 - RADIUS_SLACK else None
+
+
+def check_radius_below_one(a, what="matrix", policy=None):
+    """Raise SpectralRadiusError unless ``rho(a) < 1``; return a bounding pair or None.
+
+    A nonnegative ``a`` is accepted by its :func:`bounding_pair`, which is
+    returned; otherwise the eigenvalues decide, borderline radii within
+    ``RADIUS_SLACK`` of one raise, and an accepted radius returns None.
+    When ``a`` is the discount operator of a policy, pass it as ``policy``
+    and the error carries it.
+    """
+    a = require_square(a)
+    pair = None if np.any(a < 0) else bounding_pair(a.__matmul__, a.shape[0])
+    if pair is None:
+        rho = spectral_radius(a)
+        if rho >= 1.0 - RADIUS_SLACK:
+            raise SpectralRadiusError(
+                f"spectral radius of {what} is {rho:.12g}, expected < 1",
+                spectral_radius=rho,
+                policy=policy,
+            )
+    return pair
 
 
 def neumann_solve(a, b):
     """Solve ``u = a @ u + b`` for ``u``; requires ``rho(a) < 1``.
 
     Equivalent to ``inv(I - a) @ b``, the limit of the power series
-    ``sum_k a^k b``.  A nonnegative ``a`` whose row/column-sum bracket
-    already lies below ``1 - RADIUS_SLACK`` needs no eigenvalues; any
-    other ``a`` goes through :func:`check_radius_below_one`.
+    ``sum_k a^k b``.  Stability is decided by :func:`check_radius_below_one`.
     """
     a = require_square(a)
-    b = np.asarray(b, dtype=float)
-    if np.any(a < 0) or spectral_radius_bounds(a)[1] >= 1.0 - RADIUS_SLACK:
-        check_radius_below_one(a, what="coefficient matrix")
-    eye = np.eye(a.shape[0])
-    return np.linalg.solve(eye - a, b)
+    check_radius_below_one(a, what="coefficient matrix")
+    return np.linalg.solve(np.eye(a.shape[0]) - a, np.asarray(b, dtype=float))
 
 
 def local_spectral_radius_seq(a, h, kmax):

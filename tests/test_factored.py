@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdp import cli, dp, markov, models, spectral
+from fsdp import cli, dp, markov, models
 from fsdp.errors import SpectralRadiusError
 from fsdp.models import ZOO
 
@@ -268,19 +268,19 @@ class TestStructuralCertificate:
         assert result.iterations == 747
         assert built["mdp"]._certified
 
-    def test_checked_once_on_the_exogenous_block(self, monkeypatch):
+    def test_checked_once_on_the_exogenous_block(self, radius_calls):
         model = ZOO["inventory_sdd"].build(ci_scale=True)["mdp"]
-        shapes = []
-        original = spectral.spectral_radius
-
-        def counting(a):
-            shapes.append(np.shape(a))
-            return original(a)
-
-        monkeypatch.setattr(spectral, "spectral_radius", counting)
+        radius_calls.clear()  # the build reports its discount radius
         dp.solve_hpi(model)
         dp.solve_vfi(model)
-        assert shapes == [(10, 10)]
+        # The bounding pair of diag(d) Q decides without eigenvalues, and
+        # its h, constant in the endogenous index, certifies every policy.
+        assert radius_calls == []
+        h, lam = model._bounding
+        kernel = model.transitions
+        n_z = kernel.q.shape[0]
+        assert np.array_equal(h, np.tile(h[:n_z], h.size // n_z))
+        assert lam < 1 and np.all(kernel.discount * (kernel.q @ h[:n_z]) <= lam * h[:n_z])
 
     def test_borderline_calibration_raises_at_build(self):
         """rho(diag(z) Q) within the shared slack of one: refused before any solve."""

@@ -1097,7 +1097,7 @@ class TestNewtonKrylov:
     def test_bound_covers_the_error_and_meets_the_tolerance(self):
         op = lambda v: A_SMALL @ v + B_SMALL
         exact = spectral.neumann_solve(A_SMALL, B_SMALL)
-        h, lam = fixed_point.bounding_pair(lambda d: A_SMALL @ d, 2)
+        h, lam = spectral.bounding_pair(lambda d: A_SMALL @ d, 2)
         for tolerance in (1e-2, 1e-6, 1e-12):
             v, _, bound = fixed_point.newton_krylov(op, np.zeros(2), None, h, lam, tolerance, 100)
             assert bound <= tolerance

@@ -145,6 +145,20 @@ class TestCertificates:
         with pytest.raises(SpectralRadiusError):
             rdp_solve(bad)
 
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 7), (6, 5), (6, 6)])
+    def test_dominating_matrix_of_the_wrong_shape_or_sign_is_refused(self, shape):
+        model = from_mdp(random_mdp(np.random.default_rng(5)))
+        dominating = np.full(shape, 0.1)
+        if shape == (6, 6):
+            dominating[0, 1] = -0.1  # the right shape, but signed
+        bad = RDPModel(
+            feasible=model.feasible,
+            aggregator=model.aggregator,
+            stability=EventuallyContracting(dominating=dominating),
+        )
+        with pytest.raises(ValueError, match="dominating matrix"):
+            rdp.verify_certificate(bad)
+
     def test_per_policy_radius_enumeration_names_policy(self):
         rng = np.random.default_rng(6)
         n, m = 3, 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fsdp import koopmans, spectral
@@ -178,21 +178,8 @@ class TestNeumannSolve:
 STRADDLING = np.array([[0.9, 0.2], [0.2, 0.05]])
 
 
-@pytest.fixture
-def radius_calls(monkeypatch):
-    calls = []
-    original = spectral.spectral_radius
-
-    def counting(a):
-        calls.append(np.shape(a))
-        return original(a)
-
-    monkeypatch.setattr(spectral, "spectral_radius", counting)
-    return calls
-
-
 class TestBracketDecidesStability:
-    """Eigenvalues are computed only when the sum bracket cannot decide."""
+    """Eigenvalues are computed only when no bounding pair (for theta < 0, no sum bracket) decides."""
 
     def test_neumann_solve_inside_bracket(self, radius_calls):
         p = random_stochastic(np.random.default_rng(20), 50)
@@ -204,7 +191,7 @@ class TestBracketDecidesStability:
     def test_neumann_solve_straddling_bracket(self, radius_calls):
         b = np.array([1.0, 2.0])
         u = spectral.neumann_solve(STRADDLING, b)
-        assert radius_calls == [(2, 2)]
+        assert radius_calls == []
         assert np.array_equal(u, np.linalg.solve(np.eye(2) - STRADDLING, b))
 
     def test_neumann_solve_signed_matrix(self, radius_calls):
@@ -226,9 +213,16 @@ class TestBracketDecidesStability:
 
     @pytest.mark.parametrize("theta, scale", [(2.0, 1.0), (-2.0, 1.1)])
     def test_power_affine_straddling_bracket(self, radius_calls, theta, scale):
-        """Radius 0.9447 (stable for theta > 0) and 1.039 (stable for theta < 0)."""
+        """Radius 0.9447 (stable for theta > 0) and 1.039 (stable for theta < 0).
+
+        A bounding vector settles the first; only the second needs eigenvalues.
+        """
         koopmans.check_power_affine_stable(scale * STRADDLING, theta)
-        assert radius_calls == [(2, 2)]
+        assert radius_calls == ([] if theta > 0 else [(2, 2)])
+
+    def test_power_affine_zero_theta_raises(self):
+        with pytest.raises(ValueError, match="theta must be nonzero"):
+            koopmans.check_power_affine_stable(0.5 * np.eye(2), 0)
 
     @pytest.mark.parametrize("theta, factor", [(2.0, 1.0), (2.0, 1.3), (-2.0, 1.0), (-2.0, 0.7)])
     def test_power_affine_unstable_raises(self, radius_calls, theta, factor):
@@ -427,3 +421,54 @@ def test_perron_value_is_the_radius(seed, n, kind):
     assert result.right.sum() == pytest.approx(1.0)
     assert result.left @ result.right == pytest.approx(1.0)
     _assert_eigen_residuals(a, result)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    kind=st.sampled_from(["irreducible", "bipartite", "reducible", "nilpotent", "signed"]),
+    radius=st.sampled_from([0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0]),
+)
+def test_certificate_accepts_exactly_below_one(radius_calls, seed, n, kind, radius):
+    """``check_radius_below_one`` agrees with the eigenvalues; a returned pair bounds the radius.
+
+    Matrices are scaled to the given radius, within 1e-9 of one on both
+    sides; a nilpotent one (radius zero) is scaled by it instead.
+    """
+    assume(n >= 2 or kind in ("irreducible", "nilpotent", "signed"))
+    rng = np.random.default_rng(seed)
+    if kind == "nilpotent":
+        perm = rng.permutation(n)
+        a = radius * np.triu(rng.random((n, n)), 1)[np.ix_(perm, perm)]
+    elif kind == "signed":
+        a = rng.standard_normal((n, n))
+        a[0, 0] = -1.0 - abs(a[0, 0])
+    else:
+        a = _random_nonnegative(seed, n, kind)
+    rho = np.max(np.abs(np.linalg.eigvals(a)))
+    if kind != "nilpotent":
+        assume(rho > 0)
+        a *= radius / rho
+    radius_calls.clear()
+    rho = spectral.spectral_radius(a)
+    try:
+        pair = spectral.check_radius_below_one(a)
+    except SpectralRadiusError as exc:
+        assert rho >= 1 - spectral.RADIUS_SLACK
+        assert exc.spectral_radius == rho
+        return
+    assert rho < 1 - spectral.RADIUS_SLACK
+    if kind == "signed":
+        # Decided by the eigenvalues alone: one radius, no pair.
+        assert pair is None and len(radius_calls) == 2
+    elif pair is not None:
+        h, lam = pair
+        assert np.all(h > 0) and lam < 1 - spectral.RADIUS_SLACK
+        assert np.all(a @ h <= lam * h * (1 + 1e-14))
+        assert rho <= lam + 1e-12
