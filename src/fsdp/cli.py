@@ -13,7 +13,6 @@ import sys
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import ctmdp, dp, markov, models, rdp, spectral
@@ -56,6 +55,51 @@ INLINE_SCHEMA = {
 
 class ConfigError(Exception):
     pass
+
+
+_IS_TYPE = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: (
+        isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and x.is_integer()
+    ),
+}
+
+
+def _schema_error(instance, schema):
+    """The first way ``instance`` breaks ``schema``, worded as jsonschema words it, or None.
+
+    Covers the JSON Schema keywords the CLI's schemas use: ``type``,
+    ``enum``, ``minimum``, ``exclusiveMinimum``, ``required``,
+    ``properties`` and array ``items``.  As in JSON Schema, a bool is
+    neither a number nor an integer, and ``1.0`` is an integer.
+    """
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_IS_TYPE[t](instance) for t in types):
+        return f"{instance!r} is not of type {', '.join(map(repr, types))}"
+    if "enum" in schema and instance not in schema["enum"]:
+        return f"{instance!r} is not one of {schema['enum']!r}"
+    if _IS_TYPE["number"](instance):
+        if "minimum" in schema and instance < schema["minimum"]:
+            return f"{instance!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]:
+            bound = schema["exclusiveMinimum"]
+            return f"{instance!r} is less than or equal to the minimum of {bound!r}"
+    if isinstance(instance, dict):
+        for name in schema.get("required", []):
+            if name not in instance:
+                return f"{name!r} is a required property"
+        for name, sub in schema.get("properties", {}).items():
+            if name in instance and (error := _schema_error(instance[name], sub)):
+                return error
+    if isinstance(instance, list) and "items" in schema:
+        for item in instance:
+            if error := _schema_error(item, schema["items"]):
+                return error
+    return None
 
 
 def _format_number(x):
@@ -134,10 +178,8 @@ def load_config(path, cli_overrides=None, seed=None):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config failed validation: {exc.message}") from exc
+    if error := _schema_error(raw, CONFIG_SCHEMA):
+        raise ConfigError(f"config failed validation: {error}")
     if cli_overrides:
         raw.setdefault("overrides", {}).update(cli_overrides)
     if seed is not None:
@@ -174,10 +216,8 @@ def build_model(config):
         built["name"] = spec_entry
         built["kind"] = card.kind
         return built
-    try:
-        jsonschema.validate(spec_entry, INLINE_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"inline model failed validation: {exc.message}") from exc
+    if error := _schema_error(spec_entry, INLINE_SCHEMA):
+        raise ConfigError(f"inline model failed validation: {error}")
     reward = np.asarray(spec_entry["reward"], dtype=float)
     kernel = np.asarray(spec_entry["kernel"], dtype=float)
     feasible = np.asarray(

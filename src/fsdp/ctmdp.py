@@ -93,33 +93,46 @@ class JumpChainPath:
         return self.states[np.clip(idx, 0, self.states.size - 1)]
 
 
+# Jumps drawn in the first block of uniforms; each later block doubles.
+JUMP_BLOCK = 1024
+
+
 def simulate_jump_chain(spec, psi0, horizon, rng):
     """Simulate a jump chain until the first jump past ``horizon``.
 
     Holding times are sampled as ``-log(U) / rate`` and jump targets by
     inverse CDF over the jump matrix's rows; the returned path evaluates
-    right-continuously via binary search over the jump times.
+    right-continuously via binary search over the jump times.  The
+    uniforms alternate holding time, jump target, as one scalar draw
+    each would; they are drawn in blocks, and the generator is left where
+    those scalar draws leave it: its state is restored and only the used
+    part of the last block is drawn again.
     """
-    rates = np.asarray(spec.rates, dtype=float)
+    rates = np.asarray(spec.rates, dtype=float).tolist()
     pi = markov.require_stochastic_matrix(spec.jump_matrix)
     psi0 = markov.require_distribution(psi0)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     step = markov._row_sampler(pi)
     state = markov._row_sampler(psi0[None, :])(0, rng.random())
-    times = [0.0]
-    states = [state]
-    t = 0.0
+    times, states = [0.0], [state]
+    t, block = 0.0, JUMP_BLOCK
     while True:
-        t += -np.log(rng.random()) / rates[state]
-        state = step(state, rng.random())
-        times.append(t)
-        states.append(state)
-        if t > horizon:
-            break
-    return JumpChainPath(
-        jump_times=np.array(times), states=np.array(states, dtype=np.int64)
-    )
+        saved = rng.bit_generator.state
+        draws = rng.random(2 * block)
+        holds = (-np.log(draws[0::2])).tolist()
+        for used, (hold, u) in enumerate(zip(holds, draws[1::2].tolist()), start=1):
+            t += hold / rates[state]
+            state = step(state, u)
+            times.append(t)
+            states.append(state)
+            if t > horizon:
+                rng.bit_generator.state = saved
+                rng.random(2 * used)
+                return JumpChainPath(
+                    jump_times=np.array(times), states=np.array(states, dtype=np.int64)
+                )
+        block *= 2
 
 
 @dataclass

@@ -433,6 +433,11 @@ def policy_value(model, sigma):
     policy attached if the model is uncertified and ``rho(L_sigma) >= 1``,
     else with an infinite bound.
     """
+    return _certified_policy_value(model, sigma)[0]
+
+
+def _certified_policy_value(model, sigma):
+    """``(v, bound)``: :func:`policy_value` and its certified bound on ``||v - v_sigma||_inf``."""
     sigma = _checked_policy(model, sigma)
     apply = model.transitions.policy_operator(sigma)
     pair = _bounding_pair(model, apply)
@@ -441,7 +446,7 @@ def policy_value(model, sigma):
             l_sigma = policy_matrix(model, sigma, discounted=True)
             spectral.check_radius_below_one(l_sigma, "policy discount operator", policy=sigma)
         raise ConvergenceError("no bounding vector certifies the policy operator", bound=np.inf)
-    return fixed_point.certified_solve(apply, policy_reward(model, sigma), *pair)[0]
+    return fixed_point.certified_solve(apply, policy_reward(model, sigma), *pair)
 
 
 def _bounding_pair(model, apply):
@@ -455,13 +460,6 @@ def _bounding_pair(model, apply):
     if not model.state_dependent:
         return np.ones(model.n_states), model.beta
     return model._bounding or spectral.bounding_pair(apply, model.n_states)
-
-
-def _evaluation_bound(model, sigma, x):
-    """The certified bound on ``||x - v_sigma||_inf`` that :func:`policy_value` stops on."""
-    apply = model.transitions.policy_operator(sigma)
-    h, lam = _bounding_pair(model, apply)
-    return fixed_point.error_bound(policy_reward(model, sigma) - (x - apply(x)), h, lam)
 
 
 def certify_stability(model, dominating=None):
@@ -615,17 +613,17 @@ def solve_hpi(model, sigma0=None, mode="max", max_iter=10_000, dominating=None):
     the final evaluation.  The iteration cap is defensive only.
     """
     certify_stability(model, dominating)
-    evaluated = []
+    bounds = []
 
     def evaluate(sigma):
-        evaluated.append(sigma)
-        return policy_value(model, sigma)
+        v, bound = _certified_policy_value(model, sigma)
+        bounds.append(bound)
+        return v
 
     v, k = fixed_point.policy_iteration(
         lambda v: greedy(model, v, mode), evaluate, _start_policy(model, sigma0, mode), max_iter
     )
-    bound = _evaluation_bound(model, evaluated[-1], v)
-    return _finish(v, greedy(model, v, mode), bellman(model, v, mode), k, "hpi", bound)
+    return _finish(v, greedy(model, v, mode), bellman(model, v, mode), k, "hpi", bounds[-1])
 
 
 def solve_opi(

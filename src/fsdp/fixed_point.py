@@ -193,26 +193,37 @@ def newton_krylov(op, v0, jvp, h, lam, tolerance, max_iter):
     ``op`` contracts with modulus ``lam`` in the sup norm weighted by
     ``h > 0``, and ``jvp(v)`` returns ``d -> J(v) d`` for its Jacobian,
     which ``(h, lam)`` bounds too; ``jvp=None`` takes forward differences
-    of ``op``.  A step solves ``(I - J(v)) d = op(v) - v`` and is kept only
-    if it lowers ``||op(v) - v||_inf``; otherwise the step is ``v <-
-    op(v)``.  Stops when the certified bound ``max(h) * max(|op(v) - v| /
-    h) / (1 - lam)`` on ``||v - v*||_inf`` is at most ``tolerance``, or at
-    most the rounding floor ``64 eps max(1, ||v||_inf) / (1 - lam)``, and
-    returns ``(v, k, bound)``.  After ``max_iter`` steps raises
-    :class:`ConvergenceError` with the last iterate as ``last`` and its
-    last ``STEPS_KEPT`` weighted residuals ``max(h) * max(|op(v) - v| /
-    h)`` as ``steps``, with ``measure`` set to ``"residuals"``.
+    of ``op``.  ``lam`` may instead be a function ``lam(v, b)``: a modulus
+    of ``op`` on the box ``|u - v| <= b h``, with ``lam(v, 0)`` bounding
+    ``J(v)``; it is read at each iterate.  A step solves ``(I - J(v)) d =
+    op(v) - v`` and is kept only if it lowers ``||op(v) - v||_inf``;
+    otherwise the step is ``v <- op(v)``.
+
+    With ``r = max(|op(v) - v| / h)``, ``b = 2 r / (1 - lam(v, 0))`` and
+    ``lam_b = lam(v, b)``, ``r / (1 - lam_b) <= b`` means ``op`` maps the
+    box ``v +- b h`` into itself, so its fixed point lies there, within
+    ``max(h) r / (1 - lam_b)`` of ``v``; for a constant ``lam`` that is
+    :func:`error_bound`.  Stops when this certified bound is at most
+    ``tolerance``, or ``max(h) r`` is at most the rounding floor ``64 eps
+    max(1, ||v||_inf)``, and returns ``(v, k, bound)``.  After
+    ``max_iter`` steps raises :class:`ConvergenceError` with the last
+    iterate as ``last`` and its last ``STEPS_KEPT`` weighted residuals
+    ``max(h) r`` as ``steps``, with ``measure`` set to ``"residuals"``.
     """
     eps = np.finfo(float).eps
-    # A forward difference is good to about sqrt(eps), so its steps are
-    # solved to the certified solve's floor at that precision.
-    inner = None if jvp is not None else 64 * np.sqrt(eps) / (1 - lam)
+    modulus = lam if callable(lam) else lambda v, b: lam
 
     def step(state):
         v, tv = state
-        linear = jvp(v) if jvp is not None else forward_difference(op, v, tv)
+        lam_v = modulus(v, 0.0)
+        if jvp is None:
+            # A forward difference is good to about sqrt(eps), so its steps
+            # are solved to the certified solve's floor at that precision.
+            linear, inner = forward_difference(op, v, tv), 64 * np.sqrt(eps) / (1 - lam_v)
+        else:
+            linear, inner = jvp(v), None
         try:
-            d = certified_solve(linear, tv - v, h, lam, inner)[0]
+            d = certified_solve(linear, tv - v, h, lam_v, inner)[0]
         except ConvergenceError as exc:
             d = exc.last  # an inexact step; the residual test decides
         w = v + d
@@ -227,10 +238,22 @@ def newton_krylov(op, v0, jvp, h, lam, tolerance, max_iter):
             raise ConvergenceError("iteration diverged", last=v)
         return tv
 
+    def certified(v, tv):
+        r, lam_v = float(np.max(np.abs(tv - v) / h)), modulus(v, 0.0)
+        if not lam_v < 1:
+            return np.inf
+        b = 2 * r / (1 - lam_v)
+        lam_b = modulus(v, b)
+        if not (lam_b < 1 and r <= b * (1 - lam_b)):
+            return np.inf
+        return float(np.max(h)) * r / (1 - lam_b)
+
     def weighted(state, _):
         v, tv = state
+        residual = error_bound(tv - v, h, 0.0)
         floor = 64 * eps * max(1.0, float(np.max(np.abs(v))))
-        return within(error_bound(tv - v, h, 0.0), max(tolerance * (1 - lam), floor))
+        done = residual <= floor or residual <= tolerance and certified(v, tv) <= tolerance
+        return 0.0 if done else residual
 
     v0 = np.asarray(v0, dtype=float)
     try:
@@ -240,7 +263,7 @@ def newton_krylov(op, v0, jvp, h, lam, tolerance, max_iter):
             exc.last = exc.last[0]
             exc.measure = "residuals"
         raise
-    return v, k, error_bound(tv - v, h, lam)
+    return v, k, certified(v, tv)
 
 
 def policy_iteration(greedy, evaluate, sigma, max_iter):

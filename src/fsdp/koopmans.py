@@ -7,13 +7,18 @@ used for Epstein-Zin preferences, Uzawa linear reduction, and
 order-interval bracketing.  Additive aggregation of an expectation or
 entropic certainty equivalent, and the Uzawa reduction, are solved by
 Newton steps on the certainty equivalent's Jacobian, with a certified
-error bound (:func:`fsdp.fixed_point.newton_krylov`).
+error bound (:func:`fsdp.fixed_point.newton_krylov`); so is the
+power-affine conjugate, in log space, stopping on a box certificate.
+The entropic and power certainty equivalents cost one matrix-vector
+product under one global shift; only rows whose sum underflows are
+recomputed with a shift of their own.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from . import fixed_point, markov, spectral
 from .errors import ConvergenceError, SpectralRadiusError, StabilityError
@@ -33,10 +38,30 @@ def _row_shifted(vals, weights):
     return shift, terms
 
 
+# A row sum of ``weights @ exp(vals - max(vals))`` below this has lost
+# digits to underflow; the row is recomputed with a shift of its own.
+RESCUE_BELOW = np.sqrt(np.finfo(float).tiny)
+
+
+def _global_shift(vals, weights):
+    """``(e, r, low)``: ``e = exp(vals - max(vals))``, ``r = weights @ e``, and the rows to rescue."""
+    e = np.exp(vals - vals.max())
+    r = weights @ e
+    return e, r, r < RESCUE_BELOW
+
+
 def _weighted_logsumexp_rows(vals, weights):
-    """Stable ``log(weights @ exp(vals))`` per row of ``weights``."""
-    shift, terms = _row_shifted(vals, weights)
-    return shift + np.log(terms.sum(axis=1))
+    """Stable ``log(weights @ exp(vals))`` per row of ``weights``.
+
+    One matrix-vector product under one global shift; only rows whose
+    sum underflows go through the row-shifted sum of :func:`_row_shifted`.
+    """
+    _, r, low = _global_shift(vals, weights)
+    out = vals.max() + np.log(np.where(low, 1.0, r))
+    if low.any():
+        shift, terms = _row_shifted(vals, weights[low])
+        out[low] = shift + np.log(terms.sum(axis=1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +115,28 @@ class Entropic(_CertaintyEquivalent):
         return _weighted_logsumexp_rows(self.theta * v, self.p) / self.theta
 
     def jacobian(self, v):
-        """``W(v)``, the row-stochastic ``P * exp(theta v)`` with rows normalized."""
-        _, terms = _row_shifted(self.theta * np.asarray(v, dtype=float), self.p)
-        terms /= terms.sum(axis=1, keepdims=True)
-        return terms
+        """``W(v)``, the row-stochastic ``P * exp(theta v)`` with rows normalized.
+
+        Returned as the operator ``d -> P (e * d) / (P e)`` with ``e =
+        exp(theta v - max(theta v))``, one product per application; rows
+        rescued by :func:`_weighted_logsumexp_rows` are kept as dense rows.
+        """
+        vals = self.theta * np.asarray(v, dtype=float)
+        e, r, low = _global_shift(vals, self.p)
+        r[low] = 1.0
+        rescued = None
+        if low.any():
+            rescued = _row_shifted(vals, self.p[low])[1]
+            rescued /= rescued.sum(axis=1, keepdims=True)
+
+        def apply(d):
+            d = np.ravel(d)
+            out = self.p @ (e * d) / r
+            if rescued is not None:
+                out[low] = rescued @ d
+            return out
+
+        return LinearOperator(self.p.shape, matvec=apply, dtype=float)
 
 
 class KrepsPorteus(_CertaintyEquivalent):
@@ -417,6 +460,16 @@ def power_affine_solve(h, a, theta, cfg=None):
     ``h`` must be strictly positive, ``A`` nonnegative (irreducible for
     the sharp stability characterization), ``theta`` nonzero.  Stability
     holds iff ``rho(A)**(1/theta) < 1``, which is checked up front.
+
+    For ``theta != 1`` the fixed point is found in ``x = log v`` by
+    :func:`fixed_point.newton_krylov` on ``x -> theta log(h + s)``, ``s =
+    (A e^x)**(1/theta)``.  Its Jacobian ``diag(s / ((h + s) A v)) A
+    diag(v)`` is nonnegative with row sums ``s / (h + s) < 1``, so ``h = 1``
+    with ``lam(x) = max s / (h + s)`` bounds it, and ``lam`` is monotone in
+    ``x``: its larger value at the corners ``x +- b`` bounds the Jacobian
+    on the box between them.  ``cfg.tolerance`` (default 1e-13) is a certified
+    bound on ``||log v - log v*||_inf``, the relative error of ``v``, and
+    ``cfg.max_iter`` caps the Newton steps.
     """
     h = np.asarray(h, dtype=float)
     a = spectral.require_square(a)
@@ -428,17 +481,38 @@ def power_affine_solve(h, a, theta, cfg=None):
     if theta == 1:
         return spectral.neumann_solve(a, h)
 
-    def op(v):
-        av = a @ v
+    def power(x):
+        """``(A e^x, (A e^x)**(1/theta))``."""
+        av = a @ np.exp(x)
         if np.any(av <= 0):
             raise ValueError("A v left the positive orthant; is A irreducible?")
-        return (h + av ** (1 / theta)) ** theta
+        return av, av ** (1 / theta)
 
-    # The conjugate variable can span many orders of magnitude, so the
-    # stopping rule uses relative sup-norm steps.
+    def op(x):
+        return theta * np.log(h + power(x)[1])
+
+    def jvp(x):
+        v = np.exp(x)
+        av, s = power(x)
+        scale = s / ((h + s) * av)
+        return lambda d: scale * (a @ (v * d))
+
+    def modulus(x, b):
+        # At the corners x +- b, s moves to s * exp(+-b / theta), so
+        # s / (h + s) there is s / (h * exp(-+b / theta) + s).
+        s = power(x)[1]
+        with np.errstate(over="ignore"):
+            return max(float(np.max(s / (h * np.exp(t) + s))) for t in (-b / theta, b / theta))
+
     tol = cfg.tolerance if cfg else 1e-13
     max_iter = cfg.max_iter if cfg else 200_000
-    return fixed_point.iterate(op, h**theta, tol, max_iter, error=fixed_point.relative_step)[0]
+    try:
+        x = fixed_point.newton_krylov(op, theta * np.log(h), jvp, np.ones(h.size), modulus, tol, max_iter)[0]
+    except ConvergenceError as exc:
+        if exc.last is not None:
+            exc.last = np.exp(exc.last)
+        raise
+    return np.exp(x)
 
 
 def epstein_zin_value(h, beta, alpha, gamma, p, cfg=None):

@@ -1,9 +1,10 @@
 """Finite Markov chains.
 
 Validation, simulation, marginal-distribution flows, stationary
-distributions, irreducibility, Tauchen discretization of Gaussian
-AR(1) processes, first-order stochastic dominance, quantiles, and
-geometric-sum valuation.
+distributions (one LU solve when the chain is irreducible),
+irreducibility, Tauchen discretization of Gaussian AR(1) processes,
+first-order stochastic dominance, quantiles, and geometric-sum
+valuation.
 
 Distributions are 1-d arrays of nonnegative weights summing to one;
 stochastic matrices are square arrays whose rows are distributions.
@@ -177,21 +178,26 @@ def _all_reachable(adjacency, source):
 def stationary_distribution(p, warn_on_reducible=True):
     """Solve ``psi @ p = psi`` with ``psi`` summing to one.
 
-    Uses the linear system ``(p.T - I) psi = 0`` with a normalization
-    row appended.  When ``p`` is reducible the stationary distribution
-    is not unique; one solution is returned with a warning.
+    An irreducible ``p`` has one stationary distribution, the solution of
+    ``(p.T - I + 1 1^T) psi = 1``, found by one LU solve.  When ``p`` is
+    reducible the stationary distribution is not unique; one solution of
+    ``(p.T - I) psi = 0`` with a normalization row appended is returned
+    by least squares, with a warning.
     """
     p = require_stochastic_matrix(p)
     n = p.shape[0]
-    if warn_on_reducible and not is_irreducible(p):
-        warnings.warn(
-            "matrix is reducible: stationary distribution is not unique",
-            stacklevel=2,
-        )
-    a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    psi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    if is_irreducible(p):
+        psi = np.linalg.solve(p.T - np.eye(n) + 1.0, np.ones(n))
+    else:
+        if warn_on_reducible:
+            warnings.warn(
+                "matrix is reducible: stationary distribution is not unique",
+                stacklevel=2,
+            )
+        a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
+        b = np.zeros(n + 1)
+        b[-1] = 1.0
+        psi, *_ = np.linalg.lstsq(a, b, rcond=None)
     psi = np.clip(psi, 0.0, None)
     return psi / psi.sum()
 

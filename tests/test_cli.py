@@ -27,6 +27,58 @@ def iid_config(tmp_path):
     )
 
 
+INLINE = {"type": "mdp", "reward": [[0.0]], "kernel": [[[1.0]]]}
+
+# (schema, instance) pairs; each invalid one breaks one rule, so the
+# first error found is the only one.
+SCHEMA_CASES = {
+    "zoo name": ("config", {"model": "firm_exit"}),
+    "every field": ("config", {
+        "model": {"type": "mdp"}, "solver": "opi", "m": 3, "tolerance": 1e-8, "seed": 0,
+        "horizon": 2.5, "overrides": {"n": 4}, "m_grid": [1, 10], "extra": None,
+    }),
+    "integral float": ("config", {"model": "x", "m": 1.0, "seed": -2.0, "m_grid": [3.0]}),
+    "not an object": ("config", ["model"]),
+    "missing model": ("config", {"solver": "vfi"}),
+    "model of a wrong type": ("config", {"model": 3}),
+    "unknown solver": ("config", {"model": "x", "solver": "newton"}),
+    "bool solver": ("config", {"model": "x", "solver": True}),
+    "m below one": ("config", {"model": "x", "m": 0}),
+    "fractional m": ("config", {"model": "x", "m": 1.5}),
+    "bool m": ("config", {"model": "x", "m": True}),
+    "zero tolerance": ("config", {"model": "x", "tolerance": 0}),
+    "negative tolerance": ("config", {"model": "x", "tolerance": -1e-9}),
+    "string tolerance": ("config", {"model": "x", "tolerance": "1e-8"}),
+    "bool seed": ("config", {"model": "x", "seed": False}),
+    "negative horizon": ("config", {"model": "x", "horizon": -0.5}),
+    "bool horizon": ("config", {"model": "x", "horizon": True}),
+    "list overrides": ("config", {"model": "x", "overrides": []}),
+    "m_grid not a list": ("config", {"model": "x", "m_grid": 5}),
+    "m_grid entry below one": ("config", {"model": "x", "m_grid": [1, 0]}),
+    "m_grid bool entry": ("config", {"model": "x", "m_grid": [False]}),
+    "inline": ("inline", INLINE),
+    "inline with every field": ("inline", {
+        **INLINE, "beta": 0.9, "feasible": [[True]], "discount_weights": [[[0.9]]],
+    }),
+    "inline integer beta": ("inline", {**INLINE, "beta": 1}),
+    "inline bool beta": ("inline", {**INLINE, "beta": True}),
+    "inline unknown type": ("inline", {**INLINE, "type": "rdp"}),
+    "inline without kernel": ("inline", {"type": "mdp", "reward": [[0.0]]}),
+    "inline reward not a list": ("inline", {**INLINE, "reward": 1.0}),
+    "inline string feasible": ("inline", {**INLINE, "feasible": "all"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
+def test_schema_check_agrees_with_jsonschema(case):
+    jsonschema = pytest.importorskip("jsonschema")
+    name, instance = SCHEMA_CASES[case]
+    schema = {"config": cli.CONFIG_SCHEMA, "inline": cli.INLINE_SCHEMA}[name]
+    errors = [e.message for e in jsonschema.Draft202012Validator(schema).iter_errors(instance)]
+    assert cli._schema_error(instance, schema) == (errors[0] if errors else None)
+    assert len(errors) <= 1
+
+
 class TestSolve:
     def test_job_search_reports_reservation_wage(self, tmp_path, iid_config):
         out = tmp_path / "run"
@@ -89,9 +141,15 @@ class TestSolve:
         assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
         assert "non-finite" in capsys.readouterr().err
 
-    def test_invalid_config_exits_2(self, tmp_path):
+    def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"solver": "vfi"})
         assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "config failed validation: 'model' is a required property" in capsys.readouterr().err
+
+    def test_invalid_inline_model_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bad.json", {"model": {**INLINE, "beta": True}})
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "inline model failed validation: True is not of type 'number'" in capsys.readouterr().err
 
     def test_unstable_sdd_override_exits_3(self, tmp_path, capsys):
         cfg = write_config(

@@ -255,13 +255,13 @@ class TestSparsePolicyEvaluation:
     def test_hpi_evaluates_each_distinct_policy_once(self, monkeypatch):
         model = ZOO["optimal_investment"].build(ci_scale=True)["mdp"]
         evaluated = []
-        original = dp.policy_value
+        original = dp._certified_policy_value
 
         def counting(model, sigma):
             evaluated.append(np.asarray(sigma, dtype=np.int64).tobytes())
             return original(model, sigma)
 
-        monkeypatch.setattr(dp, "policy_value", counting)
+        monkeypatch.setattr(dp, "_certified_policy_value", counting)
         result = solve_hpi(model)
         assert len(evaluated) >= 3
         assert len(evaluated) == len(set(evaluated))
@@ -379,19 +379,19 @@ class TestCertifiedEvaluation:
         l_sigma = policy_matrix(model, sigma, discounted=True)
         assert np.all(h > 0) and lam < 1
         assert np.all(l_sigma @ h <= lam * h * (1 + 1e-12))
-        x = policy_value(model, sigma)
+        x, bound = dp._certified_policy_value(model, sigma)
         v = dense_policy_value(model, sigma)
         # The bound is exact arithmetic on a rounded residual, and the
         # dense reference has rounding errors of its own: both are of
         # order eps * |v| / (1 - lam).
         eps = np.finfo(float).eps
         slack = 16 * model.n_states * eps * np.max(np.abs(v)) / (1 - _contraction(model, sigma))
-        bound = dp._evaluation_bound(model, sigma, x)
         assert bound <= _certified_target(model, sigma, x)
         assert np.max(np.abs(x - v)) <= bound + slack
-        # The bound covers any answer, not only the solver's.
+        # The residual bound covers any answer, not only the solver's.
         y = x + 1e-6 * np.max(np.abs(v)) * rng.standard_normal(x.size)
-        assert np.max(np.abs(y - v)) <= dp._evaluation_bound(model, sigma, y) + slack
+        residual = policy_reward(model, sigma) - (y - l_sigma @ y)
+        assert np.max(np.abs(y - v)) <= fixed_point.error_bound(residual, h, lam) + slack
 
     @pytest.mark.parametrize("card", ["optimal_investment", "inventory_sdd", "job_search_markov"])
     def test_hpi_reports_the_bound_of_its_final_evaluation(self, card):
@@ -399,6 +399,35 @@ class TestCertifiedEvaluation:
         result = solve_hpi(model)
         v = dense_policy_value(model, result.policy)
         assert 0 < result.error_bound <= _certified_target(model, result.policy, result.value)
+        assert np.max(np.abs(result.value - v)) <= result.error_bound + 1e-13 * np.max(np.abs(v))
+
+    def test_hpi_finds_each_bounding_pair_once(self, monkeypatch):
+        # State 0 discounts at 1.02, so h = 1 bounds no policy operator and
+        # each pair is a BiCGSTAB solve: one for the dominating matrix and
+        # one per evaluation; the reported bound is the last evaluation's.
+        rng = np.random.default_rng(29)
+        n, m = 12, 3
+        p = rng.random((n, n)) + 0.05
+        p /= p.sum(axis=1, keepdims=True)
+        weights = rng.uniform(0.5, 0.9, size=(n, m, n))
+        weights[0] = 1.02
+        model = MDPModel(
+            feasible=np.ones((n, m), dtype=bool),
+            reward=rng.standard_normal((n, m)),
+            kernel=np.repeat(p[:, None, :], m, axis=1),
+            discount_weights=weights,
+        )
+        calls = []
+        original = spectral.bounding_pair
+
+        def counting(apply, size):
+            calls.append(size)
+            return original(apply, size)
+
+        monkeypatch.setattr(spectral, "bounding_pair", counting)
+        result = solve_hpi(model, dominating=weights.max(axis=1) * p)
+        assert result.iterations == 2 and len(calls) == 3
+        v = dense_policy_value(model, result.policy)
         assert np.max(np.abs(result.value - v)) <= result.error_bound + 1e-13 * np.max(np.abs(v))
 
     def test_hpi_from_a_random_policy_on_default_firm_hiring(self):

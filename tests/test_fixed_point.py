@@ -685,6 +685,20 @@ def _ez_inputs():
     return (1 - 0.95) * np.exp(grid) ** 0.5, 0.95, 0.5, -3.0, p
 
 
+def _power_affine_cases():
+    """``case -> (solve(cfg), plain iteration(cfg))`` for the conjugate solves."""
+    h, beta, alpha, gamma, p = _ez_inputs()
+    plain = [(koopmans, "power_affine_solve", _oracle_power_affine_solve)]
+    ez = lambda cfg: koopmans.epstein_zin_value(h, beta, alpha, gamma, p, cfg)
+    return {
+        "epstein-zin": (ez, lambda cfg: _patched(plain, partial(ez, cfg))),
+        "power affine": (
+            lambda cfg: koopmans.power_affine_solve(h, 0.9 * p, 2.0, cfg),
+            lambda cfg: _oracle_power_affine_solve(h, 0.9 * p, 2.0, cfg),
+        ),
+    }
+
+
 def _capped_bracket(v):
     grid, p = _chain()
     return np.minimum(grid + 0.9 * (p @ v), 50.0)
@@ -749,15 +763,6 @@ def _parity_cases():
         partial(rdp.rdp_policy_value, robust, start, max_iter=1),
         partial(_oracle_rdp_policy_value, robust, start, max_iter=1),
     )
-    h, beta, alpha, gamma, p = _ez_inputs()
-    for cfg in (None, IterationConfig(max_iter=1)):
-        solve = partial(koopmans.epstein_zin_value, h, beta, alpha, gamma, p, cfg)
-        old_loop = [(koopmans, "power_affine_solve", _oracle_power_affine_solve)]
-        cases[f"epstein-zin cfg={cfg}"] = (solve, partial(_patched, old_loop, solve))
-        cases[f"power affine cfg={cfg}"] = (
-            partial(koopmans.power_affine_solve, h, 0.9 * p, 2.0, cfg),
-            partial(_oracle_power_affine_solve, h, 0.9 * p, 2.0, cfg),
-        )
     for max_iter in (100_000, 1):
         cases[f"bracketed max_iter={max_iter}"] = (
             partial(koopmans.bracketed_fixed_point, _capped_bracket, *BRACKET, max_iter=max_iter),
@@ -863,7 +868,7 @@ class TestParityWithReplacedLoops:
         capped = [case for case in PARITY if re.search(r"max_(policy_)?iter=1(,|$)| cap", case)]
         # Successive approximation returns its trace at the cap.
         traced = {"successive approx cap", "successive approx cap of one"}
-        assert len(capped) == 28
+        assert len(capped) == 26
         for case in capped:
             assert (_outcome(PARITY[case][0])[0] == "returned") == (case in traced), case
 
@@ -1007,6 +1012,38 @@ class TestNewtonKrylov:
         assert result.iterations == 1 and result.error_bound <= 1e-10
         assert _sup(result.value - exact) <= result.error_bound + 1e-12 * _sup(exact)
 
+    def test_modulus_read_on_a_box(self):
+        # A zero Jacobian makes every step a plain one, v <- v / 2 + 1.
+        # The modulus is read at b = 2 r / (1 - lam(v, 0)); a box on which
+        # it reaches one certifies nothing.
+        op, jvp, h = (lambda v: 0.5 * v + 1.0), (lambda v: np.zeros_like), np.ones(3)
+        grows = lambda v, b: 0.5 + 0.05 * b
+        v, _, bound = fixed_point.newton_krylov(op, np.zeros(3), jvp, h, grows, 1e-3, 100)
+        r = _sup(op(v) - v)
+        assert bound == pytest.approx(r / (1 - grows(v, 4 * r)), rel=1e-12)
+        assert _sup(v - 2.0) <= bound <= 1e-3
+        never = lambda v, b: 0.5 if b == 0 else 1.0
+        v, _, bound = fixed_point.newton_krylov(op, np.zeros(3), jvp, h, never, 1e-3, 100)
+        assert bound == np.inf and _sup(op(v) - v) <= 64 * np.finfo(float).eps * 2
+
+    @pytest.mark.parametrize("case", ["epstein-zin", "power affine"])
+    def test_power_affine_newton_is_the_fixed_point(self, case):
+        # A plain iteration run to a 1e-15 relative step is the reference.
+        solve, reference = _power_affine_cases()[case]
+        got = solve(None)
+        want = reference(IterationConfig(tolerance=1e-15, max_iter=10**6))
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    @pytest.mark.parametrize("case", ["epstein-zin", "power affine"])
+    def test_power_affine_cap_raises_with_last_and_residuals(self, case):
+        solve, _ = _power_affine_cases()[case]
+        with pytest.raises(ConvergenceError) as info:
+            solve(IterationConfig(max_iter=1))
+        last = info.value.last
+        # The conjugate variable v_hat, not its log, is reported.
+        assert isinstance(last, np.ndarray) and last.shape == (40,) and np.all(last > 0)
+        assert info.value.measure == "residuals" and len(info.value.steps) == 1
+
     @pytest.mark.parametrize("ci_scale", [True, False], ids=["ci", "default"])
     def test_rdp_hpi_of_optimal_default_is_the_mdp_solution(self, ci_scale):
         built = ZOO["optimal_default"].build(ci_scale=ci_scale)
@@ -1126,7 +1163,7 @@ class TestNewtonKrylov:
     def test_entropic_jacobian_is_the_stochastic_derivative(self):
         k = _entropic()
         v = np.random.default_rng(6).standard_normal(40)
-        w = k.ce.jacobian(v)
+        w = k.ce.jacobian(v) @ np.eye(40)
         assert np.all(w >= 0) and np.allclose(w.sum(axis=1), 1.0, atol=1e-14)
         d = np.random.default_rng(7).standard_normal(40)
         step = 1e-6

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsdp import koopmans, markov, spectral
+from fsdp import fixed_point, koopmans, markov, spectral
 from fsdp.errors import StabilityError
 from fsdp.koopmans import (
     CES,
@@ -31,6 +33,20 @@ def _iterated(k, v, steps):
     for _ in range(steps):
         v = k(v)
     return v
+
+
+def _check_against_row_shifted(p, vals, d):
+    """The one-product log-sum and the operator Jacobian against a table shifted per row."""
+    on = p > 0
+    shift = np.array([vals[row].max() for row in on])
+    terms = p * np.exp(np.where(on, vals[None, :] - shift[:, None], -np.inf))
+    want = shift + np.log(terms.sum(axis=1))
+    got = koopmans._weighted_logsumexp_rows(vals, p)
+    assert np.max(np.abs(got - want)) <= 1e-13 * (1 + np.max(np.abs(vals)))
+    # The Jacobian W(v) of Entropic(1) is the row-normalized table.
+    w = terms / terms.sum(axis=1, keepdims=True)
+    jvp = Entropic(1.0, p).jacobian(vals) @ d
+    assert np.max(np.abs(jvp - w @ d)) <= 1e-13 * (1 + np.max(np.abs(d)))
 
 
 def all_ces(p, rng):
@@ -113,6 +129,28 @@ class TestCertaintyEquivalents:
             v = rng.standard_normal(4)
             w = rng.standard_normal(4)
             assert np.all(ce(0.5 * v + 0.5 * w) >= 0.5 * ce(v) + 0.5 * ce(w) - 1e-10)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        support=st.integers(1, 30),
+        spread=st.floats(0.0, 3000.0),
+    )
+    def test_one_product_matches_the_row_shifted_sum(self, seed, n, support, spread):
+        # Spreads above about 700 underflow rows whose support misses the
+        # largest values; those rows are rescued.
+        rng = np.random.default_rng(seed)
+        p = rng.random((n, n)) * (rng.random((n, n)) < support / n)
+        p[np.arange(n), rng.integers(0, n, n)] += 0.01
+        p /= p.sum(axis=1, keepdims=True)
+        _check_against_row_shifted(p, spread * (rng.random(n) - 0.5), rng.standard_normal(n))
+
+    def test_a_row_whose_sum_underflows_is_rescued(self):
+        p, vals = np.eye(2), np.array([0.0, -1600.0])
+        assert np.all(koopmans._global_shift(vals, p)[2] == [False, True])
+        _check_against_row_shifted(p, vals, np.array([1.0, 2.0]))
+        assert Entropic(1.0, p)(vals) == pytest.approx(vals, rel=1e-15)
 
     def test_kreps_porteus_rejects_nonpositive(self):
         p = np.eye(2)
@@ -287,6 +325,28 @@ class TestSolveLifetimeValue:
 
 
 class TestPowerAffine:
+    @pytest.mark.parametrize("theta, scale", [(2.0, 0.9), (-6.0, 1.5)])
+    def test_box_modulus_bounds_the_jacobian_on_the_box(self, monkeypatch, theta, scale):
+        # The log-space map's Jacobian is nonnegative, so E(y) 1 is its row
+        # sums; at every point of the box x +- b they stay below lam(x, b).
+        rng = np.random.default_rng(17)
+        a, h = scale * random_stochastic(rng, 8), rng.random(8) + 0.5
+        seen = {}
+        original = fixed_point.newton_krylov
+
+        def capture(op, v0, jvp, weights, lam, tolerance, max_iter):
+            seen.update(jvp=jvp, lam=lam)
+            return original(op, v0, jvp, weights, lam, tolerance, max_iter)
+
+        monkeypatch.setattr(fixed_point, "newton_krylov", capture)
+        x = np.log(power_affine_solve(h, a, theta))
+        for b in (0.0, 0.05, 0.5):
+            bound = seen["lam"](x, b)
+            assert bound < 1
+            corners = [x - b, x + b] + [x + b * rng.uniform(-1, 1, 8) for _ in range(20)]
+            for y in corners:
+                assert np.max(seen["jvp"](y)(np.ones(8))) <= bound * (1 + 1e-14)
+
     def test_theta_one_linear_case(self):
         rng = np.random.default_rng(16)
         a = 0.6 * random_stochastic(rng, 5)

@@ -152,6 +152,58 @@ class TestStationaryDistribution:
         assert np.max(np.abs(psi @ p - psi)) < 1e-10
 
 
+def _irreducible_chain(rng, n, extra, period):
+    """A random irreducible chain: a cycle through a random order of the states,
+    plus each edge with probability ``extra``; with ``period`` 2 the extra
+    edges join the two halves of an even cycle only, so the chain is periodic."""
+    order = rng.permutation(n)
+    support = np.zeros((n, n), dtype=bool)
+    support[order, np.roll(order, -1)] = True
+    extra_edges = rng.random((n, n)) < extra
+    if period == 2 and n % 2 == 0:
+        side = np.empty(n, dtype=int)
+        side[order] = np.arange(n) % 2
+        extra_edges &= side[:, None] != side[None, :]
+    support |= extra_edges
+    p = np.where(support, rng.uniform(0.05, 1.0, (n, n)), 0.0)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+class TestStationaryProperties:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        extra=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        period=st.sampled_from([1, 2]),
+    )
+    def test_unique_law_by_one_solve(self, seed, n, extra, period):
+        p = _irreducible_chain(np.random.default_rng(seed), n, extra, period)
+        assert markov.is_irreducible(p)
+        psi = markov.stationary_distribution(p)
+        assert np.all(psi >= 0) and abs(psi.sum() - 1) <= 1e-14
+        assert np.max(np.abs(psi @ p - psi)) <= 1e-12
+        a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
+        b = np.zeros(n + 1)
+        b[-1] = 1.0
+        reference = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.max(np.abs(psi - reference)) <= 1e-12
+
+    def test_two_absorbing_classes_warn_and_return_a_law(self):
+        # {0, 1} and {3, 4} are closed; state 2 leaks into both.
+        p = np.array([
+            [0.5, 0.5, 0.0, 0.0, 0.0],
+            [0.3, 0.7, 0.0, 0.0, 0.0],
+            [0.2, 0.0, 0.6, 0.0, 0.2],
+            [0.0, 0.0, 0.0, 0.1, 0.9],
+            [0.0, 0.0, 0.0, 0.4, 0.6],
+        ])
+        with pytest.warns(UserWarning, match="reducible"):
+            psi = markov.stationary_distribution(p)
+        assert np.all(psi >= 0) and psi.sum() == pytest.approx(1.0)
+        assert np.max(np.abs(psi @ p - psi)) <= 1e-12
+
+
 class TestIrreducibility:
     def test_absorbing_state(self):
         assert not markov.is_irreducible([[0.1, 0.9], [0.0, 1.0]])

@@ -5,8 +5,6 @@ replaced, kept as references: for fixed seeds each simulator must
 return exactly what its oracle returns.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -179,15 +177,21 @@ def solved_cards():
 
 
 class ConstantRng:
-    """Stub generator whose draws cycle through ``values``."""
+    """Stub generator whose draws cycle through ``values``.
+
+    Its ``bit_generator.state`` is the number of draws made, and setting
+    it rewinds the cycle, as a numpy generator's state does.
+    """
 
     def __init__(self, *values):
-        self._values = itertools.cycle(values)
+        self._values = values
+        self.state = 0
+        self.bit_generator = self
 
     def random(self, size=None):
-        if size is None:
-            return next(self._values)
-        return np.array([next(self._values) for _ in range(size)])
+        draws = [self._values[(self.state + i) % len(self._values)] for i in range(size or 1)]
+        self.state += len(draws)
+        return draws[0] if size is None else np.array(draws)
 
 
 # A row that passes the row-sum check while a draw can land above its total.
@@ -218,6 +222,18 @@ class TestSameSeedSamePath:
         times, states = _oracle_simulate_jump_chain(spec, psi0, 500.0, np.random.default_rng(seed))
         _assert_identical(got.jump_times, times)
         _assert_identical(got.states, states)
+
+    @pytest.mark.parametrize("horizon", [0.5, 500.0, 20_000.0])
+    def test_jump_chain_leaves_the_generator_where_scalar_draws_do(self, horizon):
+        # 20 000 time units take several blocks of draws.
+        spec = ZOO["ct_inventory_restock"].build()["jump_spec"]
+        psi0 = np.full(spec.rates.size, 1.0 / spec.rates.size)
+        got, want = np.random.default_rng(11), np.random.default_rng(11)
+        path = ctmdp.simulate_jump_chain(spec, psi0, horizon, got)
+        times, states = _oracle_simulate_jump_chain(spec, psi0, horizon, want)
+        _assert_identical(path.jump_times, times)
+        _assert_identical(path.states, states)
+        _assert_identical(got.random(5), want.random(5))
 
     @pytest.mark.parametrize("name", sorted(MODEL_SIMULATORS))
     @pytest.mark.parametrize("steps", [0, 1, 3_000])
