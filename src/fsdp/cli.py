@@ -236,9 +236,16 @@ def build_model(config):
 
 
 def _certificate_details(built):
+    if "ctmdp" in built:
+        model = built["ctmdp"]
+        theta = ctmdp._uniformization_rate(model)
+        return {
+            "kind": "continuous-time",
+            "discount_rate": model.discount_rate,
+            "uniformization_rate": theta,
+            "beta": theta / (theta + model.discount_rate),
+        }
     model = built.get("mdp")
-    if built.get("kind") == "ctmdp" or "ctmdp" in built:
-        return {"kind": "continuous-time", "discount_rate": built["ctmdp"].discount_rate}
     if model is not None and model.state_dependent:
         detail = {"kind": "state-dependent"}
         if "discount_radius" in built:

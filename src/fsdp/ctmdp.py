@@ -1,16 +1,17 @@
 """Continuous-time Markov chains and decision processes.
 
 Intensity matrices, transition semigroups via the matrix exponential,
-jump-chain simulation, and continuous-time MDPs solved by policy
-iteration on the Hamilton-Jacobi-Bellman equation.
+jump-chain simulation, and continuous-time MDPs, solved as the discrete
+MDP of :func:`uniformized_mdp` by :mod:`fsdp.dp`'s certified solvers.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import dp, fixed_point, markov, spectral
+from . import dp, markov, spectral
 
 ROW_SUM_TOL = 1e-10
 
@@ -58,8 +59,8 @@ def jump_to_intensity(spec):
     """Intensity matrix ``Q = diag(rates) (Pi - I)`` of a jump chain."""
     rates = np.asarray(spec.rates, dtype=float)
     pi = markov.require_stochastic_matrix(spec.jump_matrix)
-    if np.any(rates <= 0):
-        raise ValueError("jump rates must be strictly positive")
+    if not np.all(np.isfinite(rates) & (rates > 0)):
+        raise ValueError("jump rates must be finite and strictly positive")
     if rates.shape[0] != pi.shape[0]:
         raise ValueError("rates and jump matrix dimensions disagree")
     return rates[:, None] * (pi - np.eye(pi.shape[0]))
@@ -140,7 +141,9 @@ class CTMDPModel:
     """Continuous-time MDP: mask, discount rate, rewards, intensity kernel.
 
     ``kernel[x, a]`` is the intensity row of state ``x`` under action
-    ``a``: nonnegative off the diagonal with zero row sum.
+    ``a``: finite, and on feasible pairs nonnegative off the diagonal
+    with zero row sum.  ``reward`` is ``(n, m)`` and finite on feasible
+    pairs; ``discount_rate`` is finite and positive.
     """
 
     feasible: np.ndarray
@@ -153,20 +156,24 @@ class CTMDPModel:
         if not self.feasible.any(axis=1).all():
             raise ValueError("every state needs at least one feasible action")
         n, m = self.feasible.shape
-        if self.discount_rate <= 0:
-            raise ValueError("discount rate must be positive")
+        if not (np.isfinite(self.discount_rate) and self.discount_rate > 0):
+            raise ValueError("discount rate must be positive and finite")
         self.reward = np.asarray(self.reward, dtype=float)
+        if self.reward.shape != (n, m):
+            raise ValueError("reward must be shaped like the feasibility mask")
+        if not np.all(np.isfinite(self.reward[self.feasible])):
+            raise ValueError("rewards must be finite on feasible pairs")
         self.kernel = np.asarray(self.kernel, dtype=float)
         if self.kernel.shape != (n, m, n):
             raise ValueError("intensity kernel must be (n_states, n_actions, n_states)")
-        mask = self.feasible
-        sums = self.kernel.sum(axis=2)
-        if np.any(np.abs(sums[mask]) > ROW_SUM_TOL):
+        if not np.all(np.isfinite(self.kernel)):
+            raise ValueError("intensity kernel has non-finite entries")
+        states = self.feasible.nonzero()[0]
+        rows = self.kernel[self.feasible]
+        if not np.all(np.abs(rows.sum(axis=1)) <= ROW_SUM_TOL):
             raise ValueError("feasible intensity rows must sum to zero")
-        off = self.kernel.copy()
-        idx = np.arange(n)
-        off[idx, :, idx] = 0.0
-        if np.any(off[mask] < -1e-12):
+        rows[np.arange(states.size), states] = 0.0
+        if np.any(rows < -1e-12):
             raise ValueError("off-diagonal intensities must be nonnegative")
 
     @property
@@ -174,62 +181,50 @@ class CTMDPModel:
         return self.feasible.shape[0]
 
 
-def ct_policy_matrix(model, sigma):
-    sigma = np.asarray(sigma, dtype=np.int64)
-    n = model.n_states
-    if not model.feasible[np.arange(n), sigma].all():
-        raise ValueError("policy selects infeasible actions")
-    return model.kernel[np.arange(n), sigma]
-
-
 def ct_policy_value(model, sigma):
-    """Lifetime flow value ``(delta I - Q_sigma)^{-1} r_sigma``."""
-    n = model.n_states
-    q_sigma = ct_policy_matrix(model, sigma)
-    r_sigma = model.reward[np.arange(n), np.asarray(sigma, dtype=np.int64)]
-    return np.linalg.solve(model.discount_rate * np.eye(n) - q_sigma, r_sigma)
+    """Lifetime flow value ``(delta I - Q_sigma)^{-1} r_sigma``, by the certified dp solve."""
+    return dp.policy_value(uniformized_mdp(model), sigma)
 
 
 def ct_greedy(model, v):
     """Greedy policy for the flow trade-off ``r(x,a) + sum_x' v Q(x,a,.)``.
 
-    The discount rate drops out of the instantaneous comparison; ties go
-    to the lowest action index.
+    :func:`fsdp.dp.greedy` on the uniformized model compares ``(r + theta
+    v + Q v) / (theta + delta)``, the same order; ties go to the lowest action.
     """
-    v = np.asarray(v, dtype=float)
-    objective = model.reward + np.einsum("xay,y->xa", model.kernel, v)
-    return np.where(model.feasible, objective, -np.inf).argmax(axis=1)
+    return dp.greedy(uniformized_mdp(model), v)
 
 
 def hjb_residual(model, v):
-    """Sup-norm residual of the Hamilton-Jacobi-Bellman equation at ``v``."""
+    """HJB residual ``max |delta v - max_a (r + Q v)| = (theta + delta) max |T v - v|``.
+
+    ``T`` is the Bellman operator of the model uniformized at rate ``theta``.
+    """
+    theta = _uniformization_rate(model)
     v = np.asarray(v, dtype=float)
-    objective = model.reward + np.einsum("xay,y->xa", model.kernel, v)
-    best = np.where(model.feasible, objective, -np.inf).max(axis=1)
-    return float(np.max(np.abs(model.discount_rate * v - best)))
+    step = dp.bellman(uniformized_mdp(model, theta), v) - v
+    return (theta + model.discount_rate) * float(np.max(np.abs(step)))
 
 
 def ct_hpi(model, sigma0=None, max_iter=10_000):
-    """Continuous-time Howard policy iteration.
+    """Continuous-time Howard policy iteration: :func:`fsdp.dp.solve_hpi` on the uniformized model.
 
-    Alternates exact policy evaluation with greedy improvement and stops
-    when the policy repeats; finite termination is guaranteed and the
-    returned policy is exactly optimal.  Same loop and tie rule as
-    :func:`fsdp.dp.solve_hpi`, with the continuous-time evaluator.
+    Policies are evaluated by the certified solve with ``h = 1`` and
+    ``lam = beta``, which gives ``error_bound``; ``residual`` is the HJB
+    residual (:func:`hjb_residual`).
     """
-    v, k = fixed_point.policy_iteration(
-        lambda v: ct_greedy(model, v),
-        lambda sigma: ct_policy_value(model, sigma),
-        dp._start_policy(model, sigma0, "max"),
-        max_iter,
+    theta = _uniformization_rate(model)
+    result = dp.solve_hpi(uniformized_mdp(model, theta), sigma0, max_iter=max_iter)
+    return dataclasses.replace(
+        result, method="ct-hpi", residual=(theta + model.discount_rate) * result.residual
     )
-    return dp.SolveResult(
-        value=v,
-        policy=ct_greedy(model, v),
-        iterations=k,
-        method="ct-hpi",
-        residual=hjb_residual(model, v),
-    )
+
+
+def _uniformization_rate(model):
+    """Default uniformization rate: 5% above the largest feasible exit rate."""
+    n = model.n_states
+    exit_rates = -model.kernel[np.arange(n), :, np.arange(n)][model.feasible]
+    return float(np.max(exit_rates)) * 1.05 + 1e-9
 
 
 def uniformized_mdp(model, rate=None):
@@ -240,23 +235,15 @@ def uniformized_mdp(model, rate=None):
     ``theta / (theta + delta)``; rewards are rescaled by
     ``1 / (theta + delta)`` so lifetime values coincide.
     """
-    n, m = model.feasible.shape
-    diag = model.kernel[np.arange(n), :, np.arange(n)]  # (n, m)
-    theta = rate if rate is not None else float(np.max(-diag)) * 1.05 + 1e-9
-    if theta <= 0 or np.any(-diag > theta):
+    idx = np.arange(model.n_states)
+    theta = _uniformization_rate(model) if rate is None else rate
+    if not theta > 0 or np.any(-model.kernel[idx, :, idx][model.feasible] > theta):
         raise ValueError("uniformization rate must dominate every exit rate")
     delta = model.discount_rate
     kernel = model.kernel / theta
-    idx = np.arange(n)
-    kernel = kernel.copy()
     kernel[idx, :, idx] += 1.0
-    # Infeasible rows still need to be distributions for validation.
-    bad = ~model.feasible
-    if bad.any():
-        kernel[bad] = 0.0
-        kernel[bad.nonzero()[0], bad.nonzero()[1], bad.nonzero()[0]] = 1.0
+    states, actions = (~model.feasible).nonzero()
+    kernel[states, actions] = 0.0
+    kernel[states, actions, states] = 1.0
     reward = model.reward / (theta + delta)
-    beta = theta / (theta + delta)
-    return dp.MDPModel(
-        feasible=model.feasible, reward=reward, kernel=kernel, beta=beta
-    )
+    return dp.MDPModel(model.feasible, reward, kernel, beta=theta / (theta + delta))

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtr
 
 from . import spectral
@@ -159,6 +160,8 @@ def is_irreducible(p):
     reachable from state 0 in the graph and in its reverse.
     """
     p = require_stochastic_matrix(p)
+    if sp.issparse(p):
+        return connected_components(p > 0, directed=True, connection="strong")[0] == 1
     adjacency = p > 0
     return _all_reachable(adjacency, 0) and _all_reachable(adjacency.T, 0)
 
@@ -185,8 +188,10 @@ def stationary_distribution(p, warn_on_reducible=True):
     by least squares, with a warning.
     """
     p = require_stochastic_matrix(p)
+    irreducible = is_irreducible(p)
+    p = p.toarray() if sp.issparse(p) else p
     n = p.shape[0]
-    if is_irreducible(p):
+    if irreducible:
         psi = np.linalg.solve(p.T - np.eye(n) + 1.0, np.ones(n))
     else:
         if warn_on_reducible:

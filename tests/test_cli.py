@@ -128,6 +128,29 @@ class TestSolve:
         assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
         assert "bad override" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["delta=NaN", "kappa=NaN"])
+    def test_non_finite_ct_override_exits_2(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, "ct.json", {"model": "ct_job_search"})
+        args = ["solve", "--config", cfg, "--override", override, "--out", tmp_path / "x"]
+        assert run_cli(args) == 2
+        assert "bad override" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "metadata.json").exists()
+
+    def test_ct_certificate_reports_uniformization(self, tmp_path):
+        cfg = write_config(tmp_path, "ct.json", {"model": "ct_job_search"})
+        out = tmp_path / "ct"
+        assert run_cli(["solve", "--config", cfg, "--override", "n=25", "--out", out]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        certificate = meta["certificate"]
+        theta, delta = certificate["uniformization_rate"], certificate["discount_rate"]
+        assert certificate["kind"] == "continuous-time"
+        assert delta == 0.1
+        assert theta == pytest.approx(1.05)  # 5% above the offer rate kappa = 1
+        assert certificate["beta"] == pytest.approx(theta / (theta + delta), rel=1e-15)
+        assert meta["solver"] == "ct-hpi"
+        assert 0 < meta["error_bound"] < 1e-9
+        assert meta["residual"] < 1e-8
+
     def test_inline_negative_kernel_exits_2(self, tmp_path, capsys):
         model = {"type": "mdp", "reward": [[0.0], [1.0]], "kernel": [[[1.5, -0.5]], [[0.0, 1.0]]], "beta": 0.9}
         cfg = write_config(tmp_path, "neg.json", {"model": model, "solver": "hpi"})
@@ -245,6 +268,13 @@ class TestSimulate:
         assert (drops > 5).sum() > 5  # occasional large restocks
         stats = json.loads((out / "stats.json").read_text())
         assert stats["steps"] == 400
+
+    def test_non_finite_jump_rate_exits_2(self, tmp_path, capsys):
+        """A NaN rate would never pass the horizon; the build rejects it."""
+        cfg = write_config(tmp_path, "jump.json", {"model": "ct_inventory_restock", "horizon": 50})
+        args = ["simulate", "--config", cfg, "--override", "rate=NaN", "--out", tmp_path / "x"]
+        assert run_cli(args) == 2
+        assert "bad override" in capsys.readouterr().err
 
     def test_jump_chain_event_file(self, tmp_path):
         cfg = write_config(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fsdp import ctmdp, dp, spectral
+from fsdp import ctmdp, dp, fixed_point, models, spectral
 from fsdp.ctmdp import (
     CTMDPModel,
     JumpChainSpec,
@@ -101,6 +103,12 @@ class TestJumpChainConversions:
         spec = intensity_to_jump(q)
         assert jump_to_intensity(spec) == pytest.approx(q, abs=1e-12)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0])
+    def test_rates_must_be_finite_and_positive(self, rate):
+        spec = JumpChainSpec(rates=np.array([rate, 1.0]), jump_matrix=np.eye(2)[::-1])
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            jump_to_intensity(spec)
+
     def test_absorbing_state_rejected_in_inverse(self):
         q = np.array([[0.0, 0.0], [0.3, -0.3]])
         with pytest.raises(ValueError):
@@ -183,6 +191,47 @@ class TestSimulateJumpChain:
             occupation[state] += d
         occupation /= occupation.sum()
         assert np.max(np.abs(occupation - psi_star)) < 0.02
+
+
+def _two_state_model(**changes):
+    fields = dict(
+        feasible=np.ones((2, 1), dtype=bool),
+        discount_rate=0.5,
+        reward=np.array([[1.0], [2.0]]),
+        kernel=np.array([[[-1.0, 1.0]], [[0.5, -0.5]]]),
+    )
+    fields.update(changes)
+    return CTMDPModel(**fields)
+
+
+class TestCTMDPModelValidation:
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -0.1])
+    def test_discount_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="discount rate"):
+            _two_state_model(discount_rate=rate)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_intensity_rejected(self, bad):
+        kernel = np.array([[[-1.0, 1.0]], [[bad, -0.5]]])
+        with pytest.raises(ValueError, match="non-finite"):
+            _two_state_model(kernel=kernel)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feasible_reward_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _two_state_model(reward=np.array([[1.0], [bad]]))
+
+    def test_infeasible_reward_may_be_infinite(self):
+        model = _two_state_model(
+            feasible=np.array([[True, False], [True, True]]),
+            reward=np.array([[1.0, -np.inf], [2.0, 0.0]]),
+            kernel=np.array([[[-1.0, 1.0], [0.0, 0.0]], [[0.5, -0.5], [0.0, 0.0]]]),
+        )
+        assert np.array_equal(ct_hpi(model).policy, [0, 0])
+
+    def test_reward_shape_checked(self):
+        with pytest.raises(ValueError, match="shaped"):
+            _two_state_model(reward=np.array([1.0, 2.0]))
 
 
 class TestCTPolicyValue:
@@ -346,3 +395,62 @@ class TestCTHPI:
             dt = dp.solve_hpi(discrete)
             assert np.array_equal(ct.policy, dt.policy)
             assert np.max(np.abs(ct.value - dt.value)) < 1e-8
+
+
+def _oracle_ct_hpi(model):
+    """Dense continuous-time HPI: exact solves of ``delta I - Q_sigma``, ``einsum`` greedy."""
+    n = model.n_states
+    idx = np.arange(n)
+
+    def greedy(v):
+        objective = model.reward + np.einsum("xay,y->xa", model.kernel, v)
+        return np.where(model.feasible, objective, -np.inf).argmax(axis=1)
+
+    def evaluate(sigma):
+        q_sigma = model.kernel[idx, sigma]
+        return np.linalg.solve(model.discount_rate * np.eye(n) - q_sigma, model.reward[idx, sigma])
+
+    start = np.where(model.feasible, model.reward, -np.inf).argmax(axis=1)
+    v, _ = fixed_point.policy_iteration(greedy, evaluate, start, 10_000)
+    return greedy(v)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    m=st.integers(1, 3),
+    delta=st.floats(0.05, 1.0),
+)
+@example(seed=0, n=1, m=2, delta=0.05)
+def test_ct_hpi_matches_dense_oracle(seed, n, m, delta):
+    """Policies equal the dense CT HPI's; values lie within the certified bound."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n)
+    kernel = rng.random((n, m, n)) * (rng.random((n, m, n)) < 0.6)
+    kernel[idx, :, idx] = 0.0
+    kernel[idx, :, idx] = -kernel.sum(axis=2)
+    feasible = rng.random((n, m)) < 0.6
+    feasible[idx, rng.integers(0, m, n)] = True
+    model = CTMDPModel(feasible, delta, rng.standard_normal((n, m)), kernel)
+    result = ct_hpi(model)
+    assert np.array_equal(result.policy, _oracle_ct_hpi(model))
+    sigma = result.policy
+    dense = np.linalg.solve(delta * np.eye(n) - kernel[idx, sigma], model.reward[idx, sigma])
+    slack = 1e-12 * max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(result.value - dense)) <= result.error_bound + slack
+    assert result.residual < 1e-8
+
+
+def test_ct_hpi_makes_no_dense_solve(monkeypatch):
+    built = models.ct_job_search()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    result = ct_hpi(built["ctmdp"])
+    assert result.method == "ct-hpi"
+    assert result.residual < 1e-8
+    assert 0 < result.error_bound < 1e-9
+    assert models.ct_reservation_wage(built, result) == pytest.approx(12.0, abs=1.0)

@@ -219,6 +219,43 @@ class TestIrreducibility:
         assert not markov.is_irreducible(p)
 
 
+class TestSparseChains:
+    """A CSR chain, which ``require_stochastic_matrix`` accepts, gives the dense results."""
+
+    @pytest.mark.parametrize("seed, n", [(7, 1), (8, 6), (9, 40)])
+    def test_irreducible_csr_matches_dense(self, seed, n):
+        p = _irreducible_chain(np.random.default_rng(seed), n, 0.05, 1)
+        csr = sp.csr_matrix(p)
+        assert markov.is_irreducible(csr) and markov.is_irreducible(p)
+        psi = markov.stationary_distribution(p)
+        assert np.max(np.abs(markov.stationary_distribution(csr) - psi)) <= 1e-14
+
+    def test_day_laborer_csr(self):
+        psi = markov.stationary_distribution(sp.csr_matrix(day_laborer()))
+        assert psi == pytest.approx([0.4, 0.6], abs=1e-10)
+
+    def test_reducible_csr_matches_dense(self):
+        p = np.zeros((4, 4))
+        p[:2, :2] = 0.5
+        p[2:, 2:] = 0.5
+        assert not markov.is_irreducible(sp.csr_matrix(p))
+        with pytest.warns(UserWarning, match="reducible"):
+            dense = markov.stationary_distribution(p)
+        with pytest.warns(UserWarning, match="reducible"):
+            sparse = markov.stationary_distribution(sp.csr_matrix(p))
+        assert np.max(np.abs(sparse - dense)) <= 1e-14
+
+    def test_stored_zeros_are_not_edges(self):
+        # Block-diagonal support, with the off-block entries stored as explicit zeros.
+        p = np.zeros((4, 4))
+        p[:2, :2] = 0.5
+        p[2:, 2:] = 0.5
+        csr = sp.csr_matrix(np.where(p > 0, p, 1.0))
+        csr.data[:] = p[csr.nonzero()]
+        assert csr.nnz == 16
+        assert not markov.is_irreducible(csr)
+
+
 class TestConditionalExpectation:
     def test_constants_are_fixed(self):
         p = random_stochastic(np.random.default_rng(7), 6)
