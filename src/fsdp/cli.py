@@ -238,12 +238,12 @@ def build_model(config):
 def _certificate_details(built):
     if "ctmdp" in built:
         model = built["ctmdp"]
-        theta = ctmdp._uniformization_rate(model)
+        mdp, theta = ctmdp._uniformized(model)
         return {
             "kind": "continuous-time",
             "discount_rate": model.discount_rate,
             "uniformization_rate": theta,
-            "beta": theta / (theta + model.discount_rate),
+            "beta": mdp.beta,
         }
     model = built.get("mdp")
     if model is not None and model.state_dependent:

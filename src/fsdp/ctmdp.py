@@ -6,7 +6,6 @@ MDP of :func:`uniformized_mdp` by :mod:`fsdp.dp`'s certified solvers.
 """
 
 import dataclasses
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +79,7 @@ def intensity_to_jump(q):
     return JumpChainSpec(rates=rates, jump_matrix=markov.require_stochastic_matrix(pi))
 
 
-@dataclass
+@dataclasses.dataclass
 class JumpChainPath:
     """Piecewise-constant sample path: jump times and post-jump states."""
 
@@ -136,7 +135,7 @@ def simulate_jump_chain(spec, psi0, horizon, rng):
         block *= 2
 
 
-@dataclass
+@dataclasses.dataclass
 class CTMDPModel:
     """Continuous-time MDP: mask, discount rate, rewards, intensity kernel.
 
@@ -187,11 +186,7 @@ def ct_policy_value(model, sigma):
 
 
 def ct_greedy(model, v):
-    """Greedy policy for the flow trade-off ``r(x,a) + sum_x' v Q(x,a,.)``.
-
-    :func:`fsdp.dp.greedy` on the uniformized model compares ``(r + theta
-    v + Q v) / (theta + delta)``, the same order; ties go to the lowest action.
-    """
+    """Greedy policy for ``r(x,a) + sum_x' v Q(x,a,.)``: :func:`fsdp.dp.greedy`, uniformized."""
     return dp.greedy(uniformized_mdp(model), v)
 
 
@@ -200,9 +195,9 @@ def hjb_residual(model, v):
 
     ``T`` is the Bellman operator of the model uniformized at rate ``theta``.
     """
-    theta = _uniformization_rate(model)
+    mdp, theta = _uniformized(model)
     v = np.asarray(v, dtype=float)
-    step = dp.bellman(uniformized_mdp(model, theta), v) - v
+    step = dp.bellman(mdp, v) - v
     return (theta + model.discount_rate) * float(np.max(np.abs(step)))
 
 
@@ -213,18 +208,11 @@ def ct_hpi(model, sigma0=None, max_iter=10_000):
     ``lam = beta``, which gives ``error_bound``; ``residual`` is the HJB
     residual (:func:`hjb_residual`).
     """
-    theta = _uniformization_rate(model)
-    result = dp.solve_hpi(uniformized_mdp(model, theta), sigma0, max_iter=max_iter)
+    mdp, theta = _uniformized(model)
+    result = dp.solve_hpi(mdp, sigma0, max_iter=max_iter)
     return dataclasses.replace(
         result, method="ct-hpi", residual=(theta + model.discount_rate) * result.residual
     )
-
-
-def _uniformization_rate(model):
-    """Default uniformization rate: 5% above the largest feasible exit rate."""
-    n = model.n_states
-    exit_rates = -model.kernel[np.arange(n), :, np.arange(n)][model.feasible]
-    return float(np.max(exit_rates)) * 1.05 + 1e-9
 
 
 def uniformized_mdp(model, rate=None):
@@ -233,17 +221,29 @@ def uniformized_mdp(model, rate=None):
     With uniformization rate ``theta``, the embedded chain is
     ``P = I + Q / theta`` and the discrete discount factor is
     ``theta / (theta + delta)``; rewards are rescaled by
-    ``1 / (theta + delta)`` so lifetime values coincide.
+    ``1 / (theta + delta)`` so lifetime values coincide.  Off-diagonal
+    intensities are clipped at 0 and each feasible diagonal is one minus
+    its row's off-diagonals, so feasible rows of ``P`` sum to one up to
+    rounding.  The default ``theta`` is 5% above the largest feasible
+    exit rate (the clipped off-diagonal row sums).
     """
+    return _uniformized(model, rate)[0]
+
+
+def _uniformized(model, rate=None):
+    """:func:`uniformized_mdp` and its rate ``theta``."""
     idx = np.arange(model.n_states)
-    theta = _uniformization_rate(model) if rate is None else rate
-    if not theta > 0 or np.any(-model.kernel[idx, :, idx][model.feasible] > theta):
+    kernel = np.clip(model.kernel, 0.0, None)
+    kernel[idx, :, idx] = 0.0
+    exits = kernel.sum(axis=2)
+    if rate is None:
+        rate = float(np.max(exits[model.feasible])) * 1.05 + 1e-9
+    elif not (rate > 0 and np.all(exits[model.feasible] <= rate)):
         raise ValueError("uniformization rate must dominate every exit rate")
-    delta = model.discount_rate
-    kernel = model.kernel / theta
-    kernel[idx, :, idx] += 1.0
+    kernel /= rate
+    kernel[idx, :, idx] = 1.0 - exits / rate
     states, actions = (~model.feasible).nonzero()
     kernel[states, actions] = 0.0
     kernel[states, actions, states] = 1.0
-    reward = model.reward / (theta + delta)
-    return dp.MDPModel(model.feasible, reward, kernel, beta=theta / (theta + delta))
+    scale = rate + model.discount_rate
+    return dp.MDPModel(model.feasible, model.reward / scale, kernel, beta=rate / scale), rate

@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtr
 
 from . import spectral
@@ -160,8 +159,6 @@ def is_irreducible(p):
     reachable from state 0 in the graph and in its reverse.
     """
     p = require_stochastic_matrix(p)
-    if sp.issparse(p):
-        return connected_components(p > 0, directed=True, connection="strong")[0] == 1
     adjacency = p > 0
     return _all_reachable(adjacency, 0) and _all_reachable(adjacency.T, 0)
 
@@ -172,7 +169,8 @@ def _all_reachable(adjacency, source):
     seen[source] = True
     frontier = [source]
     while frontier:
-        nxt = adjacency[frontier].any(axis=0) & ~seen
+        # A boolean sum is a logical or, for dense and CSR adjacency alike.
+        nxt = np.asarray(adjacency[frontier].sum(axis=0, dtype=bool)).ravel() & ~seen
         frontier = np.flatnonzero(nxt).tolist()
         seen |= nxt
     return bool(seen.all())

@@ -442,6 +442,38 @@ def test_ct_hpi_matches_dense_oracle(seed, n, m, delta):
     assert result.residual < 1e-8
 
 
+def _two_action_model(kernel):
+    return CTMDPModel(np.ones((2, 2), dtype=bool), 0.1, np.array([[1.0, 0.0], [0.0, 2.0]]), kernel)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        # An off-diagonal of -1e-13, inside CTMDPModel's -1e-12 allowance.
+        [[[-1.0, 1.0], [1e-13, -1e-13]], [[2.0, -2.0], [0.5, -0.5]]],
+        # Rates near 0.01 (theta < 1) and a row-sum error of 1e-11, inside 1e-10.
+        [[[-0.01, 0.01 + 1e-11], [-0.02, 0.02]], [[0.015, -0.015], [0.01, -0.01]]],
+    ],
+    ids=["negative-dust", "slow-row-sum-error"],
+)
+def test_ct_hpi_solves_every_accepted_model(kernel):
+    """Rounding that CTMDPModel accepts leaves the uniformized kernel stochastic."""
+    model = _two_action_model(np.array(kernel))
+    result = ct_hpi(model)
+    assert np.array_equal(result.policy, _oracle_ct_hpi(model))
+    assert result.residual < 1e-8
+    assert np.all(uniformized_mdp(model).kernel >= 0)
+
+
+def test_explicit_uniformization_rate_must_dominate():
+    kernel = np.array([[[-1.0, 1.0], [-0.5, 0.5]], [[2.0, -2.0], [0.5, -0.5]]])
+    model = _two_action_model(kernel)
+    assert uniformized_mdp(model, rate=2.0).beta == pytest.approx(2.0 / 2.1)
+    for rate in (1.9, 0.0, np.nan):
+        with pytest.raises(ValueError, match="dominate"):
+            uniformized_mdp(model, rate=rate)
+
+
 def test_ct_hpi_makes_no_dense_solve(monkeypatch):
     built = models.ct_job_search()
 
