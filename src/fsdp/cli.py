@@ -362,7 +362,10 @@ def cmd_simulate(args):
         rng = np.random.default_rng(config.get("seed", 0))
         psi0 = np.zeros(spec.rates.size)
         psi0[-1] = 1.0
-        path = ctmdp.simulate_jump_chain(spec, psi0, horizon, rng)
+        try:
+            path = ctmdp.simulate_jump_chain(spec, psi0, horizon, rng)
+        except ValueError as exc:
+            raise ConfigError(f"jump chain rejected: {exc}") from exc
         write_table(
             out / f"events.{fmt}", fmt, ["jump_time", "state"], [path.jump_times, path.states]
         )

@@ -54,12 +54,17 @@ class JumpChainSpec(NamedTuple):
     jump_matrix: np.ndarray
 
 
-def jump_to_intensity(spec):
-    """Intensity matrix ``Q = diag(rates) (Pi - I)`` of a jump chain."""
-    rates = np.asarray(spec.rates, dtype=float)
-    pi = markov.require_stochastic_matrix(spec.jump_matrix)
+def _require_rates(rates):
+    rates = np.asarray(rates, dtype=float)
     if not np.all(np.isfinite(rates) & (rates > 0)):
         raise ValueError("jump rates must be finite and strictly positive")
+    return rates
+
+
+def jump_to_intensity(spec):
+    """Intensity matrix ``Q = diag(rates) (Pi - I)`` of a jump chain."""
+    pi = markov.require_stochastic_matrix(spec.jump_matrix)
+    rates = _require_rates(spec.rates)
     if rates.shape[0] != pi.shape[0]:
         raise ValueError("rates and jump matrix dimensions disagree")
     return rates[:, None] * (pi - np.eye(pi.shape[0]))
@@ -94,7 +99,7 @@ class JumpChainPath:
 
 
 # Jumps drawn in the first block of uniforms; each later block doubles.
-JUMP_BLOCK = 1024
+JUMP_BLOCK = 16
 
 
 def simulate_jump_chain(spec, psi0, horizon, rng):
@@ -106,9 +111,10 @@ def simulate_jump_chain(spec, psi0, horizon, rng):
     uniforms alternate holding time, jump target, as one scalar draw
     each would; they are drawn in blocks, and the generator is left where
     those scalar draws leave it: its state is restored and only the used
-    part of the last block is drawn again.
+    part of the last block is drawn again.  Rates must be finite and
+    positive; they are checked before anything is drawn.
     """
-    rates = np.asarray(spec.rates, dtype=float).tolist()
+    rates = _require_rates(spec.rates).tolist()
     pi = markov.require_stochastic_matrix(spec.jump_matrix)
     psi0 = markov.require_distribution(psi0)
     if horizon <= 0:

@@ -156,8 +156,8 @@ def certified_solve(apply, b, h, lam, tolerance=None):
     ``apply`` is ``x -> L x`` and ``(h, lam)`` its bounding pair.  Works
     on ``b`` scaled to unit sup norm, so the stopping rule does not
     depend on its units.  The target is ``tolerance * max(1,
-    ||x||_inf)``, with ``tolerance`` by default ``max(1e-12, 64 eps / (1
-    - lam))``; returns ``(x, bound)``, and raises
+    ||x||_inf)``, with ``tolerance`` at least, and by default, ``max(1e-12,
+    64 eps / (1 - lam))``; returns ``(x, bound)``, and raises
     :class:`ConvergenceError`, with the bound attached, if
     :data:`SOLVE_PASSES` passes do not get there.
     """
@@ -166,8 +166,8 @@ def certified_solve(apply, b, h, lam, tolerance=None):
         return np.zeros_like(b, dtype=float), 0.0
     system = shifted(apply, b.size)
     b = b / scale
-    if tolerance is None:
-        tolerance = max(1e-12, 64 * np.finfo(float).eps / (1 - lam))
+    floor = max(1e-12, 64 * np.finfo(float).eps / (1 - lam))
+    tolerance = floor if tolerance is None else max(tolerance, floor)
     y, rtol = np.zeros_like(b), tolerance * (1 - lam)
     for _ in range(SOLVE_PASSES):
         y, _ = bicgstab(system, b, x0=y, rtol=rtol, atol=0.0)
@@ -191,13 +191,16 @@ def newton_krylov(op, v0, jvp, h, lam, tolerance, max_iter):
     """Newton's method for ``v = op(v)``, each step a :func:`certified_solve`.
 
     ``op`` contracts with modulus ``lam`` in the sup norm weighted by
-    ``h > 0``, and ``jvp(v)`` returns ``d -> J(v) d`` for its Jacobian,
-    which ``(h, lam)`` bounds too; ``jvp=None`` takes forward differences
-    of ``op``.  ``lam`` may instead be a function ``lam(v, b)``: a modulus
+    ``h > 0``, and ``jvp(v)`` returns ``d -> J(v) d`` for its Jacobian (a
+    generalized one at a kink), which ``(h, lam)`` bounds too.  ``lam``
+    may instead be a function ``lam(v, b)``: a modulus
     of ``op`` on the box ``|u - v| <= b h``, with ``lam(v, 0)`` bounding
     ``J(v)``; it is read at each iterate.  A step solves ``(I - J(v)) d =
     op(v) - v`` and is kept only if it lowers ``||op(v) - v||_inf``;
-    otherwise the step is ``v <- op(v)``.
+    otherwise the step is ``v <- op(v)``.  The first step is solved to
+    :func:`certified_solve`'s default target; each later one only to the
+    last ratio of residuals ``||op(v) - v||_inf``, at most 1e-2 (the
+    forcing terms of Eisenstat and Walker), since the next step corrects it.
 
     With ``r = max(|op(v) - v| / h)``, ``b = 2 r / (1 - lam(v, 0))`` and
     ``lam_b = lam(v, b)``, ``r / (1 - lam_b) <= b`` means ``op`` maps the
@@ -205,25 +208,23 @@ def newton_krylov(op, v0, jvp, h, lam, tolerance, max_iter):
     ``max(h) r / (1 - lam_b)`` of ``v``; for a constant ``lam`` that is
     :func:`error_bound`.  Stops when this certified bound is at most
     ``tolerance``, or ``max(h) r`` is at most the rounding floor ``64 eps
-    max(1, ||v||_inf)``, and returns ``(v, k, bound)``.  After
+    max(1, ||v||_inf)`` and no lower than at the last iterate, and
+    returns ``(v, k, bound)``.  After
     ``max_iter`` steps raises :class:`ConvergenceError` with the last
     iterate as ``last`` and its last ``STEPS_KEPT`` weighted residuals
     ``max(h) r`` as ``steps``, with ``measure`` set to ``"residuals"``.
     """
     eps = np.finfo(float).eps
     modulus = lam if callable(lam) else lambda v, b: lam
+    previous = [None]
 
     def step(state):
         v, tv = state
-        lam_v = modulus(v, 0.0)
-        if jvp is None:
-            # A forward difference is good to about sqrt(eps), so its steps
-            # are solved to the certified solve's floor at that precision.
-            linear, inner = forward_difference(op, v, tv), 64 * np.sqrt(eps) / (1 - lam_v)
-        else:
-            linear, inner = jvp(v), None
+        r, r_prev = sup_step(tv, v), previous[0]
+        previous[0] = r
+        forcing = None if r_prev is None else min(1e-2, r / r_prev)
         try:
-            d = certified_solve(linear, tv - v, h, lam_v, inner)[0]
+            d = certified_solve(jvp(v), tv - v, h, modulus(v, 0.0), forcing)[0]
         except ConvergenceError as exc:
             d = exc.last  # an inexact step; the residual test decides
         w = v + d
@@ -248,11 +249,13 @@ def newton_krylov(op, v0, jvp, h, lam, tolerance, max_iter):
             return np.inf
         return float(np.max(h)) * r / (1 - lam_b)
 
-    def weighted(state, _):
+    def weighted(state, old):
         v, tv = state
         residual = error_bound(tv - v, h, 0.0)
         floor = 64 * eps * max(1.0, float(np.max(np.abs(v))))
-        done = residual <= floor or residual <= tolerance and certified(v, tv) <= tolerance
+        # At the rounding floor, stop once a step no longer lowers the residual.
+        stalled = residual <= floor and residual >= error_bound(old[1] - old[0], h, 0.0)
+        done = stalled or residual <= tolerance and certified(v, tv) <= tolerance
         return 0.0 if done else residual
 
     v0 = np.asarray(v0, dtype=float)

@@ -354,7 +354,12 @@ def conditional_quantile(tau, v, p):
     v = np.asarray(v, dtype=float)
     if v.shape != p.shape[1:]:
         raise ValueError("values and weights must align")
+    return v[_quantile_index(tau, v, p)]
+
+
+def _quantile_index(tau, v, p):
+    """Index into ``v`` of each row's tau-quantile, for a validated dense ``p``."""
     order = np.argsort(v, kind="stable")
-    cum = np.cumsum(p[:, order], axis=1)
-    idx = np.minimum(np.count_nonzero(cum < tau - _QUANTILE_TOL, axis=1), v.size - 1)
-    return v[order][idx]
+    cum = p[:, order]
+    np.cumsum(cum, axis=1, out=cum)
+    return order[np.minimum(np.count_nonzero(cum < tau - _QUANTILE_TOL, axis=1), v.size - 1)]

@@ -115,8 +115,9 @@ def job_search_markov(
     ``alpha``), "risk_sensitive" (entropic continuation with parameter
     ``theta``), and "quantile" (tau-quantile continuation).  The first
     two build MDPs over (employment status, wage); the last two build
-    contracting RDPs over the wage state alone, the risk-sensitive one
-    declared smooth (:class:`~fsdp.rdp.Contracting`).
+    contracting RDPs over the wage state alone, each declaring the
+    (generalized) Jacobian of its policy operators: ``beta`` times the
+    certainty equivalent's derivative on continuing states, else 0.
     """
     grid, p = markov.tauchen(n, rho=rho, nu=nu)
     wages = np.exp(grid)
@@ -144,20 +145,40 @@ def job_search_markov(
             cont = c + (beta / theta) * (np.log(p @ np.exp(shifted - mx)) + mx)
             return np.column_stack([cont, stopping])
 
+        def derivative(v):
+            # The entropic certainty equivalent's derivative is the tilted
+            # law P(e . d) / (P e).
+            shifted = theta * v
+            e = np.exp(shifted - shifted.max())
+            weight = beta / (p @ e)
+            return lambda d: weight * (p @ (e * d))
+
     elif variant == "quantile":
+        if not 0 <= tau <= 1:
+            raise ValueError("tau must lie in [0, 1]")
 
         def aggregator(v):
-            cont = c + beta * markov.conditional_quantile(tau, v, p)
+            cont = c + beta * v[markov._quantile_index(tau, v, p)]
             return np.column_stack([cont, stopping])
+
+        def derivative(v):
+            # The quantile passes through the one successor it selects.
+            j = markov._quantile_index(tau, v, p)
+            return lambda d: beta * d[j]
 
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
+    def jacobian(sigma, v):
+        cont, linear = sigma == 0, derivative(v)
+        return lambda d: np.where(cont, linear(d), 0.0)
+
     model = rdp.RDPModel(
         feasible=np.ones((n, 2), dtype=bool),
         aggregator=aggregator,
-        stability=rdp.Contracting(beta, smooth=variant == "risk_sensitive"),
+        stability=rdp.Contracting(beta),
         extras={"wages": wages},
+        jacobian=jacobian,
     )
     return {
         "kind": "rdp",

@@ -5,9 +5,9 @@ value aggregator evaluated per state-action pair.  Each model declares
 the stability class that certifies its policy operators (sup-norm
 contraction, spectral domination, an invariant order interval, or a
 user-supplied evaluator), and the solvers refuse to iterate without a
-certificate.  A smooth contracting model's policies are evaluated by
-Newton steps on a forward-difference Jacobian, certified to the solve's
-tolerance (:func:`fsdp.fixed_point.newton_krylov`).  Includes
+certificate.  A contracting model that declares the Jacobian of its
+policy operators evaluates policies by Newton steps, certified to the
+solve's tolerance (:func:`fsdp.fixed_point.newton_krylov`).  Includes
 constructors for robust (worst-case kernel), smooth-ambiguity,
 shortest-path, and negative-discount-rate models.
 """
@@ -23,15 +23,9 @@ from .errors import ConvergenceError, StabilityError
 
 @dataclass(frozen=True)
 class Contracting:
-    """Every policy operator contracts in the sup norm with this modulus.
-
-    ``smooth`` declares the policy operators differentiable, so that a
-    policy is evaluated by Newton steps on forward differences; otherwise,
-    as at a kink of a quantile, by iteration.
-    """
+    """Every policy operator contracts in the sup norm with this modulus."""
 
     modulus: float
-    smooth: bool = False
 
 
 @dataclass(frozen=True)
@@ -73,17 +67,19 @@ class UserCertified:
 class RDPModel:
     """Feasibility mask plus a value aggregator and its stability class.
 
-    ``aggregator`` is a callable; vectorized form maps a value vector to
-    the full ``(n, m)`` table of aggregator values (entries at
-    infeasible pairs are ignored), scalar form has signature
-    ``B(x, a, v)``.
+    ``aggregator`` maps a value vector to the full ``(n, m)`` table of
+    aggregator values (entries at infeasible pairs are ignored).
+    ``jacobian(sigma, v)``, if declared, returns the linear map ``d -> J
+    d`` of the policy operator of ``sigma`` at ``v`` (a generalized
+    Jacobian at a kink); a contracting model that declares it evaluates
+    policies by Newton steps.
     """
 
     feasible: np.ndarray
     aggregator: object
     stability: object
-    vectorized: bool = True
     extras: dict = field(default_factory=dict)
+    jacobian: object = None
 
     def __post_init__(self):
         self.feasible = np.asarray(self.feasible, dtype=bool)
@@ -100,15 +96,7 @@ class RDPModel:
 
     def aggregate(self, v):
         """Aggregator values at every state-action pair, shaped (n, m)."""
-        v = np.asarray(v, dtype=float)
-        if self.vectorized:
-            return np.asarray(self.aggregator(v), dtype=float)
-        n, m = self.feasible.shape
-        out = np.empty((n, m))
-        for x in range(n):
-            for a in range(m):
-                out[x, a] = self.aggregator(x, a, v) if self.feasible[x, a] else np.nan
-        return out
+        return np.asarray(self.aggregator(np.asarray(v, dtype=float)), dtype=float)
 
     def policy_count(self):
         return float(np.sum(np.log10(self.feasible.sum(axis=1))))
@@ -183,11 +171,11 @@ def verify_certificate(model, mode="max"):
 def rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
     """Fixed point of the policy operator, computed per stability class.
 
-    Smooth contracting classes take Newton steps on a forward-difference
-    Jacobian (:func:`fixed_point.newton_krylov` with ``h = 1`` and
-    ``lam`` the modulus), so ``tolerance`` bounds ``||v - v_sigma||_inf``.
-    Other contracting and eventually-contracting classes iterate (the
-    latter is certified by the dominating operator); interval classes
+    Contracting classes with a declared Jacobian take Newton steps on it
+    (:func:`fixed_point.newton_krylov` with ``h = 1`` and ``lam`` the
+    modulus), so ``tolerance`` bounds ``||v - v_sigma||_inf``.  Other
+    contracting and eventually-contracting classes iterate (the latter
+    is certified by the dominating operator); interval classes
     squeeze the fixed point between iterations from both ends of the
     bracket.
     """
@@ -197,9 +185,10 @@ def rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
         return np.asarray(stab.evaluator(model, sigma), dtype=float)
     apply = partial(rdp_policy_apply, model, sigma)
     n = model.n_states
-    if isinstance(stab, Contracting) and stab.smooth:
+    if isinstance(stab, Contracting) and model.jacobian is not None:
+        jvp = partial(model.jacobian, sigma)
         return fixed_point.newton_krylov(
-            apply, np.zeros(n), None, np.ones(n), stab.modulus, tolerance, max_iter
+            apply, np.zeros(n), jvp, np.ones(n), stab.modulus, tolerance, max_iter
         )[0]
     if isinstance(stab, ConvexConcave):
 
@@ -226,21 +215,6 @@ def rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
     return fixed_point.iterate(apply, np.zeros(n), 0.0, max_iter, error=step)[0]
 
 
-def _start_value(model):
-    # Zero, or the bottom of the order interval for interval classes.
-    stab = model.stability
-    if isinstance(stab, ConvexConcave):
-        return np.array(stab.lower, dtype=float)
-    return np.zeros(model.n_states)
-
-
-def _start_policy(model, sigma0, mode):
-    # Myopic start: best action against the start value.
-    if sigma0 is None:
-        return rdp_greedy(model, _start_value(model), mode)
-    return np.asarray(sigma0, dtype=np.int64)
-
-
 def rdp_solve(
     model,
     mode="max",
@@ -255,58 +229,40 @@ def rdp_solve(
     Returns a :class:`~fsdp.dp.SolveResult`; the residual reported is the
     sup-norm Bellman residual of the returned value function.  HPI on a
     contracting model also reports ``error_bound``, the certified bound
-    on ``||v - v_sigma||_inf`` of its final policy evaluation.
+    on ``||v - v_sigma||_inf`` of its final policy evaluation.  VFI starts
+    from zero, or the bottom of the order interval for interval classes;
+    HPI and OPI from ``sigma0``, by default greedy against that value.
     """
     verify_certificate(model, mode)
+    stab = model.stability
+    greedy = lambda v: rdp_greedy(model, v, mode)
+    v0 = np.zeros(model.n_states)
+    if isinstance(stab, ConvexConcave):
+        v0 = np.array(stab.lower, dtype=float)
+    start = lambda: greedy(v0) if sigma0 is None else np.asarray(sigma0, dtype=np.int64)
+    method, bound = f"rdp-{algorithm}", None
     if algorithm == "hpi":
-        return _rdp_hpi(model, mode, sigma0, tolerance, max_iter)
-    if algorithm == "vfi":
-        return _rdp_vfi(model, mode, tolerance, max_iter)
-    if algorithm == "opi":
-        return _rdp_opi(model, mode, sigma0, m, tolerance, max_iter)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+        evaluated = []
 
+        def evaluate(sigma):
+            evaluated.append(sigma)
+            return rdp_policy_value(model, sigma, tolerance)
 
-def _rdp_finish(model, v, mode, iterations, method, error_bound=None):
-    return dp._finish(
-        v, rdp_greedy(model, v, mode), rdp_bellman(model, v, mode), iterations, method, error_bound
-    )
-
-
-def _rdp_hpi(model, mode, sigma0, tolerance, max_iter):
-    evaluated = []
-
-    def evaluate(sigma):
-        evaluated.append(sigma)
-        return rdp_policy_value(model, sigma, tolerance)
-
-    v, k = fixed_point.policy_iteration(
-        lambda v: rdp_greedy(model, v, mode), evaluate, _start_policy(model, sigma0, mode), max_iter
-    )
-    bound = None
-    if isinstance(model.stability, Contracting):
-        res = rdp_policy_apply(model, evaluated[-1], v) - v
-        bound = fixed_point.error_bound(res, np.ones(model.n_states), model.stability.modulus)
-    return _rdp_finish(model, v, mode, k, "rdp-hpi", bound)
-
-
-def _rdp_vfi(model, mode, tolerance, max_iter):
-    v, k, _ = fixed_point.value_iteration(
-        lambda v: rdp_bellman(model, v, mode), _start_value(model), tolerance, max_iter
-    )
-    return _rdp_finish(model, v, mode, k, "rdp-vfi")
-
-
-def _rdp_opi(model, mode, sigma0, m, tolerance, max_iter):
-    v, k = fixed_point.optimistic_policy_iteration(
-        lambda v: rdp_greedy(model, v, mode),
-        lambda sigma: partial(rdp_policy_apply, model, sigma),
-        rdp_policy_value(model, _start_policy(model, sigma0, mode), tolerance),
-        m,
-        tolerance,
-        max_iter,
-    )
-    return _rdp_finish(model, v, mode, k, f"rdp-opi(m={m})")
+        v, k = fixed_point.policy_iteration(greedy, evaluate, start(), max_iter)
+        if isinstance(stab, Contracting):
+            res = rdp_policy_apply(model, evaluated[-1], v) - v
+            bound = fixed_point.error_bound(res, np.ones(model.n_states), stab.modulus)
+    elif algorithm == "vfi":
+        bellman = lambda v: rdp_bellman(model, v, mode)
+        v, k, _ = fixed_point.value_iteration(bellman, v0, tolerance, max_iter)
+    elif algorithm == "opi":
+        operator = lambda sigma: partial(rdp_policy_apply, model, sigma)
+        v = rdp_policy_value(model, start(), tolerance)
+        v, k = fixed_point.optimistic_policy_iteration(greedy, operator, v, m, tolerance, max_iter)
+        method = f"rdp-opi(m={m})"
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return dp._finish(v, greedy(v), rdp_bellman(model, v, mode), k, method, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +270,11 @@ def _rdp_opi(model, mode, sigma0, m, tolerance, max_iter):
 
 
 def from_mdp(mdp_model):
-    """Wrap an MDP as an RDP with the same Bellman equation."""
+    """Wrap an MDP as an RDP with the same Bellman equation.
+
+    The policy operators are affine, with Jacobian the kernel's
+    ``policy_operator``, so each evaluation is one certified linear solve.
+    """
     if mdp_model.state_dependent:
         raise ValueError("wrap constant-discount models only")
 
@@ -324,8 +284,9 @@ def from_mdp(mdp_model):
     return RDPModel(
         feasible=mdp_model.feasible,
         aggregator=aggregator,
-        stability=Contracting(mdp_model.beta, smooth=True),
+        stability=Contracting(mdp_model.beta),
         extras={"mdp": mdp_model},
+        jacobian=lambda sigma, v: mdp_model.transitions.policy_operator(sigma),
     )
 
 

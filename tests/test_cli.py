@@ -276,6 +276,17 @@ class TestSimulate:
         assert run_cli(args) == 2
         assert "bad override" in capsys.readouterr().err
 
+    def test_simulator_rate_check_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A spec that bypasses the build's checks is rejected by the simulator."""
+        built = ZOO["ct_inventory_restock"].build()
+        rates = built["jump_spec"].rates.copy()
+        rates[0] = np.nan
+        built["jump_spec"] = built["jump_spec"]._replace(rates=rates)
+        monkeypatch.setattr(cli, "build_model", lambda config: built)
+        cfg = write_config(tmp_path, "jump.json", {"model": "ct_inventory_restock", "horizon": 50})
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "finite and strictly positive" in capsys.readouterr().err
+
     def test_jump_chain_event_file(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -174,6 +174,34 @@ class TestSimulateJumpChain:
             counts[path(1.0)] += 1
         assert np.max(np.abs(counts / paths - p_one[start])) < 0.01
 
+    @pytest.mark.parametrize("horizon", [1.0, 10.0, 1e4])
+    def test_draws_match_one_scalar_draw_per_uniform(self, horizon):
+        spec = intensity_to_jump(random_intensity(np.random.default_rng(10), 3))
+        psi0 = np.array([0.2, 0.3, 0.5])
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        path = simulate_jump_chain(spec, psi0, horizon, rng)
+        cum, t = np.cumsum(spec.jump_matrix, axis=1), 0.0
+        state = int(np.searchsorted(np.cumsum(psi0), ref.random(), side="right"))
+        times, states = [t], [state]
+        while t <= horizon:
+            t += -np.log(ref.random()) / spec.rates[state]
+            state = int(np.searchsorted(cum[state], ref.random(), side="right"))
+            times.append(t)
+            states.append(state)
+        assert np.array_equal(path.jump_times, times)
+        assert np.array_equal(path.states, states)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    def test_rates_are_checked_before_any_draw(self, rate):
+        # A NaN rate makes the time NaN, which never passes the horizon.
+        spec = JumpChainSpec(rates=np.array([rate, 1.0]), jump_matrix=np.ones((2, 2)) / 2)
+        rng = np.random.default_rng(12)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            simulate_jump_chain(spec, [1.0, 0.0], 5.0, rng)
+        assert rng.bit_generator.state == state
+
     def test_occupation_fractions_approach_stationary_distribution(self):
         rng = np.random.default_rng(9)
         q = random_intensity(rng, 3)

@@ -582,6 +582,35 @@ class TestSolverTriad:
             assert np.max(np.abs(hpi.value - vfi.value)) < 1e-6
             assert np.max(np.abs(hpi.value - opi.value)) < 1e-6
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        m=st.integers(2, 4),
+        beta=st.floats(0.05, 0.95),
+        mode=st.sampled_from(["max", "min"]),
+    )
+    def test_vfi_hpi_and_opi_agree_on_the_optimal_policy(self, seed, n, m, beta, mode):
+        rng = np.random.default_rng(seed)
+        feasible = rng.random((n, m)) < 0.7
+        feasible[np.arange(n), rng.integers(0, m, n)] = True
+        model = MDPModel(feasible, rng.standard_normal((n, m)), _stochastic(rng, (n, m, n)), beta=beta)
+        hpi = solve_hpi(model, mode=mode)
+        vfi = solve_vfi(model, mode=mode)
+        opi = solve_opi(model, m=5, mode=mode)
+        # A greedy policy is optimal where the best action leads the second
+        # best at v* by more than twice the policy error bound of the value
+        # it is greedy at: VFI's, and the same a-posteriori bound for OPI's
+        # Bellman residual.  Draws with a closer race are dropped; a state
+        # with one feasible action has an infinite gap.
+        sign = 1.0 if mode == "max" else -1.0
+        q = np.sort(np.where(feasible, sign * dp.q_factors(model, hpi.value), -np.inf), axis=1)
+        gap = q[:, -1] - q[:, -2]
+        bound = max(vfi.error_bound, 2 * beta / (1 - beta) * opi.residual)
+        assume(np.min(gap) > 2 * bound)
+        assert np.array_equal(vfi.policy, hpi.policy)
+        assert np.array_equal(opi.policy, hpi.policy)
+
     def test_vfi_from_fixed_point_terminates_immediately(self):
         rng = np.random.default_rng(8)
         model = random_mdp(rng)

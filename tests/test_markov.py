@@ -477,6 +477,37 @@ class TestQuantile:
         want = np.array([markov.quantile(tau, v, row) for row in p])
         assert np.array_equal(markov.conditional_quantile(tau, v, p), want)
 
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        tau=st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.0, 1.0)),
+        ties=st.booleans(),
+        quarters=st.booleans(),
+    )
+    def test_quantile_index_selects_the_conditional_quantile(self, seed, n, tau, ties, quarters):
+        """The unchecked helper of the quantile job search, and its Jacobian.
+
+        Rows of quarter masses put cumulative masses exactly on ``tau``.
+        """
+        rng = np.random.default_rng(seed)
+        v = rng.integers(0, 4, n).astype(float) if ties else rng.permutation(n).astype(float)
+        if quarters:
+            p = rng.multinomial(4, np.full(n, 1.0 / n), size=n) / 4.0
+        else:
+            p = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+            p[:, 0] += 0.01
+            p /= p.sum(axis=1, keepdims=True)
+        j = markov._quantile_index(tau, v, p)
+        want = np.array([markov.quantile(tau, v, row) for row in p])
+        assert np.array_equal(v[j], want)
+        assert np.array_equal(markov.conditional_quantile(tau, v, p), want)
+        if not ties:
+            # Moves below half the spacing keep the order, so the quantile
+            # moves with the successor it selects: d -> d[j] is its Jacobian.
+            d = rng.uniform(-0.4, 0.4, n)
+            assert np.array_equal(markov.conditional_quantile(tau, v + d, p), (v + d)[j])
+
     def test_conditional_quantile_checks_inputs(self):
         p = np.eye(2)
         with pytest.raises(ValueError):
