@@ -456,14 +456,12 @@ def cmd_spectral(args):
         report["dominant_value"] = pair.value
         report["dominant_right"] = pair.right
         report["dominant_left"] = pair.left
-    off = matrix.copy()
-    np.fill_diagonal(off, 0.0)
-    is_intensity = bool(
-        np.all(off >= 0) and np.all(np.abs(matrix.sum(axis=1)) <= 1e-10)
-    )
-    report["is_intensity_matrix"] = is_intensity
-    if is_intensity:
+    try:
+        ctmdp.require_intensity_matrix(matrix)
+        report["is_intensity_matrix"] = True
         report["note"] = "rows sum to zero: valid intensity matrix, spectral bound governs flows"
+    except ValueError:
+        report["is_intensity_matrix"] = False
     out = args.out
     text = json.dumps(_jsonify(report), indent=1, sort_keys=True) + "\n"
     if out:

@@ -12,10 +12,8 @@ import numpy as np
 
 from . import dp, markov, spectral
 
-ROW_SUM_TOL = 1e-10
 
-
-def require_intensity_matrix(q, tol=ROW_SUM_TOL, repair=False):
+def require_intensity_matrix(q, repair=False):
     """Validate an intensity matrix: nonnegative off-diagonal, zero row sums.
 
     Row-sum repair (subtracting the excess from the diagonal) is only
@@ -27,7 +25,7 @@ def require_intensity_matrix(q, tol=ROW_SUM_TOL, repair=False):
     if np.any(off < 0):
         raise ValueError("off-diagonal intensities must be nonnegative")
     sums = q.sum(axis=1)
-    if np.any(np.abs(sums) > tol):
+    if markov.rows_off(sums, 0.0):
         if not repair:
             raise ValueError(
                 f"row sums deviate from 0 by up to {np.max(np.abs(sums)):.3g}"
@@ -175,7 +173,7 @@ class CTMDPModel:
             raise ValueError("intensity kernel has non-finite entries")
         states = self.feasible.nonzero()[0]
         rows = self.kernel[self.feasible]
-        if not np.all(np.abs(rows.sum(axis=1)) <= ROW_SUM_TOL):
+        if markov.rows_off(rows.sum(axis=1), 0.0):
             raise ValueError("feasible intensity rows must sum to zero")
         rows[np.arange(states.size), states] = 0.0
         if np.any(rows < -1e-12):

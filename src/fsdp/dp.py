@@ -35,10 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
-from . import fixed_point, spectral
+from . import fixed_point, markov, spectral
 from .errors import ConvergenceError, StabilityError
-
-ROW_SUM_TOL = 1e-10
 
 # Exhaustive per-policy stability checks are combinatorial; above this
 # many policies a uniform dominating operator must be supplied.
@@ -72,10 +70,9 @@ def _check_entries(entries, what):
 
 
 def _check_rows(sums, what):
-    # Written so that a NaN sum counts as bad.
-    bad = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
-    if bad.any():
-        raise ValueError(f"{int(bad.sum())} {what} rows do not sum to 1 (tol {ROW_SUM_TOL})")
+    bad = markov.rows_off(sums)
+    if bad:
+        raise ValueError(f"{bad} {what} rows do not sum to 1 (tol {markov.ROW_SUM_TOL})")
 
 
 class Flat:

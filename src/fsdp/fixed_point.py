@@ -91,13 +91,6 @@ def _diverged(u):
     return not np.all(np.isfinite(u)) or np.max(np.abs(u)) > DIVERGENCE_LIMIT
 
 
-def bounded_step(new, old):
-    """:func:`sup_step`; a non-finite ``new`` or one above ``DIVERGENCE_LIMIT`` raises."""
-    if _diverged(new):
-        raise ConvergenceError("iteration diverged", last=old)
-    return sup_step(new, old)
-
-
 def iterate(op, x, tolerance, max_iter, history=None, error=sup_step):
     """Apply ``x <- op(x)`` until ``error(new, old) <= tolerance``; return ``(x, k, err)``.
 

@@ -4,11 +4,13 @@ Certainty-equivalent operators, aggregators, Koopmans operators (their
 composition), and stability-aware solvers for the lifetime values they
 define: Blackwell contractions, the power-transformed-affine conjugacy
 used for Epstein-Zin preferences, Uzawa linear reduction, and
-order-interval bracketing.  Additive aggregation of an expectation or
-entropic certainty equivalent, and the Uzawa reduction, are solved by
-Newton steps on the certainty equivalent's Jacobian, with a certified
-error bound (:func:`fsdp.fixed_point.newton_krylov`); so is the
-power-affine conjugate, in log space, stopping on a box certificate.
+order-interval bracketing.  Each certainty equivalent declares its
+(generalized) Jacobian and each aggregator its slope once, here; a
+Koopmans operator's Jacobian composes the two.  Every Blackwell
+contraction and the Uzawa reduction are solved by Newton steps on it,
+with a certified error bound (:func:`fsdp.fixed_point.newton_krylov`);
+so is the power-affine conjugate, in log space, stopping on a box
+certificate.
 The entropic and power certainty equivalents cost one matrix-vector
 product under one global shift; only rows whose sum underflows are
 recomputed with a shift of their own.
@@ -170,7 +172,15 @@ class QuantileCE(_CertaintyEquivalent):
         self.tau = float(tau)
 
     def __call__(self, v):
-        return markov.conditional_quantile(self.tau, v, self.p)
+        v = np.asarray(v, dtype=float)
+        if v.shape != self.p.shape[1:]:
+            raise ValueError("values and weights must align")
+        return v[markov._quantile_index(self.tau, v, self.p)]
+
+    def jacobian(self, v):
+        """The selection ``d -> d[j(v)]`` of each row's quantile: a generalized Jacobian."""
+        j = markov._quantile_index(self.tau, np.asarray(v, dtype=float), self.p)
+        return LinearOperator(self.p.shape, matvec=lambda d: np.ravel(d)[j], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +189,11 @@ class QuantileCE(_CertaintyEquivalent):
 
 class _Aggregator:
     """Pointwise map combining current-state rewards with an adjusted
-    continuation value; increasing in the continuation argument."""
+    continuation value; increasing in the continuation argument.
+
+    ``derivative(ce, v)``, where declared, is the pointwise slope in the
+    continuation argument at ``ce(v)``; only a slope that depends on it
+    computes ``ce(v)``."""
 
     blackwell_modulus = None
 
@@ -197,6 +211,9 @@ class Additive(_Aggregator):
     def __call__(self, rv):
         return self.r + self.beta * rv
 
+    def derivative(self, ce, v):
+        return self.beta
+
 
 class Leontief(_Aggregator):
     def __init__(self, r, beta):
@@ -207,6 +224,10 @@ class Leontief(_Aggregator):
 
     def __call__(self, rv):
         return np.minimum(self.r, self.beta * rv)
+
+    def derivative(self, ce, v):
+        # The min passes through only its active argument.
+        return np.where(self.beta * ce(v) < self.r, self.beta, 0.0)
 
 
 class Uzawa(_Aggregator):
@@ -220,6 +241,9 @@ class Uzawa(_Aggregator):
 
     def __call__(self, rv):
         return self.r + self.b * rv
+
+    def derivative(self, ce, v):
+        return self.b
 
 
 class CES(_Aggregator):
@@ -275,6 +299,11 @@ class KoopmansOperator:
         self.check_domain(v)
         return self.aggregator(self.ce(v))
 
+    def jacobian(self, v):
+        """``d -> A'(C v) * (C'(v) d)``: the aggregator's slope times the certainty equivalent's Jacobian."""
+        slope, w = self.aggregator.derivative(self.ce, v), self.ce.jacobian(v)
+        return lambda d: slope * (w @ d)
+
     def check_domain(self, v):
         if isinstance(self.domain, tuple):
             lo, hi = self.domain
@@ -320,9 +349,9 @@ class LifetimeValueResult(NamedTuple):
     """A lifetime value and how it was found.
 
     ``error_bound`` bounds ``||value - v*||_inf``: the certified bound of
-    a Newton solve, ``beta / (1 - beta)`` times the last step of a
-    contraction iteration, or half the bracket's tolerance.  The
-    conjugate solves state none.
+    the Newton solve of a contraction or the Uzawa reduction (at most the
+    tolerance, unless the solve stopped at the rounding floor), or half
+    the bracket's tolerance.  The conjugate solves state none.
     """
 
     value: np.ndarray
@@ -341,36 +370,25 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
     ``bracket=(v1, v2)``.  Refuses to iterate blind: raises
     :class:`~fsdp.errors.StabilityError` when no certificate applies.
 
-    ``Additive`` aggregation of an ``Expectation`` or ``Entropic``
-    certainty equivalent, and the Uzawa reduction, are solved by
-    :func:`fixed_point.newton_krylov` with the certainty equivalent's
-    Jacobian; ``cfg.tolerance`` (default 1e-10) is then a certified bound
-    on ``||value - v*||_inf``.  Other contractions iterate until the step
-    is at most ``cfg.tolerance``, and a bracket until its gap is.
+    A Blackwell contraction (``h = 1`` and ``lam`` its modulus) and the
+    Uzawa reduction (the bounding pair of ``b P``) are solved by
+    :func:`fixed_point.newton_krylov` on :meth:`KoopmansOperator.jacobian`;
+    ``cfg.tolerance`` (default 1e-10) is then a certified bound on
+    ``||value - v*||_inf``.  A bracket iterates until its gap is at
+    most ``cfg.tolerance``.
     """
     tol = cfg.tolerance if cfg else 1e-10
     max_iter = cfg.max_iter if cfg else 100_000
     agg, ce = k.aggregator, k.ce
     n = ce.p.shape[0]
 
-    def newton(slope, h, lam, method):
-        def jvp(v):
-            w = ce.jacobian(v)
-            return lambda d: slope * (w @ d)
-
-        v, iterations, bound = fixed_point.newton_krylov(k, np.zeros(n), jvp, h, lam, tol, max_iter)
+    def newton(h, lam, method):
+        v, iterations, bound = fixed_point.newton_krylov(k, np.zeros(n), k.jacobian, h, lam, tol, max_iter)
         return LifetimeValueResult(v, method, iterations, _residual(k, v), bound)
 
     check = blackwell_contraction_check(k)
     if check.classification == "contraction":
-        if isinstance(agg, Additive) and isinstance(ce, (Expectation, Entropic)):
-            return newton(agg.beta, np.ones(n), agg.beta, "blackwell-contraction")
-        v0 = np.full(n, 1.0) if ce.requires_positive else np.zeros(n)
-        v, iterations, step = fixed_point.iterate(
-            k, v0, tol, max_iter, error=fixed_point.bounded_step
-        )
-        bound = check.modulus / (1 - check.modulus) * step
-        return LifetimeValueResult(v, "blackwell-contraction", iterations, _residual(k, v), bound)
+        return newton(np.ones(n), check.modulus, "blackwell-contraction")
 
     if isinstance(agg, CES) and isinstance(ce, KrepsPorteus):
         if not agg.beta < 1:
@@ -386,7 +404,7 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
         pair = spectral.check_radius_below_one(agg.b[:, None] * ce.p, "discount operator b*P")
         if pair is None:
             raise ConvergenceError("no bounding vector certifies b*P", bound=np.inf)
-        return newton(agg.b, *pair, "uzawa-spectral")
+        return newton(*pair, "uzawa-spectral")
 
     if bracket is not None:
         v, iterations = bracketed_fixed_point(k, bracket[0], bracket[1], tol, max_iter)

@@ -37,25 +37,30 @@ class TauchenSpec(NamedTuple):
     m: float = 3.0
 
 
-def require_distribution(weights, tol=ROW_SUM_TOL):
+def rows_off(sums, target=1.0):
+    """How many ``sums`` lie farther than ``ROW_SUM_TOL`` from ``target``; a NaN sum does."""
+    return int(np.count_nonzero(~(np.abs(sums - target) <= ROW_SUM_TOL)))
+
+
+def require_distribution(weights):
     """Validate and return a finite distribution as a float array."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("distribution must be a nonempty 1-d array")
     if np.any(w < 0):
         raise ValueError("distribution has negative weights")
-    if abs(w.sum() - 1.0) > tol:
+    if rows_off(w.sum()):
         raise ValueError(f"weights sum to {w.sum():.12g}, not 1")
     return w
 
 
-def require_stochastic_matrix(p, tol=ROW_SUM_TOL, repair=False):
+def require_stochastic_matrix(p, repair=False):
     """Validate a stochastic matrix, optionally renormalizing rows.
 
-    Row sums must equal one within ``tol``.  Renormalization happens
-    only behind the explicit ``repair`` flag, since silent repair hides
-    modeling bugs.  A sparse matrix is checked on its stored entries and
-    returned as CSR, with no dense copy.
+    Row sums must equal one within ``ROW_SUM_TOL``.  Renormalization
+    happens only behind the explicit ``repair`` flag, since silent repair
+    hides modeling bugs.  A sparse matrix is checked on its stored
+    entries and returned as CSR, with no dense copy.
     """
     if sp.issparse(p):
         p = sp.csr_matrix(p)
@@ -69,7 +74,7 @@ def require_stochastic_matrix(p, tol=ROW_SUM_TOL, repair=False):
     if np.any(entries < 0):
         raise ValueError("stochastic matrix has negative entries")
     sums = np.asarray(p.sum(axis=1)).reshape(-1)
-    if np.any(np.abs(sums - 1.0) > tol):
+    if rows_off(sums):
         if not repair:
             worst = float(np.max(np.abs(sums - 1.0)))
             raise ValueError(f"row sums deviate from 1 by up to {worst:.3g}")

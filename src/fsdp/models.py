@@ -10,8 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import betaln, comb
 
-from . import ctmdp, dp, fixed_point, markov, rdp, spectral
-from .errors import ConvergenceError
+from . import ctmdp, dp, fixed_point, koopmans, markov, rdp, spectral
 
 # ---------------------------------------------------------------------------
 # Job search, IID offers
@@ -115,9 +114,11 @@ def job_search_markov(
     ``alpha``), "risk_sensitive" (entropic continuation with parameter
     ``theta``), and "quantile" (tau-quantile continuation).  The first
     two build MDPs over (employment status, wage); the last two build
-    contracting RDPs over the wage state alone, each declaring the
-    (generalized) Jacobian of its policy operators: ``beta`` times the
-    certainty equivalent's derivative on continuing states, else 0.
+    contracting RDPs over the wage state alone.  Their continuation is
+    the Koopmans operator ``c + beta C(v)`` of
+    :class:`~fsdp.koopmans.Entropic` or :class:`~fsdp.koopmans.QuantileCE`,
+    and the (generalized) Jacobian of a policy operator is that
+    operator's Jacobian on continuing states, else 0.
     """
     grid, p = markov.tauchen(n, rho=rho, nu=nu)
     wages = np.exp(grid)
@@ -134,43 +135,22 @@ def job_search_markov(
             "unemployed": slice(0, wages.size),
         }
 
-    stopping = wages / (1 - beta)
     if variant == "risk_sensitive":
         if theta == 0:
             raise ValueError("theta must be nonzero; use the plain variant instead")
-
-        def aggregator(v):
-            shifted = theta * v
-            mx = shifted.max()
-            cont = c + (beta / theta) * (np.log(p @ np.exp(shifted - mx)) + mx)
-            return np.column_stack([cont, stopping])
-
-        def derivative(v):
-            # The entropic certainty equivalent's derivative is the tilted
-            # law P(e . d) / (P e).
-            shifted = theta * v
-            e = np.exp(shifted - shifted.max())
-            weight = beta / (p @ e)
-            return lambda d: weight * (p @ (e * d))
-
+        ce = koopmans.Entropic(theta, p)
     elif variant == "quantile":
-        if not 0 <= tau <= 1:
-            raise ValueError("tau must lie in [0, 1]")
-
-        def aggregator(v):
-            cont = c + beta * v[markov._quantile_index(tau, v, p)]
-            return np.column_stack([cont, stopping])
-
-        def derivative(v):
-            # The quantile passes through the one successor it selects.
-            j = markov._quantile_index(tau, v, p)
-            return lambda d: beta * d[j]
-
+        ce = koopmans.QuantileCE(tau, p)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    continuation = koopmans.KoopmansOperator(koopmans.Additive(c, beta), ce)
+    stopping = wages / (1 - beta)
+
+    def aggregator(v):
+        return np.column_stack([continuation(v), stopping])
 
     def jacobian(sigma, v):
-        cont, linear = sigma == 0, derivative(v)
+        cont, linear = sigma == 0, continuation.jacobian(v)
         return lambda d: np.where(cont, linear(d), 0.0)
 
     model = rdp.RDPModel(
@@ -913,20 +893,22 @@ def ez_savings_solve_subordinate(built, tolerance=1e-9, max_policy_iter=200):
 
 
 def _warm_policy_iteration(greedy, policy_operator, v, shape, tolerance, max_policy_iter):
-    """Policy iteration from the zero policy until it repeats; returns ``(sigma, v)``.
+    """:func:`fixed_point.policy_iteration` from the zero policy; returns ``(sigma, v)``.
 
     Each evaluation iterates ``policy_operator(sigma)`` from the last
-    value to a weighted step of at most ``tolerance``.
+    value to a weighted step of at most ``tolerance``; at most
+    ``max_policy_iter`` policies are evaluated.  As in :mod:`fsdp.dp`,
+    the policy returned is greedy at the value returned.
     """
-    sigma = np.zeros(shape, dtype=np.int64)
     weighted = lambda new, old: np.max(np.abs(new - old) / (1.0 + np.abs(old)))
-    for _ in range(max_policy_iter):
-        v = fixed_point.iterate(policy_operator(sigma), v, tolerance, 100_000, error=weighted)[0]
-        sigma_new = greedy(v)
-        if np.array_equal(sigma_new, sigma):
-            return sigma, v
-        sigma = sigma_new
-    raise ConvergenceError("policy iteration failed to settle", last=v)
+    last = [v]
+
+    def evaluate(sigma):
+        last[0] = fixed_point.iterate(policy_operator(sigma), last[0], tolerance, 100_000, error=weighted)[0]
+        return last[0]
+
+    v, _ = fixed_point.policy_iteration(greedy, evaluate, np.zeros(shape, dtype=np.int64), max_policy_iter - 1)
+    return greedy(v), v
 
 
 # ---------------------------------------------------------------------------

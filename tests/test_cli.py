@@ -212,6 +212,17 @@ class TestSolve:
             )
         assert outs[0] == outs[1]
 
+    def test_steep_risk_sensitive_job_search_solves(self, tmp_path):
+        # exp(theta v) under one global shift underflows whole rows at theta = 10.
+        overrides = {"variant": "risk_sensitive", "theta": 10}
+        cfg = write_config(
+            tmp_path, "cfg.json", {"model": "job_search_markov", "solver": "hpi", "overrides": overrides}
+        )
+        out = tmp_path / "r"
+        assert run_cli(["solve", "--config", cfg, "--out", out]) == 0
+        values = np.loadtxt(out / "value.csv", delimiter=",", skiprows=1)[:, 1]
+        assert values.size == 200 and np.all(np.isfinite(values))
+
     def test_cli_override_changes_build(self, tmp_path):
         cfg = write_config(
             tmp_path, "cfg.json", {"model": "firm_exit", "solver": "hpi", "seed": 0}

@@ -152,6 +152,31 @@ class TestCertaintyEquivalents:
         _check_against_row_shifted(p, vals, np.array([1.0, 2.0]))
         assert Entropic(1.0, p)(vals) == pytest.approx(vals, rel=1e-15)
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        levels=st.integers(1, 30),
+        tau=st.floats(0.0, 1.0),
+    )
+    def test_quantile_jacobian_selects_each_row_quantile(self, seed, n, levels, tau):
+        # Few levels make ties among the values.
+        rng = np.random.default_rng(seed)
+        p = random_stochastic(rng, n) * (rng.random((n, n)) < 0.5)
+        p[np.arange(n), rng.integers(0, n, n)] += 0.01
+        p /= p.sum(axis=1, keepdims=True)
+        v, d = rng.integers(0, levels, n).astype(float), rng.standard_normal(n)
+        ce = QuantileCE(tau, p)
+        jacobian = ce.jacobian(v)
+        assert np.array_equal(jacobian @ d, d[markov._quantile_index(tau, v, p)])
+        assert np.array_equal(jacobian @ np.ones(n), np.ones(n))
+        assert np.array_equal(jacobian @ v, ce(v))
+        assert np.array_equal(ce(v), markov.conditional_quantile(tau, v, p))
+
+    def test_quantile_checks_the_shape_of_v(self):
+        with pytest.raises(ValueError, match="align"):
+            QuantileCE(0.5, np.eye(3))(np.ones(4))
+
     def test_kreps_porteus_rejects_nonpositive(self):
         p = np.eye(2)
         with pytest.raises(ValueError):
@@ -292,16 +317,23 @@ class TestSolveLifetimeValue:
         p = random_stochastic(rng, 6)
         r = rng.random(6) + 0.5
         reference = lambda k: _iterated(k, np.zeros(6), 3000)
-        # Newton: the certified bound; a plain contraction: beta / (1 - beta) times its last step.
+        # Every contraction and the Uzawa reduction: Newton's certified bound.
+        both_active = KoopmansOperator(Leontief(r - 1.0, 0.9), Entropic(-1.0, p))
         for k in (
             KoopmansOperator(Additive(r, 0.9), Entropic(-1.0, p)),
             KoopmansOperator(Additive(r, 0.9), Expectation(p)),
+            KoopmansOperator(Additive(r, 0.9), QuantileCE(0.5, p)),
             KoopmansOperator(Leontief(r, 0.9), QuantileCE(0.5, p)),
+            both_active,
             KoopmansOperator(Uzawa(r, np.linspace(0.5, 0.9, 6)), Expectation(p)),
         ):
             result = solve_lifetime_value(k)
             assert 0 <= result.error_bound <= 1e-10
             assert np.max(np.abs(result.value - reference(k))) <= result.error_bound + 1e-13
+        # The min in both_active takes r at some states and beta C(v) at others.
+        v = solve_lifetime_value(both_active).value
+        reward_active = r - 1.0 < 0.9 * both_active.ce(v)
+        assert reward_active.any() and not reward_active.all()
         # A bracket: half its final gap.
         k = KoopmansOperator(Uzawa(r, np.full(6, 0.9)), Entropic(-0.5, p))
         upper = np.full(6, (r.max() + 1) / (1 - 0.9))

@@ -44,6 +44,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             markov.require_distribution([1.2, -0.2])
 
+    def test_rejects_nan_weights(self):
+        with pytest.raises(ValueError, match="nan"):
+            markov.simulate_chain(np.eye(2), [np.nan, 1.0], 5, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            markov.require_distribution([np.nan])
+
     def test_sparse_checked_without_a_dense_copy(self, monkeypatch):
         p = sp.csr_matrix(ss_inventory_chain(order_size=20, threshold=5, d_max=100))
 
