@@ -171,6 +171,16 @@ def write_table(path, fmt, header, columns):
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
+def _write_json(path, obj):
+    """``obj`` as indented, key-sorted JSON text, also written to ``path`` unless it is empty."""
+    text = json.dumps(_jsonify(obj), indent=1, sort_keys=True) + "\n"
+    if path:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    return text
+
+
 def load_config(path, cli_overrides=None, seed=None):
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -214,7 +224,6 @@ def build_model(config):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad override for {spec_entry!r}: {exc}") from exc
         built["name"] = spec_entry
-        built["kind"] = card.kind
         return built
     if error := _schema_error(spec_entry, INLINE_SCHEMA):
         raise ConfigError(f"inline model failed validation: {error}")
@@ -232,7 +241,7 @@ def build_model(config):
         model = dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"inline model rejected: {exc}") from exc
-    return {"mdp": model, "name": "inline", "kind": "mdp"}
+    return {"mdp": model, "name": "inline"}
 
 
 def _certificate_details(built):
@@ -284,18 +293,11 @@ def run_solver(built, config):
 def model_summary(built, result):
     """Model-specific scalar diagnostics attached to solve metadata."""
     out = {}
-    name = built.get("name", "")
-    if name == "job_search_iid":
-        h_star, w_star = models.job_search_iid_continuation(built)
-        out["continuation_value"] = h_star
-        out["reservation_wage"] = w_star
-        out["grid_reservation_wage"] = models.job_search_iid_reservation_wage(
-            built, result
-        )
-    elif name == "job_search_markov" and "unemployed" in built:
+    if built.get("name") == "job_search_iid":
+        out["continuation_value"], out["reservation_wage"] = models.job_search_iid_continuation(built)
+        out["grid_reservation_wage"] = models.job_search_reservation_wage(built, result)
+    elif "unemployed" in built:
         out["reservation_wage"] = models.job_search_reservation_wage(built, result)
-    elif name == "ct_job_search":
-        out["reservation_wage"] = models.ct_reservation_wage(built, result)
     return out
 
 
@@ -318,11 +320,7 @@ def cmd_solve(args):
         "seed": config.get("seed"),
     }
     metadata.update(model_summary(built, result))
-    (out / "metadata.json").write_text(
-        json.dumps(_jsonify(metadata), indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    _write_json(out / "metadata.json", metadata)
     print(f"solved {built.get('name')}: residual {result.residual:.3e} -> {out}")
     return EXIT_OK
 
@@ -385,11 +383,7 @@ def cmd_simulate(args):
         ["state", "frequency"],
         [np.arange(occupation.size), occupation],
     )
-    (out / "stats.json").write_text(
-        json.dumps(_jsonify(stats), indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    _write_json(out / "stats.json", stats)
     print(f"simulated {stats['steps']} steps -> {out}")
     return EXIT_OK
 
@@ -462,13 +456,7 @@ def cmd_spectral(args):
         report["note"] = "rows sum to zero: valid intensity matrix, spectral bound governs flows"
     except ValueError:
         report["is_intensity_matrix"] = False
-    out = args.out
-    text = json.dumps(_jsonify(report), indent=1, sort_keys=True) + "\n"
-    if out:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
-    sys.stdout.write(text)
+    sys.stdout.write(_write_json(args.out, report))
     return EXIT_OK
 
 

@@ -376,11 +376,6 @@ def q_factors(model, v):
     return model.reward + expected_values(model, v)
 
 
-def _masked(model, q, mode):
-    fill = -np.inf if mode == "max" else np.inf
-    return np.where(model.feasible, q, fill)
-
-
 def _masked_q_factors(model, v, mode):
     """Action values, infeasible pairs at -inf (max) or +inf (min), built in place.
 
@@ -566,10 +561,9 @@ def _finish(v, sigma, tv, iterations, method, error_bound=None, history=None):
 
 
 def _start_policy(model, sigma0, mode):
-    """``sigma0`` as an index array, or the myopic (best-reward) policy if None."""
+    """``sigma0`` as an index array, or the myopic (best-reward) policy, greedy at zero, if None."""
     if sigma0 is None:
-        fill = _masked(model, model.reward, mode)
-        return fill.argmax(axis=1) if mode == "max" else fill.argmin(axis=1)
+        return greedy(model, np.zeros(model.n_states), mode)
     return np.asarray(sigma0, dtype=np.int64)
 
 
@@ -683,7 +677,7 @@ class FactorizedOperators:
         return self.model.reward + self.model.beta * np.asarray(g, dtype=float)
 
     def M(self, q):
-        return _masked(self.model, q, "max").max(axis=1)
+        return np.where(self.model.feasible, q, -np.inf).max(axis=1)
 
     def M_sigma(self, q, sigma):
         return np.asarray(q)[np.arange(self.model.n_states), sigma]

@@ -246,22 +246,6 @@ class Uzawa(_Aggregator):
         return self.b
 
 
-class CES(_Aggregator):
-    """Constant-elasticity aggregation ``(r^alpha + beta y^alpha)^(1/alpha)``."""
-
-    def __init__(self, r, beta, alpha):
-        if alpha == 0:
-            raise ValueError("alpha must be nonzero")
-        self.r = np.asarray(r, dtype=float)
-        if np.any(self.r <= 0):
-            raise ValueError("CES aggregation requires strictly positive rewards")
-        self.beta = float(beta)
-        self.alpha = float(alpha)
-
-    def __call__(self, rv):
-        return (self.r**self.alpha + self.beta * rv**self.alpha) ** (1 / self.alpha)
-
-
 class CESUzawa(_Aggregator):
     """CES aggregation with a state-dependent discount weight."""
 
@@ -276,6 +260,14 @@ class CESUzawa(_Aggregator):
 
     def __call__(self, rv):
         return (self.r**self.alpha + self.b * rv**self.alpha) ** (1 / self.alpha)
+
+
+class CES(CESUzawa):
+    """Constant-elasticity aggregation ``(r^alpha + beta y^alpha)^(1/alpha)``: the constant weight ``b = beta``."""
+
+    def __init__(self, r, beta, alpha):
+        super().__init__(r, beta, alpha)
+        self.beta = float(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +317,8 @@ def blackwell_contraction_check(k, rng=None, trials=20):
     Returns ``contraction(beta)`` when the aggregator shifts constants by
     at most ``beta < 1`` (additive/Leontief) and the certainty equivalent
     is constant-subadditive.  A randomized falsification pass re-checks
-    ``K(v + c) <= K v + beta c`` and downgrades to "unknown" on violation.
+    ``K(v + c) <= K v + beta c`` at points of the declared domain and
+    downgrades to "unknown" on violation.
     """
     agg, ce = k.aggregator, k.ce
     modulus = agg.blackwell_modulus
@@ -334,10 +327,13 @@ def blackwell_contraction_check(k, rng=None, trials=20):
     rng = rng or np.random.default_rng(0)
     n = ce.p.shape[0]
     for _ in range(trials):
-        v = rng.standard_normal(n)
-        if ce.requires_positive:
+        v, lam = rng.standard_normal(n), float(rng.random() * 3)
+        if isinstance(k.domain, tuple):
+            # A point of the interval's lower half, shifted by at most half its width.
+            lo, hi = (np.asarray(end, dtype=float) for end in k.domain)
+            v, lam = lo + rng.random(n) * (hi - lo) / 2, lam / 6 * float(np.min(hi - lo))
+        elif k.domain == "positive" or ce.requires_positive:
             v = np.abs(v) + 0.1
-        lam = float(rng.random() * 3)
         lhs = k(v + lam)
         rhs = k(v) + modulus * lam
         if np.any(lhs > rhs + 1e-9):
@@ -382,8 +378,12 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
     agg, ce = k.aggregator, k.ce
     n = ce.p.shape[0]
 
+    # Newton starts inside the declared domain: at its lower end, at ones, or at zeros.
+    positive = k.domain == "positive" or ce.requires_positive
+    v0 = np.zeros(n) + (k.domain[0] if isinstance(k.domain, tuple) else float(positive))
+
     def newton(h, lam, method):
-        v, iterations, bound = fixed_point.newton_krylov(k, np.zeros(n), k.jacobian, h, lam, tol, max_iter)
+        v, iterations, bound = fixed_point.newton_krylov(k, v0, k.jacobian, h, lam, tol, max_iter)
         return LifetimeValueResult(v, method, iterations, _residual(k, v), bound)
 
     check = blackwell_contraction_check(k)
@@ -534,27 +534,22 @@ def power_affine_solve(h, a, theta, cfg=None):
 
 
 def epstein_zin_value(h, beta, alpha, gamma, p, cfg=None):
-    """Epstein-Zin lifetime value via the power-affine conjugate.
+    """Epstein-Zin lifetime value: :func:`ez_sdd_value` at the constant weight ``beta``.
 
-    Solves ``v = (h + beta (P v^gamma)^(alpha/gamma))^(1/alpha)`` by
-    passing ``v_hat = v^gamma`` through :func:`power_affine_solve` with
-    ``theta = gamma / alpha`` and ``A = beta^theta P``, then mapping back.
+    Solves ``v = (h + beta (P v^gamma)^(alpha/gamma))^(1/alpha)``.
     """
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
-    if alpha == 0 or gamma == 0:
-        raise ValueError("alpha and gamma must be nonzero")
-    p = markov.require_stochastic_matrix(p)
-    theta = gamma / alpha
-    v_hat = power_affine_solve(np.asarray(h, dtype=float), beta**theta * p, theta, cfg)
-    return v_hat ** (1 / gamma)
+    return ez_sdd_value(h, np.full(np.shape(h), beta), alpha, gamma, p, cfg)
 
 
 def ez_sdd_value(h, b, alpha, gamma, p, cfg=None):
     """Epstein-Zin value with state-dependent discount weights ``b``.
 
-    Solves ``v = (h + b (P v^gamma)^(alpha/gamma))^(1/alpha)``; stability
-    requires ``rho(A)**(alpha/gamma) < 1`` for ``A = diag(b^theta) P``.
+    Solves ``v = (h + b (P v^gamma)^(alpha/gamma))^(1/alpha)`` by passing
+    ``v_hat = v^gamma`` through :func:`power_affine_solve` with ``theta =
+    gamma / alpha`` and ``A = diag(b^theta) P``, then mapping back;
+    stability requires ``rho(A)**(alpha/gamma) < 1``.
     """
     if alpha == 0 or gamma == 0:
         raise ValueError("alpha and gamma must be nonzero")

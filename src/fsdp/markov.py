@@ -181,7 +181,7 @@ def _all_reachable(adjacency, source):
     return bool(seen.all())
 
 
-def stationary_distribution(p, warn_on_reducible=True):
+def stationary_distribution(p):
     """Solve ``psi @ p = psi`` with ``psi`` summing to one.
 
     An irreducible ``p`` has one stationary distribution, the solution of
@@ -197,11 +197,7 @@ def stationary_distribution(p, warn_on_reducible=True):
     if irreducible:
         psi = np.linalg.solve(p.T - np.eye(n) + 1.0, np.ones(n))
     else:
-        if warn_on_reducible:
-            warnings.warn(
-                "matrix is reducible: stationary distribution is not unique",
-                stacklevel=2,
-            )
+        warnings.warn("matrix is reducible: stationary distribution is not unique", stacklevel=2)
         a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
         b = np.zeros(n + 1)
         b[-1] = 1.0
@@ -363,8 +359,8 @@ def conditional_quantile(tau, v, p):
 
 
 def _quantile_index(tau, v, p):
-    """Index into ``v`` of each row's tau-quantile, for a validated dense ``p``."""
+    """Index into ``v`` of each row's tau-quantile, for a validated ``p``; CSR rows are densified."""
     order = np.argsort(v, kind="stable")
-    cum = p[:, order]
+    cum = p[:, order].toarray() if sp.issparse(p) else p[:, order]
     np.cumsum(cum, axis=1, out=cum)
     return order[np.minimum(np.count_nonzero(cum < tau - _QUANTILE_TOL, axis=1), v.size - 1)]

@@ -87,12 +87,6 @@ def job_search_iid_continuation(built, tolerance=1e-10, max_iter=10_000):
     return h, (1 - beta) * h
 
 
-def job_search_iid_reservation_wage(built, result):
-    """Smallest offer the solved policy accepts."""
-    accept = result.policy[built["unemployed"]] == 1
-    return float(built["wages"][accept].min())
-
-
 # ---------------------------------------------------------------------------
 # Job search with Markov wages (plain / separation / risk-sensitive / quantile)
 
@@ -126,7 +120,6 @@ def job_search_markov(
         sep = 0.0 if variant == "plain" else alpha
         mdp_model = _job_search_mdp(wages, p, c, beta, sep)
         return {
-            "kind": "mdp",
             "mdp": mdp_model,
             "wages": wages,
             "transition": p,
@@ -161,7 +154,6 @@ def job_search_markov(
         jacobian=jacobian,
     )
     return {
-        "kind": "rdp",
         "rdp": model,
         "wages": wages,
         "transition": p,
@@ -171,12 +163,21 @@ def job_search_markov(
     }
 
 
-def job_search_reservation_wage(built, result):
-    """Smallest wage at which the solved policy accepts (action 1)."""
+def job_search_reservation_wage(built, result=None):
+    """Smallest wage at which the solved policy accepts (action 1), or ``inf``.
+
+    Serves every job search: IID, Markov and continuous-time.  Without
+    ``result`` the continuous-time model is solved by :func:`fsdp.ctmdp.ct_hpi`.
+    """
+    if result is None:
+        result = ctmdp.ct_hpi(built["ctmdp"])
     accept = result.policy[built["unemployed"]] == 1
     if not accept.any():
         return float("inf")
     return float(built["wages"][accept].min())
+
+
+job_search_iid_reservation_wage = ct_reservation_wage = job_search_reservation_wage
 
 
 # ---------------------------------------------------------------------------
@@ -1016,16 +1017,6 @@ def ct_job_search(
         "unemployed": slice(0, n),
         "params": dict(kappa=kappa, alpha=alpha, delta=delta, c=c),
     }
-
-
-def ct_reservation_wage(built, result=None):
-    """Smallest wage whose offer the solved policy accepts."""
-    if result is None:
-        result = ctmdp.ct_hpi(built["ctmdp"])
-    accept = result.policy[built["unemployed"]] == 1
-    if not accept.any():
-        return float("inf")
-    return float(built["wages"][accept].min())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from . import dp, fixed_point, spectral
+from . import dp, fixed_point, markov, spectral
 from .errors import ConvergenceError, StabilityError
 
 
@@ -46,14 +46,13 @@ class EventuallyContracting:
 class ConvexConcave:
     """Globally stable on the order interval ``[lower, upper]``.
 
-    ``orientation`` records whether stability comes through convexity or
-    concavity of the aggregator; evaluation squeezes fixed points
-    between monotone iterations started from both ends.
+    Stability comes through convexity or concavity of the aggregator;
+    evaluation squeezes fixed points between monotone iterations started
+    from both ends.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    orientation: str = "concave"
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def check_monotone_aggregator(model, rng=None, trials=10, scale=1.0, base=None):
             raise ValueError("aggregator is not monotone in the value argument")
 
 
-def verify_certificate(model, mode="max"):
+def verify_certificate(model):
     """Validate the declared stability class before solving."""
     stab = model.stability
     if isinstance(stab, Contracting):
@@ -233,7 +232,7 @@ def rdp_solve(
     from zero, or the bottom of the order interval for interval classes;
     HPI and OPI from ``sigma0``, by default greedy against that value.
     """
-    verify_certificate(model, mode)
+    verify_certificate(model)
     stab = model.stability
     greedy = lambda v: rdp_greedy(model, v, mode)
     v0 = np.zeros(model.n_states)
@@ -331,7 +330,7 @@ def make_robust_aggregator(reward, beta, kernels, penalty=None, slack=1.0):
     return RDPModel(
         feasible=feasible,
         aggregator=aggregator,
-        stability=ConvexConcave(lower, upper, "concave"),
+        stability=ConvexConcave(lower, upper),
         extras={"kernels": flats, "penalties": penalties, "beta": beta},
     )
 
@@ -377,7 +376,7 @@ def make_smooth_ambiguity_aggregator(reward, beta, kernels, mu, alpha, kappa, ga
     return RDPModel(
         feasible=feasible,
         aggregator=aggregator,
-        stability=ConvexConcave(lower, upper, "concave-after-conjugation"),
+        stability=ConvexConcave(lower, upper),
         extras={
             "kernels": flats,
             "mu": mu,
@@ -478,14 +477,7 @@ def path_cost_model(cost_matrix, dest, beta=1.0):
     if np.any(cost_matrix[offdest] <= 0):
         raise ValueError("zero or negative edge cost off the destination")
     # Reachability of the destination through the reverse graph.
-    reach = np.zeros(n, dtype=bool)
-    reach[dest] = True
-    frontier = [dest]
-    while frontier:
-        nxt = finite[:, frontier].any(axis=1) & ~reach
-        frontier = np.flatnonzero(nxt).tolist()
-        reach |= nxt
-    if not reach.all():
+    if not markov._all_reachable(finite.T, dest):
         raise ValueError("destination unreachable from some nodes")
 
     table, mask = _successor_table(cost_matrix)
@@ -499,7 +491,7 @@ def path_cost_model(cost_matrix, dest, beta=1.0):
     model = RDPModel(
         feasible=mask,
         aggregator=aggregator,
-        stability=ConvexConcave(np.zeros(n), worst, "concave"),
+        stability=ConvexConcave(np.zeros(n), worst),
         extras={"successors": table, "dest": dest, "beta": beta, "max_cost": worst},
     )
     return model

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsdp import cli, rdp, spectral
+from fsdp import cli, models, rdp, spectral
 from fsdp.models import ZOO
 
 
@@ -87,6 +87,18 @@ class TestSolve:
         assert meta["reservation_wage"] == pytest.approx(43.4, abs=0.1)
         assert (out / "value.csv").exists()
         assert (out / "policy.csv").exists()
+
+    @pytest.mark.parametrize("name", ["job_search_markov", "ct_job_search"])
+    def test_ci_scale_job_search_reports_reservation_wage(self, tmp_path, name):
+        card = ZOO[name]
+        cfg = write_config(tmp_path, "cfg.json", {"model": name, "overrides": card.ci_overrides})
+        out = tmp_path / "run"
+        assert run_cli(["solve", "--config", cfg, "--out", out]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        built = card.build(ci_scale=True)
+        result = cli.run_solver(built, {})
+        assert meta["reservation_wage"] == models.job_search_reservation_wage(built, result)
+        assert np.isfinite(meta["reservation_wage"])
 
     def test_inline_model_solves(self, tmp_path):
         cfg = write_config(

@@ -242,6 +242,17 @@ class TestBlackwellCheck:
 
 
 class TestSolveLifetimeValue:
+    @pytest.mark.parametrize(
+        "domain", ["positive", (np.zeros(3), np.full(3, 20.0)), (5.0, 15.0)], ids=str
+    )
+    def test_declared_domain_is_solved_inside_it(self, domain):
+        """The contraction check and the Newton start stay in the declared domain."""
+        k = KoopmansOperator(Additive(np.ones(3), 0.9), Expectation(np.full((3, 3), 1 / 3)), domain)
+        result = solve_lifetime_value(k)
+        assert result.method == "blackwell-contraction"
+        assert np.allclose(result.value, 10.0, rtol=0, atol=1e-10)
+        assert result.error_bound <= 1e-10
+
     def test_risk_sensitive_gaussian_closed_form(self):
         # AR(1) state with linear rewards: the fixed point is affine in
         # the state, v(x) = a x + b, up to discretization error.  The

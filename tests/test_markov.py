@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, norm
 
-from fsdp import markov
+from fsdp import koopmans, markov
 
 
 def day_laborer(alpha=0.3, beta=0.2):
@@ -513,6 +513,25 @@ class TestQuantile:
             # moves with the successor it selects: d -> d[j] is its Jacobian.
             d = rng.uniform(-0.4, 0.4, n)
             assert np.array_equal(markov.conditional_quantile(tau, v + d, p), (v + d)[j])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_csr_rows_give_the_dense_quantile(self, seed):
+        """A CSR ``p``, with zero masses and ties in ``v``, selects what the dense one does."""
+        rng = np.random.default_rng(seed)
+        n = 9
+        v = rng.integers(0, 4, n).astype(float)
+        p = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        p[:, seed % n] += 0.05
+        p /= p.sum(axis=1, keepdims=True)
+        d = rng.standard_normal(n)
+        for tau in (0.0, 0.3, 0.5, 1.0):
+            dense, csr = koopmans.QuantileCE(tau, p), koopmans.QuantileCE(tau, sp.csr_matrix(p))
+            assert np.array_equal(csr(v), dense(v))
+            assert np.array_equal(csr.jacobian(v) @ d, dense.jacobian(v) @ d)
+            assert np.array_equal(
+                markov.conditional_quantile(tau, v, sp.csr_matrix(p)),
+                markov.conditional_quantile(tau, v, p),
+            )
 
     def test_conditional_quantile_checks_inputs(self):
         p = np.eye(2)

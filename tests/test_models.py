@@ -452,6 +452,24 @@ class TestCTJobSearch:
             assert np.sign(w - w0) == direction, key
 
 
+class TestReservationWage:
+    @pytest.mark.parametrize(
+        "name, helper",
+        [
+            ("job_search_iid", "job_search_iid_reservation_wage"),
+            ("job_search_markov", "job_search_reservation_wage"),
+            ("ct_job_search", "ct_reservation_wage"),
+        ],
+    )
+    def test_policy_rejecting_every_offer_gives_inf(self, name, helper):
+        built = ZOO[name].build(ci_scale=True)
+        n_states = built["wages"].size * 2
+        reject_all = dp.SolveResult(
+            np.zeros(n_states), np.zeros(n_states, dtype=np.int64), 0, "none", 0.0
+        )
+        assert getattr(models, helper)(built, reject_all) == np.inf
+
+
 class TestZooRegistry:
     def test_all_cards_build_and_validate(self):
         for name, card in ZOO.items():

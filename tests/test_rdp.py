@@ -277,6 +277,26 @@ class TestShortestPaths:
         with pytest.raises(ValueError):
             solve_path_costs(cost, 2)
 
+    def test_node_without_a_path_is_named_unreachable(self):
+        # Node 2 reaches only node 3, whose one edge leads back to node 2.
+        cost = np.full((4, 4), np.inf)
+        cost[0, 0] = 0.0
+        cost[1, 0] = 1.0
+        cost[2, 3] = 1.0
+        cost[3, 2] = 1.0
+        with pytest.raises(ValueError, match="destination unreachable"):
+            rdp.path_cost_model(cost, 0)
+
+    def test_destination_reached_in_several_hops(self):
+        # A chain 4 -> 3 -> 2 -> 1 -> 0: node 4's only path has four hops.
+        n = 5
+        cost = np.full((n, n), np.inf)
+        cost[0, 0] = 0.0
+        cost[np.arange(1, n), np.arange(n - 1)] = 2.0
+        result = solve_path_costs(cost, 0)
+        assert np.array_equal(result.value, 2.0 * np.arange(n))
+        assert np.array_equal(result.policy, [0, 0, 1, 2, 3])
+
 
 class TestNegativeDiscount:
     def enumerate_policy_costs(self, cost, dest, beta):
