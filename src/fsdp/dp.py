@@ -1,20 +1,23 @@
 """Markov decision processes with constant or state-dependent discounting.
 
 Transitions sit behind one kernel protocol: ``expect(v, discounted)``
-gives the ``(n, m)`` expectations, ``policy_operator(sigma)`` gives the
-map ``v -> L_sigma v`` and ``policy_matrix(sigma, discounted)`` gives a
-policy's rows.  :class:`Flat` stores one row per state-action pair, dense or
-sparse; :class:`Factored` keeps an exogenous matrix ``Q`` that no action
-touches beside an endogenous choice or small kernel, so a Bellman sweep
-costs one product ``V Q^T`` on the ``(n_e, n_z)`` value grid.  Solvers
-use only the protocol; ``MDPModel.kernel``, ``discount_weights`` and
+gives the ``(n, m)`` expectations, ``grid(v)`` the discounted ones as a
+flat array in which ``pair_index(states, actions)`` finds each pair,
+``policy_operator(sigma)`` gives the map ``v -> L_sigma v`` and
+``policy_matrix(sigma, discounted)`` gives a policy's rows.  :class:`Flat`
+stores one row per state-action pair, dense or sparse; :class:`Factored`
+keeps an exogenous matrix ``Q`` that no action touches beside an
+endogenous choice or small kernel, so a Bellman sweep costs one product
+``V Q^T`` on the ``(n_e, n_z)`` value grid.  Solvers use only the
+protocol; ``MDPModel.kernel``, ``discount_weights`` and
 ``discounted_kernel()`` are read-only flat views, built on first read.
 
 Solvers: value function iteration, Howard policy iteration, optimistic
 policy iteration (their loops live in :mod:`fsdp.fixed_point`), plus the
 expected-value / Q-factor operator factorization, a refactored OPI in
 expected-value space, and the log-sum-exp closed form for Gumbel taste
-shocks.
+shocks.  Value function iteration sweeps only the pairs that can still
+be maximal (MacQueen's test), with the dense sweep's iterates to the bit.
 
 Policy evaluation solves ``(I - L_sigma) v = r_sigma`` by BiCGSTAB on
 the policy operator (:func:`fsdp.fixed_point.certified_solve`), so
@@ -131,12 +134,18 @@ class Flat:
     def _source(self, discounted):
         return self.discounted() if discounted else self.kernel
 
+    def grid(self, v, discounted=True):
+        """The expectations of every pair, flat: pair ``(x, a)`` sits at :meth:`pair_index`."""
+        return np.asarray(self._source(discounted) @ v).reshape(-1)
+
+    def pair_index(self, states, actions):
+        return states * self.shape[1] + actions
+
     def expect(self, v, discounted):
-        return np.asarray(self._source(discounted) @ v).reshape(self.shape)
+        return self.grid(v, discounted).reshape(self.shape)
 
     def policy_matrix(self, sigma, discounted):
-        n, m = self.shape
-        return self._source(discounted)[np.arange(n) * m + sigma]
+        return self._source(discounted)[self.pair_index(np.arange(self.shape[0]), sigma)]
 
     def policy_operator(self, sigma):
         return self.policy_matrix(sigma, True).__matmul__
@@ -191,20 +200,36 @@ class Factored:
         w = np.asarray(v, dtype=float).reshape(self.shape[:2]) @ self.q.T
         return w * self.discount if discounted else w
 
+    def grid(self, v, discounted=True):
+        """Every pair's expectation on a small flat grid (see :meth:`pair_index`).
+
+        That is ``W``, whose row ``a`` is the next endogenous index, or
+        ``K W`` over the endogenous rows ``K[e, a]`` with a kernel.
+        """
+        w = self._grid(v, discounted)
+        if self.endogenous is not None:
+            n_e, _, m = self.shape
+            w = self.endogenous.reshape(n_e * m, n_e) @ w
+        return w.reshape(-1)
+
+    def pair_index(self, states, actions):
+        _, n_z, m = self.shape
+        e, z = np.divmod(states, n_z)
+        return (actions if self.endogenous is None else e * m + actions) * n_z + z
+
     def expect(self, v, discounted):
         n_e, n_z, m = self.shape
-        w = self._grid(v, discounted)
+        w = self.grid(v, discounted)
         if self.endogenous is None:
-            return np.tile(w.T, (n_e, 1))
-        out = (self.endogenous.reshape(n_e * m, n_e) @ w).reshape(n_e, m, n_z)
-        return out.transpose(0, 2, 1).reshape(n_e * n_z, m)
+            return np.tile(w.reshape(m, n_z).T, (n_e, 1))
+        return w.reshape(n_e, m, n_z).transpose(0, 2, 1).reshape(n_e * n_z, m)
 
     def policy_operator(self, sigma):
         n_e, n_z, _ = self.shape
-        sigma = sigma.reshape(n_e, n_z)
         if self.endogenous is None:
-            index = (sigma * n_z + np.arange(n_z)).reshape(-1)
-            return lambda v: self._grid(v, True).reshape(-1)[index]
+            index = self.pair_index(np.arange(n_e * n_z), sigma)
+            return lambda v: self.grid(v)[index]
+        sigma = sigma.reshape(n_e, n_z)
         k = self.endogenous[np.arange(n_e)[:, None], sigma]  # (n_e, n_z, n_e')
         return lambda v: np.einsum("ezf,fz->ez", k, self._grid(v, True)).reshape(-1)
 
@@ -441,17 +466,26 @@ def _certified_policy_value(model, sigma):
     return fixed_point.certified_solve(apply, policy_reward(model, sigma), *pair)
 
 
-def _bounding_pair(model, apply):
-    """``(h, lam)`` with ``h > 0``, ``lam < 1`` and ``L_sigma h <= lam h``, or None.
+def _uniform_pair(model):
+    """``(h, lam)`` that bounds every feasible discounted row, ``L_{x,a} h <= lam h(x)``, or None.
 
     Constant ``beta``: ``h = 1`` and ``lam = beta``.  A certified factored
     kernel with a discount vector: the exogenous pair recorded on the
     model (see :func:`certify_stability`).  Any other state-dependent
-    model: :func:`spectral.bounding_pair` of ``L_sigma``.
+    model has none.
     """
     if not model.state_dependent:
         return np.ones(model.n_states), model.beta
-    return model._bounding or spectral.bounding_pair(apply, model.n_states)
+    return model._bounding
+
+
+def _bounding_pair(model, apply):
+    """``(h, lam)`` with ``h > 0``, ``lam < 1`` and ``L_sigma h <= lam h``, or None.
+
+    The model's :func:`_uniform_pair` if it has one, else
+    :func:`spectral.bounding_pair` of ``L_sigma``.
+    """
+    return _uniform_pair(model) or spectral.bounding_pair(apply, model.n_states)
 
 
 def certify_stability(model, dominating=None):
@@ -567,6 +601,65 @@ def _start_policy(model, sigma0, mode):
     return np.asarray(sigma0, dtype=np.int64)
 
 
+# Slack of VFI's action-elimination test relative to the values' scale:
+# it covers the rounding of q-values summing up to about 10^5 products.
+ELIMINATION_SLACK = 1e-10
+
+
+class _Sweep:
+    """Bellman sweeps of :func:`solve_vfi` over the pairs that can still be maximal.
+
+    A sweep gathers the kept pairs from the kernel's ``grid``, adds their
+    rewards and reduces by state: the float operations of :func:`bellman`,
+    so its bytes while every maximizing pair is kept.  MacQueen's test
+    drops the others.  ``pair = (h, lam)`` bounds every feasible row, so
+    with ``D = ||v_{k+1} - v_k||_h / (1 - lam)`` every later iterate lies
+    within ``D`` of ``v_k`` and every later q-value within ``lam h(x) D``
+    of ``q_k(x, a)``: a pair with ``q_k(x, a) < v_{k+1}(x) - 2 lam h(x) D``
+    stays below the best pair of sweep ``k`` for good.  ``lam`` is widened
+    by the row-sum tolerance and the margin by :data:`ELIMINATION_SLACK`
+    times the values' scale over ``1 - lam``, far above rounding.  The
+    test runs when the step has halved since it last ran; the kept pairs
+    shrink when fewer than 3/4 pass.  With ``pair=None`` nothing is
+    eliminated; else ``step`` is the last ``||v_{k+1} - v_k||_h``.
+    """
+
+    def __init__(self, model, mode, pair):
+        kernel, (states, actions) = model.transitions, np.nonzero(model.feasible)
+        self.grid = kernel.grid
+        self.reduce = (np.maximum if mode == "max" else np.minimum).reduceat
+        self.sign = 1.0 if mode == "max" else -1.0
+        self._keep(states, kernel.pair_index(states, actions), model.reward[states, actions])
+        self.h, lam = pair or (None, 1.0)
+        # A feasible row sums to 1 within the tolerance; a factored row is
+        # the product of two such rows.
+        self.lam = lam * (1 + 3 * markov.ROW_SUM_TOL)
+        self.step, self.next_test = None, np.inf if self.lam < 1 else -np.inf
+
+    def _keep(self, states, index, reward):
+        self.states, self.index, self.reward = states, index, reward
+        self.starts = np.flatnonzero(np.diff(states, prepend=-1))
+
+    def __call__(self, v):
+        q = self.grid(v).take(self.index)
+        q += self.reward
+        new = self.reduce(q, self.starts)
+        if self.h is not None:
+            self.step = (abs(new - v) / self.h).max()
+            if self.step <= self.next_test:
+                self._eliminate(q, new)
+        return new
+
+    def _eliminate(self, q, new):
+        h, lam = self.h, self.lam
+        self.next_test = self.step / 2
+        scale = (1 + abs(new).max()) * h.max() / h.min()
+        floor = self.sign * new - 2 * lam * h * self.step / (1 - lam)
+        keep = self.sign * q >= (floor - ELIMINATION_SLACK * scale / (1 - lam))[self.states]
+        if np.count_nonzero(keep) < 0.75 * keep.size:
+            self._keep(self.states[keep], self.index[keep], self.reward[keep])
+
+
 def solve_vfi(
     model,
     v0=None,
@@ -580,16 +673,23 @@ def solve_vfi(
 
     Iterates the Bellman operator until the sup-norm step falls below
     ``tolerance`` and returns the greedy policy of the final iterate.
-    For constant discounting the result carries the a-posteriori policy
-    bound ``2 beta / (1 - beta) * last_step`` on ``||v* - v_sigma||``.
+    Sweeps skip the pairs that can never be maximal again (see
+    :class:`_Sweep`); the iterates are :func:`bellman`'s to the bit.
+    Where ``(h, lam)`` bounds every feasible row (:func:`_uniform_pair`),
+    the result carries the a-posteriori policy bound ``max(h) * 2 lam /
+    (1 - lam) * ||v_k - v_{k-1}||_h`` on ``||v* - v_sigma||_inf``, which
+    is ``2 beta / (1 - beta) * last_step`` for a constant discount.
     """
     certify_stability(model, dominating)
     v = np.zeros(model.n_states) if v0 is None else np.asarray(v0, dtype=float).copy()
     history = [v.copy()] if record_history else None
-    v, k, step = fixed_point.value_iteration(
-        lambda v: bellman(model, v, mode), v, tolerance, max_iter, history
-    )
-    bound = None if model.state_dependent else 2 * model.beta / (1 - model.beta) * step
+    pair = _uniform_pair(model)
+    sweep = _Sweep(model, mode, pair)
+    v, k, _ = fixed_point.value_iteration(sweep, v, tolerance, max_iter, history)
+    bound = None
+    if pair is not None:
+        h, lam = pair
+        bound = float(np.max(h) * 2 * lam / (1 - lam) * sweep.step)
     return _finish(v, greedy(model, v, mode), bellman(model, v, mode), k, "vfi", bound, history)
 
 

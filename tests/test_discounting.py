@@ -78,18 +78,20 @@ class TestSDDLifetimeValue:
         v = sdd_lifetime_value(op, h)
         x0, paths, horizon = 2, 10**5, 60
         row_cum = np.cumsum(p, axis=1)
-        totals = np.empty(paths)
         draws = rng.random((paths, horizon))
-        for i in range(paths):
-            x = x0
-            discount = 1.0
-            total = h[x]
-            for t in range(1, horizon):
-                x_next = int(np.searchsorted(row_cum[x], draws[i, t], side="right"))
-                discount *= b[x, x_next]
-                x = x_next
-                total += discount * h[x]
-            totals[i] = total
+        # All paths step together; each path accumulates in the order of a
+        # scalar loop over t, so every total is the scalar loop's to the bit.
+        x = np.full(paths, x0)
+        discount = np.ones(paths)
+        totals = np.full(paths, h[x0])
+        for t in range(1, horizon):
+            x_next = np.empty_like(x)
+            for state in range(4):
+                at = x == state
+                x_next[at] = np.searchsorted(row_cum[state], draws[at, t], side="right")
+            discount *= b[x, x_next]
+            x = x_next
+            totals += discount * h[x]
         se = totals.std(ddof=1) / np.sqrt(paths)
         assert abs(totals.mean() - v[x0]) < 3 * se + 1e-6
 

@@ -30,6 +30,7 @@ from fsdp.errors import ConvergenceError, SpectralRadiusError, StabilityError
 from fsdp.models import ZOO
 
 EULER_MASCHERONI = 0.5772156649015329
+DISCRETE_CARDS = [name for name, card in ZOO.items() if card.kind in ("mdp", "rdp")]
 
 
 def random_mdp(rng, n=6, m=3, beta=0.9, full=True):
@@ -289,9 +290,7 @@ class TestSparsePolicyEvaluation:
         assert radius_calls == []
         assert close_relative(result.value, dense_policy_value(model, result.policy))
 
-    @pytest.mark.parametrize(
-        "card", [name for name, card in ZOO.items() if card.kind in ("mdp", "rdp")]
-    )
+    @pytest.mark.parametrize("card", DISCRETE_CARDS)
     def test_zoo_hpi_matches_dense_oracle(self, card):
         built = ZOO[card].build(ci_scale=True)
         model = built["mdp"]
@@ -492,6 +491,16 @@ class TestCertifiedEvaluation:
         bound = json.loads((out / "metadata.json").read_text())["error_bound"]
         assert 0 < bound < 1e-9
 
+    def test_metadata_reports_the_vfi_bound_of_a_certified_sdd_model(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "inventory_sdd", "solver": "vfi"}))
+        overrides = [f"--override={k}={v}" for k, v in ZOO["inventory_sdd"].ci_overrides.items()]
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(config), "--out", str(out), *overrides]) == 0
+        bound = json.loads((out / "metadata.json").read_text())["error_bound"]
+        model = ZOO["inventory_sdd"].build(ci_scale=True)["mdp"]
+        assert bound == solve_vfi(model).error_bound > 0
+
 
 class TestGreedy:
     def test_zero_value_gives_myopic_policy(self):
@@ -686,6 +695,165 @@ class TestSolverTriad:
             vmin = solve_hpi(negated, mode="min")
             assert np.array_equal(vmax.policy, vmin.policy)
             assert vmin.value == pytest.approx(-vmax.value, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# VFI with action elimination against the dense sweep
+
+
+def _dense_vfi(model, v0=None, mode="max", tolerance=1e-8):
+    """The dense VFI loop: ``bellman`` over every pair, then the greedy policy."""
+    v = np.zeros(model.n_states) if v0 is None else np.array(v0, dtype=float)
+    history = [v.copy()]
+    v, k, _ = fixed_point.value_iteration(
+        lambda v: bellman(model, v, mode), v, tolerance, 100_000, history
+    )
+    return v, k, greedy(model, v, mode), bellman(model, v, mode), history
+
+
+def _assert_same_vfi(result, oracle):
+    v, k, sigma, tv, history = oracle
+    assert result.value.tobytes() == v.tobytes()
+    assert result.iterations == k
+    assert np.array_equal(result.policy, sigma)
+    assert result.residual == float(np.max(np.abs(tv - v)))
+    assert [u.tobytes() for u in result.history] == [u.tobytes() for u in history]
+
+
+def _kept_pairs(model, v0=None, mode="max", tolerance=1e-8):
+    """The pairs a VFI run still sweeps at its end, as a boolean ``(n, m)`` mask."""
+    v = np.zeros(model.n_states) if v0 is None else np.array(v0, dtype=float)
+    sweep = dp._Sweep(model, mode, dp._uniform_pair(model))
+    fixed_point.value_iteration(sweep, v, tolerance, 100_000)
+    swept = set(zip(sweep.states.tolist(), sweep.index.tolist()))
+    states, actions = np.nonzero(model.feasible)
+    index = model.transitions.pair_index(states, actions)
+    kept = np.zeros(model.feasible.shape, dtype=bool)
+    kept[states, actions] = [pair in swept for pair in zip(states.tolist(), index.tolist())]
+    return kept
+
+
+@st.composite
+def vfi_cases(draw):
+    """A model of every kernel form and discount, a mode, a start and near-ties.
+
+    Flat dense or CSR kernels with a constant beta; factored kernels, the
+    action a next endogenous index or an endogenous kernel, with a
+    constant beta or a certified discount vector.  Where the action moves
+    through rows of its own (not a next endogenous index), tie states
+    give actions 0 and 1 the same rows, rewards ``gap`` apart, far below
+    the elimination slack, and a bonus that makes them the likely best.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["dense", "csr", "choice", "kernel"]))
+    mode = draw(st.sampled_from(["max", "min"]))
+    beta = draw(st.floats(0.05, 0.99))
+    gap = draw(st.sampled_from([0.0, 1e-13, 1e-11]))
+    rng = np.random.default_rng(seed)
+    if kind in ("dense", "csr"):
+        n, m = draw(st.integers(1, 12)), draw(st.integers(2, 5))
+        kernel = _stochastic(rng, (n, m, n))
+        ties = rng.random(n) < 0.5
+        kernel[ties, 1] = kernel[ties, 0]
+        kernel = sp.csr_matrix(kernel.reshape(n * m, n)) if kind == "csr" else kernel
+        extra = {"beta": beta}
+    else:
+        n_e, n_z = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        m = n_e if kind == "choice" else draw(st.integers(2, 5))
+        endogenous = None
+        if kind == "kernel":
+            endogenous = _stochastic(rng, (n_e, m, n_e))
+            endogenous[:, 1] = endogenous[:, 0]
+        discount = rng.uniform(0.3, 0.99, n_z) if draw(st.booleans()) else beta
+        kernel, extra = dp.Factored(_stochastic(rng, (n_z, n_z)), discount, endogenous), {}
+        n = n_e * n_z
+        ties = np.full(n, kind == "kernel")
+    feasible = rng.random((n, m)) < 0.7
+    feasible[np.arange(n), rng.integers(0, m, n)] = True
+    reward = rng.standard_normal((n, m))
+    if ties.any():
+        feasible[ties, :2] = True
+        reward[ties, 0] += 3.0 if mode == "max" else -3.0
+        reward[ties, 1] = reward[ties, 0] + gap
+    model = MDPModel(feasible, reward, kernel, **extra)
+    v0 = 10.0 ** draw(st.integers(-2, 3)) * rng.standard_normal(n) if draw(st.booleans()) else None
+    return model, mode, v0, ties
+
+
+class TestActionElimination:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(vfi_cases())
+    def test_same_bits_as_the_dense_sweep(self, case):
+        model, mode, v0, ties = case
+        certify_stability(model)
+        result = solve_vfi(model, v0=v0, mode=mode, record_history=True)
+        oracle = _dense_vfi(model, v0, mode)
+        _assert_same_vfi(result, oracle)
+        history = oracle[-1]
+        if not model.state_dependent:
+            step = fixed_point.sup_step(history[-1], history[-2])
+            assert result.error_bound == 2 * model.beta / (1 - model.beta) * step
+        # A near-tie with the best action keeps both actions of the pair.
+        kept = _kept_pairs(model, v0, mode)
+        best = ties & (result.policy < 2)
+        assert kept[best, :2].all()
+
+    @pytest.mark.parametrize("name", DISCRETE_CARDS)
+    def test_zoo_cards_match_the_dense_sweep(self, name):
+        model = ZOO[name].build(ci_scale=True)["mdp"]
+        _assert_same_vfi(solve_vfi(model, record_history=True), _dense_vfi(model))
+
+    @pytest.mark.parametrize("name", ["optimal_savings", "inventory_sdd", "optimal_default"])
+    def test_most_pairs_are_eliminated(self, name):
+        model = ZOO[name].build(ci_scale=True)["mdp"]
+        kept = _kept_pairs(model)
+        assert kept.any(axis=1).all()
+        assert kept.sum() < 0.25 * model.feasible.sum()
+
+    def test_no_pair_eliminates_nothing(self):
+        rng = np.random.default_rng(20)
+        n, m = 5, 3
+        model = MDPModel(
+            np.ones((n, m), dtype=bool), rng.standard_normal((n, m)),
+            _stochastic(rng, (n, m, n)), discount_weights=rng.uniform(0.5, 0.9, (n, m, n)),
+        )
+        certify_stability(model, "certified")
+        assert _kept_pairs(model).all()
+        assert solve_vfi(model).error_bound is None
+
+
+class TestVFIErrorBound:
+    def test_inventory_sdd_policy_within_the_bound(self):
+        model = ZOO["inventory_sdd"].build(ci_scale=True)["mdp"]
+        star = solve_hpi(model).value
+        h, lam = model._bounding
+        for tolerance in (1e-1, 1e-4, 1e-8):
+            vfi = solve_vfi(model, tolerance=tolerance, record_history=True)
+            last, before = vfi.history[-1], vfi.history[-2]
+            step = np.max(np.abs(last - before) / h)
+            assert vfi.error_bound == np.max(h) * 2 * lam / (1 - lam) * step
+            assert np.max(np.abs(star - policy_value(model, vfi.policy))) <= vfi.error_bound
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        with_kernel=st.booleans(),
+        tolerance=st.sampled_from([1.0, 1e-2, 1e-6]),
+    )
+    def test_random_certified_factored_policy_within_the_bound(self, seed, with_kernel, tolerance):
+        rng = np.random.default_rng(seed)
+        n_e, n_z = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        m = int(rng.integers(2, 5)) if with_kernel else n_e
+        endogenous = _stochastic(rng, (n_e, m, n_e)) if with_kernel else None
+        kernel = dp.Factored(_stochastic(rng, (n_z, n_z)), rng.uniform(0.3, 0.99, n_z), endogenous)
+        feasible = rng.random((n_e * n_z, m)) < 0.7
+        feasible[np.arange(n_e * n_z), rng.integers(0, m, n_e * n_z)] = True
+        model = MDPModel(feasible, rng.standard_normal(feasible.shape), kernel)
+        star = solve_hpi(model).value
+        vfi = solve_vfi(model, tolerance=tolerance)
+        v_sigma = policy_value(model, vfi.policy)
+        slack = 1e-10 * max(1.0, np.max(np.abs(star)))
+        assert np.max(np.abs(star - v_sigma)) <= vfi.error_bound + slack
 
 
 class TestStateDependentDiscounting:
