@@ -316,6 +316,7 @@ def cmd_solve(args):
         "iterations": result.iterations,
         "residual": result.residual,
         "error_bound": result.error_bound,
+        "krylov_products": result.products,
         "certificate": _certificate_details(built),
         "seed": config.get("seed"),
     }

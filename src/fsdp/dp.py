@@ -25,6 +25,9 @@ the policy operator (:func:`fsdp.fixed_point.certified_solve`), so
 and certifies the answer: a positive ``h`` with ``L_sigma h <= lam h``,
 ``lam < 1``, bounds the error by the weighted residual (see
 :func:`policy_value`); :func:`fsdp.spectral.bounding_pair` finds it.
+HPI starts each new policy's solve at the last value and stops it at a
+forcing term, and refines only the final one to the full target (see
+:func:`solve_hpi`).
 Under state-dependent discounting every solver checks the stability
 certificate once, before it iterates, and the model records a success.
 """
@@ -421,8 +424,14 @@ def bellman(model, v, mode="max"):
 
 def greedy(model, v, mode="max"):
     """Greedy policy at ``v``; exact ties go to the lowest action index."""
+    return _improve(model, v, mode)[0]
+
+
+def _improve(model, v, mode):
+    """``(greedy(model, v, mode), bellman(model, v, mode))`` from one sweep."""
     q = _masked_q_factors(model, v, mode)
-    return q.argmax(axis=1) if mode == "max" else q.argmin(axis=1)
+    sigma = q.argmax(axis=1) if mode == "max" else q.argmin(axis=1)
+    return sigma, q[np.arange(sigma.size), sigma]
 
 
 def policy_apply(model, sigma, v):
@@ -435,7 +444,8 @@ def policy_apply(model, sigma, v):
 def policy_value(model, sigma):
     """Lifetime value of a policy, certified to a fixed accuracy.
 
-    Solves ``(I - L_sigma) v = r_sigma`` by BiCGSTAB, started from zero,
+    Solves ``(I - L_sigma) v = r_sigma`` by BiCGSTAB, started from zero
+    (:func:`solve_hpi` starts each policy at the last value instead),
     on the operator ``v -> v - L_sigma v``; each product goes through the
     kernel's ``policy_operator``, so ``I - L_sigma`` is never assembled.
     The answer ``x`` is certified with a positive ``h`` and ``lam < 1``
@@ -453,17 +463,36 @@ def policy_value(model, sigma):
     return _certified_policy_value(model, sigma)[0]
 
 
-def _certified_policy_value(model, sigma):
-    """``(v, bound)``: :func:`policy_value` and its certified bound on ``||v - v_sigma||_inf``."""
+def _certified_policy_value(model, sigma, x0=None, tolerance=None, system=None):
+    """``(v, bound)``: :func:`policy_value` and its certified bound on ``||v - v_sigma||_inf``.
+
+    ``x0`` and ``tolerance`` go to :func:`fixed_point.certified_solve`;
+    ``system``, the :func:`_policy_system` of ``sigma``, is built if not given.
+    """
+    apply, reward, pair = system or _policy_system(model, sigma)
+    return fixed_point.certified_solve(apply, reward, *pair, tolerance, x0)
+
+
+def _policy_system(model, sigma, tally=None):
+    """``(apply, r_sigma, (h, lam))``: a policy's operator, rewards and bounding pair.
+
+    Each product of ``apply``, the bounding pair's included, adds one to
+    ``tally[0]``.  Raises as :func:`policy_value` does if no pair exists.
+    """
     sigma = _checked_policy(model, sigma)
-    apply = model.transitions.policy_operator(sigma)
+    operator, tally = model.transitions.policy_operator(sigma), tally or [0]
+
+    def apply(x):
+        tally[0] += 1
+        return operator(x)
+
     pair = _bounding_pair(model, apply)
     if pair is None:
         if not model._certified:
             l_sigma = policy_matrix(model, sigma, discounted=True)
             spectral.check_radius_below_one(l_sigma, "policy discount operator", policy=sigma)
         raise ConvergenceError("no bounding vector certifies the policy operator", bound=np.inf)
-    return fixed_point.certified_solve(apply, policy_reward(model, sigma), *pair)
+    return apply, policy_reward(model, sigma), pair
 
 
 def _uniform_pair(model):
@@ -570,7 +599,12 @@ def enumerate_policies(model):
 
 @dataclass
 class SolveResult:
-    """Solver output: value function, greedy policy, and diagnostics."""
+    """Solver output: value function, greedy policy, and diagnostics.
+
+    ``products`` counts the policy-operator products spent evaluating
+    policies, their bounding pairs included: 0 for VFI, and None where
+    they are not counted (the RDP solvers).
+    """
 
     value: np.ndarray
     policy: np.ndarray
@@ -579,9 +613,10 @@ class SolveResult:
     residual: float
     error_bound: float | None = None
     history: list = field(default_factory=list)
+    products: int | None = None
 
 
-def _finish(v, sigma, tv, iterations, method, error_bound=None, history=None):
+def _finish(v, sigma, tv, iterations, method, error_bound=None, history=None, products=None):
     """Solve result at ``v``, with greedy policy ``sigma`` and Bellman image ``tv``."""
     return SolveResult(
         value=v,
@@ -591,6 +626,7 @@ def _finish(v, sigma, tv, iterations, method, error_bound=None, history=None):
         residual=float(np.max(np.abs(tv - v))),
         error_bound=error_bound,
         history=history or [],
+        products=products,
     )
 
 
@@ -690,31 +726,53 @@ def solve_vfi(
     if pair is not None:
         h, lam = pair
         bound = float(np.max(h) * 2 * lam / (1 - lam) * sweep.step)
-    return _finish(v, greedy(model, v, mode), bellman(model, v, mode), k, "vfi", bound, history)
+    return _finish(v, *_improve(model, v, mode), k, "vfi", bound, history, products=0)
+
+
+# Forcing constant of HPI's inexact evaluations (Eisenstat and Walker).
+ETA = 1e-3
 
 
 def solve_hpi(model, sigma0=None, mode="max", max_iter=10_000, dominating=None):
     """Howard policy iteration: certified policy evaluation plus improvement.
 
-    Each distinct policy is evaluated once, by a certified BiCGSTAB solve
-    (see :func:`policy_value`); the stability certificate is checked
-    once, before the first evaluation.  Terminates when the policy
-    repeats, which happens in finitely many steps.  The result's
-    ``error_bound`` is the certified bound on ``||v - v_sigma||_inf`` of
-    the final evaluation.  The iteration cap is defensive only.
+    HPI is Newton's method on the Bellman equation, so each evaluation is
+    solved only as far as the next greedy step needs: the policy greedy at
+    ``v_k`` is evaluated from ``v_k`` to the relative accuracy ``ETA *
+    ||T v_k - v_k||_inf / max(1, ||T v_k||_inf)`` (the forcing term of
+    Eisenstat and Walker), the start policy from zero to the target of
+    :func:`policy_value`.  Before :func:`fixed_point.policy_iteration`
+    accepts a repeat or a tie, that evaluation is refined to the full
+    target with the same operator and bounding pair, and a repeat is
+    tested again, so the stop, the value and its ``error_bound`` (the
+    certified bound on ``||v - v_sigma||_inf``) are exact evaluation's.
+    The stability certificate is checked once, before the first
+    evaluation; the iteration cap is defensive only.
     """
     certify_stability(model, dominating)
-    bounds = []
+    tally, x0, forcing, system, bound = [0], None, None, None, None
+
+    def improve(v):
+        nonlocal x0, forcing
+        sigma, tv = _improve(model, v, mode)
+        x0, forcing = v, ETA * np.max(np.abs(tv - v)) / max(1.0, np.max(np.abs(tv)))
+        return sigma
 
     def evaluate(sigma):
-        v, bound = _certified_policy_value(model, sigma)
-        bounds.append(bound)
+        nonlocal system, bound
+        system = _policy_system(model, sigma, tally)
+        v, bound = _certified_policy_value(model, sigma, x0=x0, tolerance=forcing, system=system)
+        return v
+
+    def refine(sigma, v):
+        nonlocal bound
+        v, bound = _certified_policy_value(model, sigma, x0=v, system=system)
         return v
 
     v, k = fixed_point.policy_iteration(
-        lambda v: greedy(model, v, mode), evaluate, _start_policy(model, sigma0, mode), max_iter
+        improve, evaluate, _start_policy(model, sigma0, mode), max_iter, refine
     )
-    return _finish(v, greedy(model, v, mode), bellman(model, v, mode), k, "hpi", bounds[-1])
+    return _finish(v, *_improve(model, v, mode), k, "hpi", bound, products=tally[0])
 
 
 def solve_opi(
@@ -734,7 +792,8 @@ def solve_opi(
     reproduces the VFI value sequence.
     """
     certify_stability(model, dominating)
-    v = policy_value(model, _start_policy(model, sigma0, mode))
+    sigma, tally = _start_policy(model, sigma0, mode), [0]
+    v = _certified_policy_value(model, sigma, system=_policy_system(model, sigma, tally))[0]
     history = [v.copy()] if record_history else None
 
     def policy_operator(sigma):
@@ -745,9 +804,7 @@ def solve_opi(
     v, k = fixed_point.optimistic_policy_iteration(
         lambda v: greedy(model, v, mode), policy_operator, v, m, tolerance, max_iter, history
     )
-    return _finish(
-        v, greedy(model, v, mode), bellman(model, v, mode), k, f"opi(m={m})", history=history
-    )
+    return _finish(v, *_improve(model, v, mode), k, f"opi(m={m})", history=history, products=tally[0])
 
 
 # ---------------------------------------------------------------------------

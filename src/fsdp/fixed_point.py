@@ -143,16 +143,16 @@ def error_bound(res, h, lam):
     return float(np.max(h) * np.max(np.abs(res) / h) / (1 - lam))
 
 
-def certified_solve(apply, b, h, lam, tolerance=None):
+def certified_solve(apply, b, h, lam, tolerance=None, x0=None):
     """Solve ``(I - L) x = b`` by BiCGSTAB until the certified bound meets its target.
 
     ``apply`` is ``x -> L x`` and ``(h, lam)`` its bounding pair.  Works
     on ``b`` scaled to unit sup norm, so the stopping rule does not
     depend on its units.  The target is ``tolerance * max(1,
     ||x||_inf)``, with ``tolerance`` at least, and by default, ``max(1e-12,
-    64 eps / (1 - lam))``; returns ``(x, bound)``, and raises
-    :class:`ConvergenceError`, with the bound attached, if
-    :data:`SOLVE_PASSES` passes do not get there.
+    64 eps / (1 - lam))``.  BiCGSTAB starts at ``x0``, by default zero.
+    Returns ``(x, bound)``, and raises :class:`ConvergenceError`, with the bound
+    attached, if :data:`SOLVE_PASSES` passes do not get there.
     """
     scale = float(np.max(np.abs(b), initial=0.0))
     if scale == 0:
@@ -161,7 +161,8 @@ def certified_solve(apply, b, h, lam, tolerance=None):
     b = b / scale
     floor = max(1e-12, 64 * np.finfo(float).eps / (1 - lam))
     tolerance = floor if tolerance is None else max(tolerance, floor)
-    y, rtol = np.zeros_like(b), tolerance * (1 - lam)
+    y = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float) / scale
+    rtol = tolerance * (1 - lam)
     for _ in range(SOLVE_PASSES):
         y, _ = bicgstab(system, b, x0=y, rtol=rtol, atol=0.0)
         res = b - system.matvec(y)
@@ -262,23 +263,31 @@ def newton_krylov(op, v0, jvp, h, lam, tolerance, max_iter):
     return v, k, certified(v, tv)
 
 
-def policy_iteration(greedy, evaluate, sigma, max_iter):
-    """Howard policy iteration from ``sigma``: exact evaluation, greedy improvement.
+def policy_iteration(greedy, evaluate, sigma, max_iter, refine=None):
+    """Howard policy iteration from ``sigma``: evaluation, greedy improvement.
 
     ``evaluate(sigma)`` returns the lifetime value of a policy and
     ``greedy(v)`` a policy greedy at ``v``.  Stops when the greedy policy
     repeats, or when a new policy's value moves by at most 1e-12 (a tie
     between equally good policies), so each distinct policy is evaluated
-    once.  Returns ``(v, k)``; the iteration cap is defensive only.
+    once.  Without ``refine`` each evaluation is exact.  With it, an
+    evaluation may stop short, and ``refine(sigma, v)`` takes ``v``, the
+    last one, of ``sigma``, to full accuracy: the loop refines before it
+    accepts a repeat or a tie, and a repeat stands only if the greedy
+    policy at the refined value is still ``sigma``.  Returns ``(v, k)``;
+    the iteration cap is defensive only.
     """
     v = evaluate(sigma)
     for k in range(1, max_iter + 1):
         sigma_new = greedy(v)
+        if refine is not None and np.array_equal(sigma_new, sigma):
+            v = refine(sigma, v)
+            sigma_new = greedy(v)
         if np.array_equal(sigma_new, sigma):
             return v, k
         v_new = evaluate(sigma_new)
         if np.max(np.abs(v_new - v)) <= 1e-12:
-            return v_new, k
+            return (v_new if refine is None else refine(sigma_new, v_new)), k
         sigma, v = sigma_new, v_new
     raise ConvergenceError("policy iteration cycled past the defensive cap", last=v)
 

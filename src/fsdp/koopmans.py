@@ -161,7 +161,11 @@ class KrepsPorteus(_CertaintyEquivalent):
 
 
 class QuantileCE(_CertaintyEquivalent):
-    """Conditional tau-th quantile of continuation values."""
+    """Conditional tau-th quantile of continuation values.
+
+    The rows' quantile indices at the last ``v`` are kept, keyed on its
+    bytes, so :meth:`jacobian` at the point just valued reuses them.
+    """
 
     constant_subadditive = True
 
@@ -170,16 +174,23 @@ class QuantileCE(_CertaintyEquivalent):
             raise ValueError("tau must lie in [0, 1]")
         super().__init__(p)
         self.tau = float(tau)
+        self._last = None
+
+    def _index(self, v):
+        key = v.tobytes()
+        if self._last is None or self._last[0] != key:
+            self._last = key, markov._quantile_index(self.tau, v, self.p)
+        return self._last[1]
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
         if v.shape != self.p.shape[1:]:
             raise ValueError("values and weights must align")
-        return v[markov._quantile_index(self.tau, v, self.p)]
+        return v[self._index(v)]
 
     def jacobian(self, v):
         """The selection ``d -> d[j(v)]`` of each row's quantile: a generalized Jacobian."""
-        j = markov._quantile_index(self.tau, np.asarray(v, dtype=float), self.p)
+        j = self._index(np.asarray(v, dtype=float))
         return LinearOperator(self.p.shape, matvec=lambda d: np.ravel(d)[j], dtype=float)
 
 

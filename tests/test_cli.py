@@ -100,6 +100,19 @@ class TestSolve:
         assert meta["reservation_wage"] == models.job_search_reservation_wage(built, result)
         assert np.isfinite(meta["reservation_wage"])
 
+    @pytest.mark.parametrize(
+        "name", [name for name, card in ZOO.items() if card.kind in ("mdp", "rdp")]
+    )
+    def test_metadata_reports_krylov_products(self, tmp_path, name):
+        card = ZOO[name]
+        cfg = write_config(tmp_path, "cfg.json", {"model": name, "overrides": card.ci_overrides})
+        out = tmp_path / "run"
+        assert run_cli(["solve", "--config", cfg, "--out", out]) == 0
+        # Strict JSON: no NaN or Infinity constants.
+        meta = json.loads((out / "metadata.json").read_text(), parse_constant=pytest.fail)
+        result = cli.run_solver(card.build(ci_scale=True), {})
+        assert meta["krylov_products"] == result.products > 0
+
     def test_inline_model_solves(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -203,15 +203,22 @@ def dense_policy_value(model, sigma):
     return np.linalg.solve(np.eye(model.n_states) - l_sigma, policy_reward(model, sigma))
 
 
-def dense_hpi(model, max_iter=1000):
-    """Howard policy iteration evaluated by dense solves, started as solve_hpi is."""
-    sigma = np.where(model.feasible, model.reward, -np.inf).argmax(axis=1)
+def dense_hpi(model, mode="max", max_iter=1000):
+    """Howard's loop with an exact dense solve per policy, started and stopped as solve_hpi is.
+
+    Returns ``(sigma, v, k)``: the policy greedy at the final value ``v``
+    and the number ``k`` of greedy steps.
+    """
+    sigma = greedy(model, np.zeros(model.n_states), mode)
     v = dense_policy_value(model, sigma)
-    for _ in range(max_iter):
-        sigma_new = greedy(model, v)
+    for k in range(1, max_iter + 1):
+        sigma_new = greedy(model, v, mode)
         if np.array_equal(sigma_new, sigma):
-            return sigma, v
-        sigma, v = sigma_new, dense_policy_value(model, sigma_new)
+            return sigma, v, k
+        v_new = dense_policy_value(model, sigma_new)
+        if np.max(np.abs(v_new - v)) <= 1e-12:
+            return greedy(model, v_new, mode), v_new, k
+        sigma, v = sigma_new, v_new
     raise AssertionError("dense reference HPI did not terminate")
 
 
@@ -254,20 +261,50 @@ class TestSparsePolicyEvaluation:
         assert close_relative(v, dense_policy_value(model, sigma))
 
     def test_hpi_evaluates_each_distinct_policy_once(self, monkeypatch):
+        # Each new policy is solved once, to its forcing target; only the
+        # final one is solved again, to the full target, from where its
+        # first solve stopped.
         model = ZOO["optimal_investment"].build(ci_scale=True)["mdp"]
-        evaluated = []
+        calls = []
         original = dp._certified_policy_value
 
-        def counting(model, sigma):
-            evaluated.append(np.asarray(sigma, dtype=np.int64).tobytes())
-            return original(model, sigma)
+        def counting(model, sigma, **kwargs):
+            v, bound = original(model, sigma, **kwargs)
+            calls.append((np.asarray(sigma, dtype=np.int64).tobytes(), kwargs.get("x0"), v))
+            return v, bound
 
         monkeypatch.setattr(dp, "_certified_policy_value", counting)
         result = solve_hpi(model)
-        assert len(evaluated) >= 3
-        assert len(evaluated) == len(set(evaluated))
-        assert len(evaluated) == result.iterations
+        evaluated = [policy for policy, _, _ in calls]
+        assert len(set(evaluated)) == result.iterations >= 3
+        assert len(evaluated) == result.iterations + 1
+        assert evaluated[-2] == evaluated[-1] == result.policy.astype(np.int64).tobytes()
+        assert calls[-1][1] is calls[-2][2]
         assert close_relative(result.value, dense_policy_value(model, result.policy))
+
+    def test_products_count_the_policy_operator(self, monkeypatch):
+        model = ZOO["optimal_savings"].build(ci_scale=True)["mdp"]
+        products = []
+        original = model.transitions.policy_operator
+
+        def counting(sigma):
+            apply = original(sigma)
+
+            def counted(v):
+                products.append(1)
+                return apply(v)
+
+            return counted
+
+        monkeypatch.setattr(model.transitions, "policy_operator", counting)
+        hpi = solve_hpi(model)
+        assert hpi.products == len(products) > 0
+        # OPI counts its start evaluation, not its m-step sweeps.
+        products.clear()
+        opi = solve_opi(model, m=5)
+        assert opi.products == len(products) - 5 * opi.iterations > 0
+        products.clear()
+        assert solve_vfi(model).products == 0 and products == []
 
     @pytest.mark.parametrize("certificate", ["dominating", "certified"])
     def test_certified_solve_checks_no_policy_radius(self, radius_calls, certificate):
@@ -296,7 +333,7 @@ class TestSparsePolicyEvaluation:
         model = built["mdp"]
         dominating = "certified" if "exogenous_certificate" in built else None
         result = solve_hpi(model, dominating=dominating)
-        sigma, v = dense_hpi(model)
+        sigma, v, _ = dense_hpi(model)
         assert np.array_equal(result.policy, sigma)
         assert close_relative(result.value, v)
 
@@ -778,6 +815,45 @@ def vfi_cases(draw):
     model = MDPModel(feasible, reward, kernel, **extra)
     v0 = 10.0 ** draw(st.integers(-2, 3)) * rng.standard_normal(n) if draw(st.booleans()) else None
     return model, mode, v0, ties
+
+
+class TestInexactHPI:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(vfi_cases())
+    def test_matches_howard_with_exact_solves(self, case):
+        # Each evaluation but the last stops at its forcing target; the
+        # path, the stop and the certified answer are exact HPI's.
+        model, mode, _, _ = case
+        result = solve_hpi(model, mode=mode)
+        sigma, v, k = dense_hpi(model, mode)
+        assert result.iterations == k
+        assert np.array_equal(result.policy, sigma)
+        eps = np.finfo(float).eps
+        slack = 16 * model.n_states * eps * np.max(np.abs(v)) / (1 - _contraction(model, sigma))
+        assert np.max(np.abs(result.value - v)) <= result.error_bound + slack
+        assert result.error_bound <= _certified_target(model, result.policy, result.value)
+
+    def test_a_repeat_is_checked_again_at_the_refined_value(self):
+        # Action a at state x is made optimal by 4.7e-9: the last loose
+        # evaluation cannot see it and repeats its policy, the refined
+        # value can, so HPI takes one more step, as exact HPI does.
+        rng = np.random.default_rng(46)
+        n, m, beta = int(rng.integers(2, 12)), int(rng.integers(2, 4)), rng.uniform(0.8, 0.99)
+        kernel = rng.random((n, m, n)) + 0.01
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        reward = rng.standard_normal((n, m))
+        model = MDPModel(np.ones((n, m), bool), reward, kernel, beta=beta)
+        sigma, v, _ = dense_hpi(model)
+        q = dp.q_factors(model, v)
+        x = int(rng.integers(n))
+        a = (sigma[x] + 1) % m
+        reward[x, a] += q[x, sigma[x]] - q[x, a] + 4.7e-9
+        model = MDPModel(np.ones((n, m), bool), reward, kernel, beta=beta)
+        result = solve_hpi(model)
+        sigma, v, k = dense_hpi(model)
+        assert result.policy[x] == a and np.array_equal(result.policy, sigma)
+        assert result.iterations == k == 3
+        assert np.max(np.abs(result.value - v)) <= result.error_bound + 1e-13 * np.max(np.abs(v))
 
 
 class TestActionElimination:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdp import fixed_point, koopmans, markov, spectral
+from fsdp import fixed_point, koopmans, markov, models, rdp, spectral
 from fsdp.errors import StabilityError
 from fsdp.koopmans import (
     CES,
@@ -172,6 +172,26 @@ class TestCertaintyEquivalents:
         assert np.array_equal(jacobian @ np.ones(n), np.ones(n))
         assert np.array_equal(jacobian @ v, ce(v))
         assert np.array_equal(ce(v), markov.conditional_quantile(tau, v, p))
+
+    def test_quantile_jacobian_reuses_the_index_of_its_point(self, monkeypatch):
+        # Newton takes the Jacobian where the aggregator was just valued;
+        # the kept index serves it.  The solve is bit-identical without it.
+        calls, original = [], markov._quantile_index
+        monkeypatch.setattr(markov, "_quantile_index", lambda *args: calls.append(1) or original(*args))
+
+        def solve():
+            calls.clear()
+            model = models.job_search_markov("quantile", n=1000, tau=0.1)["rdp"]
+            return rdp.rdp_solve(model, algorithm="hpi"), len(calls)
+
+        cached, kept_calls = solve()
+        monkeypatch.setattr(QuantileCE, "_index", lambda ce, v: markov._quantile_index(ce.tau, v, ce.p))
+        plain, plain_calls = solve()
+        assert kept_calls < 0.8 * plain_calls
+        assert cached.iterations == plain.iterations
+        assert np.array_equal(cached.policy, plain.policy)
+        assert np.array_equal(cached.value, plain.value)
+        assert cached.error_bound == plain.error_bound
 
     def test_quantile_checks_the_shape_of_v(self):
         with pytest.raises(ValueError, match="align"):
