@@ -102,12 +102,6 @@ def _schema_error(instance, schema):
     return None
 
 
-def _format_number(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
@@ -118,7 +112,7 @@ def _jsonify(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(_format_number(obj))
+        return float(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     return obj

@@ -140,13 +140,13 @@ def simulate_jump_chain(spec, psi0, horizon, rng):
 
 
 @dataclasses.dataclass
-class CTMDPModel:
+class CTMDPModel(dp._StateActions):
     """Continuous-time MDP: mask, discount rate, rewards, intensity kernel.
 
+    ``feasible`` and ``reward`` follow :class:`fsdp.dp._StateActions`.
     ``kernel[x, a]`` is the intensity row of state ``x`` under action
     ``a``: finite, and on feasible pairs nonnegative off the diagonal
-    with zero row sum.  ``reward`` is ``(n, m)`` and finite on feasible
-    pairs; ``discount_rate`` is finite and positive.
+    with zero row sum.  ``discount_rate`` is finite and positive.
     """
 
     feasible: np.ndarray
@@ -155,17 +155,10 @@ class CTMDPModel:
     kernel: np.ndarray
 
     def __post_init__(self):
-        self.feasible = np.asarray(self.feasible, dtype=bool)
-        if not self.feasible.any(axis=1).all():
-            raise ValueError("every state needs at least one feasible action")
+        self._check_state_actions()
         n, m = self.feasible.shape
         if not (np.isfinite(self.discount_rate) and self.discount_rate > 0):
             raise ValueError("discount rate must be positive and finite")
-        self.reward = np.asarray(self.reward, dtype=float)
-        if self.reward.shape != (n, m):
-            raise ValueError("reward must be shaped like the feasibility mask")
-        if not np.all(np.isfinite(self.reward[self.feasible])):
-            raise ValueError("rewards must be finite on feasible pairs")
         self.kernel = np.asarray(self.kernel, dtype=float)
         if self.kernel.shape != (n, m, n):
             raise ValueError("intensity kernel must be (n_states, n_actions, n_states)")
@@ -178,10 +171,6 @@ class CTMDPModel:
         rows[np.arange(states.size), states] = 0.0
         if np.any(rows < -1e-12):
             raise ValueError("off-diagonal intensities must be nonnegative")
-
-    @property
-    def n_states(self):
-        return self.feasible.shape[0]
 
 
 def ct_policy_value(model, sigma):

@@ -281,12 +281,45 @@ class Factored:
         return Flat(kernel, n, m, self.beta, weights)
 
 
-class MDPModel:
-    """Finite MDP: feasibility mask, rewards, transition kernel, and discounting.
+class _StateActions:
+    """The state-action contract of every decision process: MDPs, RDPs and CT-MDPs.
 
     ``feasible`` is an ``(n, m)`` boolean mask with at least one action
-    per state; ``reward`` is ``(n, m)`` and must be finite on feasible
-    pairs.  ``kernel`` is a :class:`Factored` kernel, which carries its
+    per state; ``reward``, where the model has one, is ``(n, m)`` and
+    finite on feasible pairs.
+    """
+
+    def _check_state_actions(self, reward=True):
+        self.feasible = np.asarray(self.feasible, dtype=bool)
+        if self.feasible.ndim != 2:
+            raise ValueError("feasible mask must be 2-d (states by actions)")
+        if not self.feasible.any(axis=1).all():
+            raise ValueError("every state needs at least one feasible action")
+        if reward:
+            self.reward = np.asarray(self.reward, dtype=float)
+            if self.reward.shape != self.feasible.shape:
+                raise ValueError("reward must be shaped like the feasibility mask")
+            if not np.all(np.isfinite(self.reward[self.feasible])):
+                raise ValueError("rewards must be finite on feasible pairs")
+
+    @property
+    def n_states(self):
+        return self.feasible.shape[0]
+
+    @property
+    def n_actions(self):
+        return self.feasible.shape[1]
+
+    def policy_count(self):
+        """log10 of the number of feasible policies."""
+        return float(np.sum(np.log10(self.feasible.sum(axis=1))))
+
+
+class MDPModel(_StateActions):
+    """Finite MDP: feasibility mask, rewards, transition kernel, and discounting.
+
+    ``feasible`` and ``reward`` follow :class:`_StateActions`.
+    ``kernel`` is a :class:`Factored` kernel, which carries its
     own discount, or a flat ``(n, m, n)`` / ``(n*m, n)`` array (dense or
     sparse), wrapped in a :class:`Flat` kernel with a constant ``beta``
     in (0, 1) or transition-aligned ``discount_weights`` (state-dependent
@@ -298,19 +331,10 @@ class MDPModel:
     """
 
     def __init__(self, feasible, reward, kernel, beta=None, discount_weights=None):
-        self.feasible = np.asarray(feasible, dtype=bool)
-        if self.feasible.ndim != 2:
-            raise ValueError("feasible mask must be 2-d (states by actions)")
-        if not self.feasible.any(axis=1).all():
-            raise ValueError("every state needs at least one feasible action")
-        n, m = self.feasible.shape
-        self.reward = np.asarray(reward, dtype=float)
-        if self.reward.shape != (n, m):
-            raise ValueError("reward must be shaped like the feasibility mask")
-        if not np.all(np.isfinite(self.reward[self.feasible])):
-            raise ValueError("rewards must be finite on feasible pairs")
+        self.feasible, self.reward = feasible, reward
+        self._check_state_actions()
         if not isinstance(kernel, Factored):
-            kernel = Flat(kernel, n, m, beta, discount_weights)
+            kernel = Flat(kernel, *self.feasible.shape, beta, discount_weights)
         elif beta is not None or discount_weights is not None:
             raise ValueError("a factored kernel carries its own discount")
         kernel.check(self.feasible)
@@ -318,14 +342,6 @@ class MDPModel:
         self._flat = None
         self._certified = False
         self._bounding = None
-
-    @property
-    def n_states(self):
-        return self.feasible.shape[0]
-
-    @property
-    def n_actions(self):
-        return self.feasible.shape[1]
 
     @property
     def beta(self):
@@ -354,17 +370,15 @@ class MDPModel:
         """Flat ``(n*m, n)`` matrix of discounted transition weights."""
         return self._flat_view().discounted()
 
-    def policy_count(self):
-        """log10 of the number of feasible policies."""
-        return float(np.sum(np.log10(self.feasible.sum(axis=1))))
-
 
 def _checked_policy(model, sigma):
+    """``sigma`` as an index array, or ValueError unless it picks one feasible action per state."""
     sigma = np.asarray(sigma, dtype=np.int64)
     n = model.n_states
     if sigma.shape != (n,):
         raise ValueError("policy must assign one action per state")
-    if not model.feasible[np.arange(n), sigma].all():
+    in_range = ((sigma >= 0) & (sigma < model.n_actions)).all()
+    if not (in_range and model.feasible[np.arange(n), sigma].all()):
         raise ValueError("policy selects infeasible actions")
     return sigma
 
@@ -404,22 +418,23 @@ def q_factors(model, v):
     return model.reward + expected_values(model, v)
 
 
-def _masked_q_factors(model, v, mode):
-    """Action values, infeasible pairs at -inf (max) or +inf (min), built in place.
+def _select(q, feasible, mode):
+    """``(sigma, values)``: the greedy step over an ``(n, m)`` table ``q`` of action values.
 
-    One fresh ``(n, m)`` array per sweep: a second one alive at the same
-    time makes the allocator return and refault its pages on every sweep.
+    Pairs outside the mask ``feasible`` are set to -inf (max) or +inf
+    (min) in place, so ``q`` must be the caller's own array; exact ties
+    go to the lowest action index.  Every greedy policy and Bellman image
+    of an MDP, an RDP or a CT-MDP comes from here, except the pair-wise
+    sweeps of :class:`_Sweep`.
     """
-    q = expected_values(model, v)
-    q += model.reward
-    np.copyto(q, -np.inf if mode == "max" else np.inf, where=~model.feasible)
-    return q
+    np.copyto(q, -np.inf if mode == "max" else np.inf, where=~feasible)
+    sigma = q.argmax(axis=1) if mode == "max" else q.argmin(axis=1)
+    return sigma, q[np.arange(sigma.size), sigma]
 
 
 def bellman(model, v, mode="max"):
     """One Bellman sweep: per-state max (or min) of the action values."""
-    q = _masked_q_factors(model, v, mode)
-    return q.max(axis=1) if mode == "max" else q.min(axis=1)
+    return _improve(model, v, mode)[1]
 
 
 def greedy(model, v, mode="max"):
@@ -428,10 +443,14 @@ def greedy(model, v, mode="max"):
 
 
 def _improve(model, v, mode):
-    """``(greedy(model, v, mode), bellman(model, v, mode))`` from one sweep."""
-    q = _masked_q_factors(model, v, mode)
-    sigma = q.argmax(axis=1) if mode == "max" else q.argmin(axis=1)
-    return sigma, q[np.arange(sigma.size), sigma]
+    """``(greedy(model, v, mode), bellman(model, v, mode))`` from one sweep.
+
+    One fresh ``(n, m)`` array per sweep: a second one alive at the same
+    time makes the allocator return and refault its pages on every sweep.
+    """
+    q = expected_values(model, v)
+    q += model.reward
+    return _select(q, model.feasible, mode)
 
 
 def policy_apply(model, sigma, v):
@@ -834,7 +853,7 @@ class FactorizedOperators:
         return self.model.reward + self.model.beta * np.asarray(g, dtype=float)
 
     def M(self, q):
-        return np.where(self.model.feasible, q, -np.inf).max(axis=1)
+        return _select(np.array(q, dtype=float), self.model.feasible, "max")[1]
 
     def M_sigma(self, q, sigma):
         return np.asarray(q)[np.arange(self.model.n_states), sigma]
@@ -861,7 +880,7 @@ class FactorizedOperators:
         return greedy_from_expected(self.model, g)
 
     def greedy_from_q(self, q):
-        return np.where(self.model.feasible, q, -np.inf).argmax(axis=1)
+        return _select(np.array(q, dtype=float), self.model.feasible, "max")[0]
 
     def fixed_point(self, operator, start, tolerance=1e-13, max_iter=200_000):
         """Iterate a contraction on G-space or state space to its fixed point."""
@@ -878,8 +897,7 @@ class FactorizedOperators:
 
 def greedy_from_expected(model, g):
     """Greedy policy from an expected-value function on state-action pairs."""
-    q = model.reward + model.beta * np.asarray(g, dtype=float)
-    return np.where(model.feasible, q, -np.inf).argmax(axis=1)
+    return _select(model.reward + model.beta * np.asarray(g, dtype=float), model.feasible, "max")[0]
 
 
 def solve_refactored_opi(model, g0=None, m=50, tolerance=1e-8, max_iter=100_000):

@@ -322,7 +322,7 @@ class ContractionCheck(NamedTuple):
     modulus: float | None
 
 
-def blackwell_contraction_check(k, rng=None, trials=20):
+def blackwell_contraction_check(k):
     """Classify a Koopmans operator as a sup-norm contraction when possible.
 
     Returns ``contraction(beta)`` when the aggregator shifts constants by
@@ -335,9 +335,9 @@ def blackwell_contraction_check(k, rng=None, trials=20):
     modulus = agg.blackwell_modulus
     if modulus is None or not ce.constant_subadditive:
         return ContractionCheck("unknown", None)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     n = ce.p.shape[0]
-    for _ in range(trials):
+    for _ in range(20):
         v, lam = rng.standard_normal(n), float(rng.random() * 3)
         if isinstance(k.domain, tuple):
             # A point of the interval's lower half, shifted by at most half its width.

@@ -285,12 +285,13 @@ def counter_cdf(weights, values=None):
     return g
 
 
-def stochastically_dominates(phi, psi, values=None, tol=1e-12):
+def stochastically_dominates(phi, psi, values=None):
     """First-order dominance check: True iff ``psi`` dominates ``phi``.
 
     Equivalent to the counter-CDF comparison ``G_phi <= G_psi``
     pointwise on the common, totally ordered support, i.e. every
-    increasing function has a weakly larger mean under ``psi``.
+    increasing function has a weakly larger mean under ``psi``, with
+    1e-12 of slack for rounding.
     """
     phi = require_distribution(phi)
     psi = require_distribution(psi)
@@ -298,7 +299,7 @@ def stochastically_dominates(phi, psi, values=None, tol=1e-12):
         raise ValueError("distributions must share a common support")
     g_phi = counter_cdf(phi, values)
     g_psi = counter_cdf(psi, values)
-    return bool(np.all(g_phi <= g_psi + tol))
+    return bool(np.all(g_phi <= g_psi + 1e-12))
 
 
 def is_monotone_increasing(p, values=None):
@@ -322,7 +323,7 @@ def is_monotone_increasing(p, values=None):
 _QUANTILE_TOL = 1e-12
 
 
-def quantile(tau, values, phi, tol=_QUANTILE_TOL):
+def quantile(tau, values, phi):
     """The tau-th quantile of a discrete random variable.
 
     Returns the smallest value whose cumulative probability (after
@@ -337,7 +338,7 @@ def quantile(tau, values, phi, tol=_QUANTILE_TOL):
         raise ValueError("values and weights must align")
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(phi[order])
-    idx = int(np.searchsorted(cum, tau - tol, side="left"))
+    idx = int(np.searchsorted(cum, tau - _QUANTILE_TOL, side="left"))
     idx = min(idx, values.size - 1)
     return float(values[order][idx])
 
@@ -347,7 +348,7 @@ def conditional_quantile(tau, v, p):
 
     Row by row the same as :func:`quantile`: ``v`` is sorted once, and
     the index is the count of cumulative masses below ``tau`` less
-    :func:`quantile`'s default tolerance.
+    :func:`quantile`'s tolerance.
     """
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")

@@ -410,18 +410,15 @@ def inventory_mdp(beta=0.98, K=40, c=0.2, kappa=2.0, p=0.6, d_max=100):
 
 
 def simulate_inventory(built, result, steps=10_000, seed=0):
-    """Simulate stock under the solved ordering policy."""
+    """Simulate stock under the solved ordering policy, from an empty stock."""
     phi = built["demand_probs"]
     rng = np.random.default_rng(seed)
     demand = rng.choice(phi.size, size=steps, p=phi)
-    path = np.empty(steps + 1, dtype=np.int64)
-    orders = np.empty(steps, dtype=np.int64)
-    path[0] = 0
-    for t in range(steps):
-        a = result.policy[path[t]]
-        orders[t] = a
-        path[t + 1] = max(path[t] - demand[t], 0) + a
-    return path, orders
+    sigma = np.asarray(result.policy, dtype=np.int64)
+    # Stock x meeting demand d restocks to max(x - d, 0) + sigma(x).
+    table = np.maximum(np.subtract.outer(np.arange(sigma.size), np.arange(phi.size)), 0)
+    path = _follow_policy(table + sigma[:, None], 0, demand)
+    return path, sigma[path[:-1]]
 
 
 def inventory_sdd(
@@ -1024,19 +1021,16 @@ def ct_job_search(
 
 
 class ModelCard:
-    """Named zoo entry: builder, literal defaults, and test-scale overrides."""
+    """Named zoo entry: builder (at its own defaults) and test-scale overrides."""
 
-    def __init__(self, name, builder, defaults=None, ci_overrides=None, kind="mdp"):
+    def __init__(self, name, builder, ci_overrides=None, kind="mdp"):
         self.name = name
         self.builder = builder
-        self.defaults = defaults or {}
         self.ci_overrides = ci_overrides or {}
         self.kind = kind
 
     def build(self, ci_scale=False, **overrides):
-        params = dict(self.defaults)
-        if ci_scale:
-            params.update(self.ci_overrides)
+        params = dict(self.ci_overrides) if ci_scale else {}
         params.update(overrides)
         return self.builder(**params)
 

@@ -63,11 +63,12 @@ class UserCertified:
 
 
 @dataclass
-class RDPModel:
+class RDPModel(dp._StateActions):
     """Feasibility mask plus a value aggregator and its stability class.
 
-    ``aggregator`` maps a value vector to the full ``(n, m)`` table of
-    aggregator values (entries at infeasible pairs are ignored).
+    ``feasible`` follows :class:`fsdp.dp._StateActions`.  ``aggregator``
+    maps a value vector to the full ``(n, m)`` table of aggregator values
+    (entries at infeasible pairs are ignored, and never written to).
     ``jacobian(sigma, v)``, if declared, returns the linear map ``d -> J
     d`` of the policy operator of ``sigma`` at ``v`` (a generalized
     Jacobian at a kink); a contracting model that declares it evaluates
@@ -81,36 +82,24 @@ class RDPModel:
     jacobian: object = None
 
     def __post_init__(self):
-        self.feasible = np.asarray(self.feasible, dtype=bool)
-        if self.feasible.ndim != 2 or not self.feasible.any(axis=1).all():
-            raise ValueError("feasibility mask needs at least one action per state")
-
-    @property
-    def n_states(self):
-        return self.feasible.shape[0]
-
-    @property
-    def n_actions(self):
-        return self.feasible.shape[1]
+        self._check_state_actions(reward=False)
 
     def aggregate(self, v):
         """Aggregator values at every state-action pair, shaped (n, m)."""
         return np.asarray(self.aggregator(np.asarray(v, dtype=float)), dtype=float)
 
-    def policy_count(self):
-        return float(np.sum(np.log10(self.feasible.sum(axis=1))))
+
+def _improve(model, v, mode):
+    """``(rdp_greedy, rdp_bellman)`` at ``v``: :func:`fsdp.dp._select` on a copy of the table."""
+    return dp._select(model.aggregate(v).copy(), model.feasible, mode)
 
 
 def rdp_bellman(model, v, mode="max"):
-    fill = -np.inf if mode == "max" else np.inf
-    table = np.where(model.feasible, model.aggregate(v), fill)
-    return table.max(axis=1) if mode == "max" else table.min(axis=1)
+    return _improve(model, v, mode)[1]
 
 
 def rdp_greedy(model, v, mode="max"):
-    fill = -np.inf if mode == "max" else np.inf
-    table = np.where(model.feasible, model.aggregate(v), fill)
-    return table.argmax(axis=1) if mode == "max" else table.argmin(axis=1)
+    return _improve(model, v, mode)[0]
 
 
 def rdp_policy_apply(model, sigma, v):
@@ -118,13 +107,13 @@ def rdp_policy_apply(model, sigma, v):
     return model.aggregate(v)[np.arange(model.n_states), sigma]
 
 
-def check_monotone_aggregator(model, rng=None, trials=10, scale=1.0, base=None):
-    """Spot-test that the aggregator is monotone in continuation values."""
+def check_monotone_aggregator(model, rng=None):
+    """Spot-test, at 10 random pairs ``v <= w``, that the aggregator is monotone in values."""
     rng = rng or np.random.default_rng(0)
     n = model.n_states
-    for _ in range(trials):
-        v = base + scale * rng.random(n) if base is not None else rng.standard_normal(n)
-        w = v + scale * rng.random(n)
+    for _ in range(10):
+        v = rng.standard_normal(n)
+        w = v + rng.random(n)
         bv, bw = model.aggregate(v), model.aggregate(w)
         mask = model.feasible
         if np.any(bv[mask] > bw[mask] + 1e-9):
@@ -176,9 +165,10 @@ def rdp_policy_value(model, sigma, tolerance=1e-10, max_iter=200_000):
     contracting and eventually-contracting classes iterate (the latter
     is certified by the dominating operator); interval classes
     squeeze the fixed point between iterations from both ends of the
-    bracket.
+    bracket.  A policy of the wrong shape or with an infeasible action
+    raises ``ValueError`` before anything is evaluated.
     """
-    sigma = np.asarray(sigma, dtype=np.int64)
+    sigma = dp._checked_policy(model, sigma)
     stab = model.stability
     if isinstance(stab, UserCertified):
         return np.asarray(stab.evaluator(model, sigma), dtype=float)
@@ -238,7 +228,7 @@ def rdp_solve(
     v0 = np.zeros(model.n_states)
     if isinstance(stab, ConvexConcave):
         v0 = np.array(stab.lower, dtype=float)
-    start = lambda: greedy(v0) if sigma0 is None else np.asarray(sigma0, dtype=np.int64)
+    start = lambda: greedy(v0) if sigma0 is None else dp._checked_policy(model, sigma0)
     method, bound = f"rdp-{algorithm}", None
     if algorithm == "hpi":
         evaluated = []
@@ -261,7 +251,7 @@ def rdp_solve(
         method = f"rdp-opi(m={m})"
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return dp._finish(v, greedy(v), rdp_bellman(model, v, mode), k, method, bound)
+    return dp._finish(v, *_improve(model, v, mode), k, method, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +393,7 @@ def smooth_ambiguity_policy_value_conjugate(model, sigma, tolerance=1e-12, max_i
     alpha, kappa, gamma = ex["alpha"], ex["kappa"], ex["gamma"]
     xi, zeta = gamma / kappa, kappa / alpha
     n, m = reward.shape
-    sigma = np.asarray(sigma, dtype=np.int64)
+    sigma = dp._checked_policy(model, sigma)
     rows = np.arange(n)
     r_sigma = reward[rows, sigma]
 
@@ -443,13 +433,10 @@ def _successor_table(cost_matrix):
     return table, mask
 
 
-def _max_cost_to_go(cost_matrix, table, mask, beta, dest):
-    n = cost_matrix.shape[0]
-    worst = np.zeros(n)
-    edge_cost = np.where(mask, cost_matrix[np.arange(n)[:, None], table], -np.inf)
-    for _ in range(n + 1):
-        candidate = edge_cost + beta * worst[table]
-        worst = np.where(mask, candidate, -np.inf).max(axis=1)
+def _max_cost_to_go(edge_cost, table, mask, beta, dest):
+    worst = np.zeros(mask.shape[0])
+    for _ in range(mask.shape[0] + 1):
+        worst = dp._select(edge_cost + beta * worst[table], mask, "max")[1]
         worst[dest] = 0.0
     if not np.all(np.isfinite(worst)):
         raise ValueError("maximum path cost is unbounded; graph has an off-destination cycle")
@@ -481,8 +468,8 @@ def path_cost_model(cost_matrix, dest, beta=1.0):
         raise ValueError("destination unreachable from some nodes")
 
     table, mask = _successor_table(cost_matrix)
-    worst = _max_cost_to_go(cost_matrix, table, mask, beta, dest)
     edge_cost = cost_matrix[np.arange(n)[:, None], table]
+    worst = _max_cost_to_go(edge_cost, table, mask, beta, dest)
 
     def aggregator(v):
         v = np.asarray(v, dtype=float)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsdp import cli, dp, fixed_point, spectral
+from fsdp import cli, ctmdp, dp, fixed_point, rdp, spectral
 from fsdp.dp import (
     FactorizedOperators,
     MDPModel,
@@ -53,7 +53,34 @@ def single_state_model(r=1.0, beta=0.9):
     )
 
 
+def _state_action_model(kind, feasible, reward):
+    """An MDP, CT-MDP or RDP on a 2-state, 2-action space with the given mask and rewards."""
+    if kind == "mdp":
+        return MDPModel(feasible, reward, np.full((2, 2, 2), 0.5), beta=0.9)
+    if kind == "ct":
+        return ctmdp.CTMDPModel(feasible, 0.1, reward, np.zeros((2, 2, 2)))
+    return rdp.RDPModel(feasible, lambda v: np.zeros((2, 2)), rdp.Contracting(0.5))
+
+
+BAD_STATE_ACTIONS = {
+    "1-d mask": (np.ones(2, dtype=bool), np.zeros(2)),
+    "state without action": (np.array([[True, True], [False, False]]), np.zeros((2, 2))),
+    "reward shape": (np.ones((2, 2), dtype=bool), np.zeros((2, 3))),
+    "nan reward": (np.ones((2, 2), dtype=bool), np.array([[0.0, np.nan], [0.0, 0.0]])),
+}
+
+
 class TestModelValidation:
+    @pytest.mark.parametrize(
+        "kind, case",
+        [(kind, case) for case in BAD_STATE_ACTIONS for kind in ("mdp", "ct", "rdp")
+         if not (kind == "rdp" and "reward" in case)],  # an RDP has no reward table
+    )
+    def test_every_model_class_rejects_the_same_bad_state_actions(self, kind, case):
+        _state_action_model(kind, np.ones((2, 2), dtype=bool), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            _state_action_model(kind, *BAD_STATE_ACTIONS[case])
+
     def test_every_state_needs_an_action(self):
         with pytest.raises(ValueError):
             MDPModel(
@@ -564,6 +591,62 @@ class TestGreedy:
         result = solve_hpi(model)
         sigma = greedy(model, result.value)
         assert policy_value(model, sigma) == pytest.approx(result.value, abs=1e-9)
+
+
+# Exact ties and entries next to the largest doubles.  Signed zeros are
+# left out: ``max`` and the entry at ``argmax`` may be different zeros.
+TABLE_VALUES = [-1e300, np.nextafter(-1e300, 0), -2.5, -1.0, 0.0, 1.0, 2.5,
+                np.nextafter(1e300, 0), 1e300]
+
+
+@st.composite
+def greedy_tables(draw):
+    """``(q, feasible, mode)``: an ``(n, m)`` table, a mask with an action per state, a mode."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    q = np.array(draw(st.lists(st.sampled_from(TABLE_VALUES), min_size=n * m, max_size=n * m)))
+    feasible = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)))
+    feasible = feasible.reshape(n, m)
+    feasible[np.arange(n), draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))] = True
+    return q.reshape(n, m), feasible, draw(st.sampled_from(["max", "min"]))
+
+
+def _reference_greedy(q, feasible, mode):
+    masked = np.where(feasible, q, -np.inf if mode == "max" else np.inf)
+    if mode == "max":
+        return masked.argmax(axis=1), masked.max(axis=1)
+    return masked.argmin(axis=1), masked.min(axis=1)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGreedyContract:
+    """The one greedy selection, and every caller of it, against an independent masked argmax."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(greedy_tables())
+    def test_every_greedy_step_matches_the_masked_reference(self, case):
+        q, feasible, mode = case
+        want_sigma, want_values = _reference_greedy(q, feasible, mode)
+        sigma, values = dp._select(q.copy(), feasible, mode)
+        assert _same_bits(sigma, want_sigma) and _same_bits(values, want_values)
+
+        table = q.copy()
+        model = rdp.RDPModel(feasible, lambda v: table, rdp.Contracting(0.5))
+        v = np.zeros(q.shape[0])
+        assert _same_bits(rdp.rdp_greedy(model, v, mode), want_sigma)
+        assert _same_bits(rdp.rdp_bellman(model, v, mode), want_values)
+        assert _same_bits(table, q)
+
+        if mode == "max":
+            n, m = q.shape
+            mdp = MDPModel(feasible, np.zeros((n, m)), np.full((n, m, n), 1.0 / n), beta=0.5)
+            ops, table = FactorizedOperators(mdp), q.copy()
+            assert _same_bits(ops.M(table), want_values)
+            assert _same_bits(ops.greedy_from_q(table), want_sigma)
+            assert _same_bits(table, q)
 
 
 class TestBellman:

@@ -225,6 +225,22 @@ class TestInventory:
         _, orders = models.simulate_inventory(built, result, steps=10_000, seed=3)
         assert np.mean(orders == 0) > 0.9
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_simulation_matches_a_plain_loop(self, inventory_solved, seed):
+        built, result = inventory_solved
+        steps = 2_000
+        demand = np.random.default_rng(seed).choice(
+            built["demand_probs"].size, size=steps, p=built["demand_probs"]
+        )
+        path = np.zeros(steps + 1, dtype=np.int64)
+        orders = np.zeros(steps, dtype=np.int64)
+        for t in range(steps):
+            orders[t] = result.policy[path[t]]
+            path[t + 1] = max(path[t] - demand[t], 0) + orders[t]
+        got_path, got_orders = models.simulate_inventory(built, result, steps=steps, seed=seed)
+        assert got_path.dtype == path.dtype and got_orders.dtype == orders.dtype
+        assert np.array_equal(got_path, path) and np.array_equal(got_orders, orders)
+
     def test_free_ordering_always_restocks(self):
         built = models.inventory_mdp(kappa=0.0, c=0.0, K=25, d_max=60)
         result = dp.solve_hpi(built["mdp"])

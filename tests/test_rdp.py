@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -500,6 +501,45 @@ class TestSmoothAmbiguity:
         )
         result = rdp_solve(model, tolerance=1e-11)
         assert result.residual < 1e-9
+
+
+class TestPolicyChecks:
+    """A policy of the wrong shape or with an infeasible action is refused before evaluation."""
+
+    @pytest.fixture
+    def model(self):
+        # Nodes 1 and 2 have one successor each, so their second slot is unused.
+        inf = np.inf
+        cost = np.array([[inf, 1.0, 5.0], [inf, inf, 1.0], [inf, inf, 0.0]])
+        model = path_cost_model(cost, 2)
+        assert not model.feasible[1, 1]
+        return model
+
+    @pytest.mark.parametrize("sigma", [[0, 1, 0], [0, 0], [0, -1, 0], [0, 2, 0]],
+                             ids=["unused-slot", "short", "negative", "out-of-range"])
+    @pytest.mark.parametrize("entry", ["policy_value", "solve_hpi", "solve_opi"])
+    def test_bad_policy_raises_at_once(self, model, sigma, entry):
+        calls = {
+            "policy_value": lambda: rdp.rdp_policy_value(model, sigma),
+            "solve_hpi": lambda: rdp_solve(model, mode="min", sigma0=sigma),
+            "solve_opi": lambda: rdp_solve(model, mode="min", algorithm="opi", sigma0=sigma),
+        }
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="policy"):
+            calls[entry]()
+        assert time.perf_counter() - start < 0.5
+
+    def test_good_policy_still_evaluates(self, model):
+        assert np.array_equal(rdp.rdp_policy_value(model, [0, 0, 0]), [2.0, 1.0, 0.0])
+
+    def test_smooth_ambiguity_conjugate_checks_the_policy(self):
+        rng = np.random.default_rng(4)
+        kernels = [rng.dirichlet(np.ones(3), size=(3, 2)) for _ in range(2)]
+        model = make_smooth_ambiguity_aggregator(
+            rng.random((3, 2)) + 0.5, 0.9, kernels, np.full((3, 2), 0.5), 0.5, -2.0, -1.0
+        )
+        with pytest.raises(ValueError, match="policy"):
+            smooth_ambiguity_policy_value_conjugate(model, [0, 2, 0])
 
 
 class TestUserCertified:
