@@ -16,8 +16,9 @@ Solvers: value function iteration, Howard policy iteration, optimistic
 policy iteration (their loops live in :mod:`fsdp.fixed_point`), plus the
 expected-value / Q-factor operator factorization, a refactored OPI in
 expected-value space, and the log-sum-exp closed form for Gumbel taste
-shocks.  Value function iteration sweeps only the pairs that can still
-be maximal (MacQueen's test), with the dense sweep's iterates to the bit.
+shocks.  Value function iteration, and OPI with ``m = 1``, sweep only the
+pairs that can still be maximal (MacQueen's test), with the dense sweep's
+iterates to the bit.
 
 Policy evaluation solves ``(I - L_sigma) v = r_sigma`` by BiCGSTAB on
 the policy operator (:func:`fsdp.fixed_point.certified_solve`), so
@@ -662,11 +663,15 @@ ELIMINATION_SLACK = 1e-10
 
 
 class _Sweep:
-    """Bellman sweeps of :func:`solve_vfi` over the pairs that can still be maximal.
+    """Bellman sweeps over the pairs that can still be maximal (VFI, and OPI with ``m = 1``).
 
     A sweep gathers the kept pairs from the kernel's ``grid``, adds their
     rewards and reduces by state: the float operations of :func:`bellman`,
-    so its bytes while every maximizing pair is kept.  MacQueen's test
+    so its bytes while every maximizing pair is kept.  Once the kept pairs
+    of a sparse :class:`Flat` kernel shrink, a sweep multiplies only their
+    rows, sliced once per shrink: a CSR product sums each row in stored
+    order, so each kept q-value keeps its bytes (a dense kernel keeps the
+    gather, since BLAS may block a row subset differently).  MacQueen's test
     drops the others.  ``pair = (h, lam)`` bounds every feasible row, so
     with ``D = ||v_{k+1} - v_k||_h / (1 - lam)`` every later iterate lies
     within ``D`` of ``v_k`` and every later q-value within ``lam h(x) D``
@@ -681,7 +686,9 @@ class _Sweep:
 
     def __init__(self, model, mode, pair):
         kernel, (states, actions) = model.transitions, np.nonzero(model.feasible)
-        self.grid = kernel.grid
+        self.grid, self.rows = kernel.grid, None
+        discounted = kernel.discounted() if isinstance(kernel, Flat) else None
+        self.discounted = discounted if sp.issparse(discounted) else None
         self.reduce = (np.maximum if mode == "max" else np.minimum).reduceat
         self.sign = 1.0 if mode == "max" else -1.0
         self._keep(states, kernel.pair_index(states, actions), model.reward[states, actions])
@@ -696,7 +703,7 @@ class _Sweep:
         self.starts = np.flatnonzero(np.diff(states, prepend=-1))
 
     def __call__(self, v):
-        q = self.grid(v).take(self.index)
+        q = self.grid(v).take(self.index) if self.rows is None else self.rows @ v
         q += self.reward
         new = self.reduce(q, self.starts)
         if self.h is not None:
@@ -713,6 +720,9 @@ class _Sweep:
         keep = self.sign * q >= (floor - ELIMINATION_SLACK * scale / (1 - lam))[self.states]
         if np.count_nonzero(keep) < 0.75 * keep.size:
             self._keep(self.states[keep], self.index[keep], self.reward[keep])
+            if self.discounted is not None:
+                self.rows = None  # at most one slice alive
+                self.rows = self.discounted[self.index]
 
 
 def solve_vfi(
@@ -741,11 +751,20 @@ def solve_vfi(
     pair = _uniform_pair(model)
     sweep = _Sweep(model, mode, pair)
     v, k, _ = fixed_point.value_iteration(sweep, v, tolerance, max_iter, history)
-    bound = None
-    if pair is not None:
-        h, lam = pair
-        bound = float(np.max(h) * 2 * lam / (1 - lam) * sweep.step)
+    bound = _greedy_bound(pair, sweep.step)
     return _finish(v, *_improve(model, v, mode), k, "vfi", bound, history, products=0)
+
+
+def _greedy_bound(pair, step):
+    """``max(h) * 2 lam / (1 - lam) * step``, or None without a pair ``(h, lam)``.
+
+    It bounds ``||v* - v_sigma||_inf`` for ``sigma`` greedy at ``v`` when
+    ``step`` is ``||T v - v||_h``, or ``||v - u||_h`` with ``v = T u``.
+    """
+    if pair is None:
+        return None
+    h, lam = pair
+    return float(np.max(h) * 2 * lam / (1 - lam) * step)
 
 
 # Forcing constant of HPI's inexact evaluations (Eisenstat and Walker).
@@ -806,24 +825,39 @@ def solve_opi(
 ):
     """Optimistic policy iteration with ``m`` partial evaluation steps.
 
-    Starts from the exact value of ``sigma0`` and alternates a greedy
-    improvement with ``m`` applications of the policy operator; ``m = 1``
-    reproduces the VFI value sequence.
+    Starts from the certified value of ``sigma0`` and alternates a greedy
+    improvement with ``m`` applications of the policy operator, which
+    :func:`fixed_point.optimistic_policy_iteration` builds once per
+    greedy policy.  ``m = 1`` is value function iteration from that
+    start, so it runs VFI's sweep (:class:`_Sweep`), which eliminates
+    actions and needs no policy until the end; its iterates are
+    :func:`bellman`'s.  Where ``(h, lam)`` bounds every feasible row
+    (:func:`_uniform_pair`), the result carries ``error_bound``, ``max(h)
+    * 2 lam / (1 - lam) * ||T v - v||_h`` on ``||v* - v_sigma||_inf``
+    for the policy ``sigma`` greedy at the final ``v``.
     """
     certify_stability(model, dominating)
     sigma, tally = _start_policy(model, sigma0, mode), [0]
     v = _certified_policy_value(model, sigma, system=_policy_system(model, sigma, tally))[0]
     history = [v.copy()] if record_history else None
+    pair = _uniform_pair(model)
 
     def policy_operator(sigma):
         sigma = _checked_policy(model, sigma)
         apply, r_sigma = model.transitions.policy_operator(sigma), policy_reward(model, sigma)
         return lambda v: r_sigma + apply(v)
 
-    v, k = fixed_point.optimistic_policy_iteration(
-        lambda v: greedy(model, v, mode), policy_operator, v, m, tolerance, max_iter, history
-    )
-    return _finish(v, *_improve(model, v, mode), k, f"opi(m={m})", history=history, products=tally[0])
+    if m == 1:
+        sweep = _Sweep(model, mode, pair)
+        v, k, _ = fixed_point.value_iteration(sweep, v, tolerance, max_iter, history)
+    else:
+        v, k = fixed_point.optimistic_policy_iteration(
+            lambda v: greedy(model, v, mode), policy_operator, v, m, tolerance, max_iter, history
+        )
+    sigma, tv = _improve(model, v, mode)
+    step = None if pair is None else np.max(np.abs(tv - v) / pair[0])
+    bound = _greedy_bound(pair, step)
+    return _finish(v, sigma, tv, k, f"opi(m={m})", bound, history, products=tally[0])
 
 
 # ---------------------------------------------------------------------------

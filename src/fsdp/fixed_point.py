@@ -297,13 +297,19 @@ def optimistic_policy_iteration(
 ):
     """Optimistic policy iteration: ``v <- T_sigma^m v`` with ``sigma`` greedy at ``v``.
 
-    ``policy_operator(sigma)`` returns the map ``v -> T_sigma v``.  Each
-    sweep is one step of :func:`iterate` under the stop rule ``error``;
-    returns ``(v, k)``.  ``m = 1`` reproduces value function iteration.
+    ``policy_operator(sigma)`` returns the map ``v -> T_sigma v``, a pure
+    function of ``sigma``: it is built again only when the greedy policy
+    changes.  Each sweep is one step of :func:`iterate` under the stop
+    rule ``error``; returns ``(v, k)``.  ``m = 1`` reproduces value
+    function iteration.
     """
+    last, apply = None, None
 
     def sweep(v):
-        apply = policy_operator(greedy(v))
+        nonlocal last, apply
+        sigma = greedy(v)
+        if not np.array_equal(sigma, last):
+            last, apply = sigma, policy_operator(sigma)
         for _ in range(m):
             v = apply(v)
         return v

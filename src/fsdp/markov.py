@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 from scipy.special import ndtr
 
 from . import spectral
@@ -185,23 +186,33 @@ def stationary_distribution(p):
     """Solve ``psi @ p = psi`` with ``psi`` summing to one.
 
     An irreducible ``p`` has one stationary distribution, the solution of
-    ``(p.T - I + 1 1^T) psi = 1``, found by one LU solve.  When ``p`` is
+    ``(p.T - I + 1 1^T) psi = 1``, found by one LU solve.  A sparse
+    irreducible ``p`` (``n > 1``) is never densified: with the last
+    entry of ``psi`` set to one, the other equations of ``(I - p.T) psi =
+    0`` lose their last row and column, a nonsingular system that one
+    sparse LU solves before ``psi`` is normalized.  When ``p`` is
     reducible the stationary distribution is not unique; one solution of
     ``(p.T - I) psi = 0`` with a normalization row appended is returned
-    by least squares, with a warning.
+    by least squares, with a warning; a sparse ``p`` is densified for it.
     """
     p = require_stochastic_matrix(p)
     irreducible = is_irreducible(p)
-    p = p.toarray() if sp.issparse(p) else p
     n = p.shape[0]
-    if irreducible:
-        psi = np.linalg.solve(p.T - np.eye(n) + 1.0, np.ones(n))
+    if irreducible and sp.issparse(p) and n > 1:
+        # The system's columns are diagonally dominant, so the LU pivots on
+        # the diagonal and fills in no more than the sparsity pattern asks.
+        a = sp.identity(n, format="csc") - p.T.tocsc()
+        psi = np.append(spsolve(a[:-1, :-1], -a[:-1, -1].toarray().ravel()), 1.0)
     else:
-        warnings.warn("matrix is reducible: stationary distribution is not unique", stacklevel=2)
-        a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        psi, *_ = np.linalg.lstsq(a, b, rcond=None)
+        p = p.toarray() if sp.issparse(p) else p
+        if irreducible:
+            psi = np.linalg.solve(p.T - np.eye(n) + 1.0, np.ones(n))
+        else:
+            warnings.warn("matrix is reducible: stationary distribution is not unique", stacklevel=2)
+            a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
+            b = np.zeros(n + 1)
+            b[-1] = 1.0
+            psi, *_ = np.linalg.lstsq(a, b, rcond=None)
     psi = np.clip(psi, 0.0, None)
     return psi / psi.sum()
 

@@ -962,6 +962,24 @@ class TestActionElimination:
         model = ZOO[name].build(ci_scale=True)["mdp"]
         _assert_same_vfi(solve_vfi(model, record_history=True), _dense_vfi(model))
 
+    @pytest.mark.parametrize("name", ["job_search_markov", "optimal_default"])
+    def test_csr_sweeps_multiply_only_the_kept_rows(self, name, monkeypatch):
+        # CSR sums each row in stored order, so the kept rows' product has
+        # the bytes of the full product's entries.
+        model = ZOO[name].build(ci_scale=True)["mdp"]
+        sweeps = []
+
+        class Recorded(dp._Sweep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sweeps.append(self)
+
+        monkeypatch.setattr(dp, "_Sweep", Recorded)
+        _assert_same_vfi(solve_vfi(model, record_history=True), _dense_vfi(model))
+        (sweep,) = sweeps
+        assert sp.issparse(sweep.rows)
+        assert sweep.rows.shape[0] == sweep.index.size < model.feasible.sum()
+
     @pytest.mark.parametrize("name", ["optimal_savings", "inventory_sdd", "optimal_default"])
     def test_most_pairs_are_eliminated(self, name):
         model = ZOO[name].build(ci_scale=True)["mdp"]
@@ -1013,6 +1031,74 @@ class TestVFIErrorBound:
         v_sigma = policy_value(model, vfi.policy)
         slack = 1e-10 * max(1.0, np.max(np.abs(star)))
         assert np.max(np.abs(star - v_sigma)) <= vfi.error_bound + slack
+
+
+class TestOPI:
+    @pytest.mark.parametrize(
+        "name", ["job_search_markov", "inventory_mdp", "optimal_savings", "inventory_sdd"]
+    )
+    def test_m1_is_vfi_from_the_start_value(self, name):
+        # A CSR and a dense flat kernel, a choice and an endogenous factored one.
+        model = ZOO[name].build(ci_scale=True)["mdp"]
+        opi = solve_opi(model, m=1, record_history=True)
+        vfi = solve_vfi(model, v0=opi.history[0], record_history=True)
+        assert opi.value.tobytes() == vfi.value.tobytes()
+        assert np.array_equal(opi.policy, vfi.policy)
+        assert opi.iterations == vfi.iterations
+        assert [u.tobytes() for u in opi.history] == [u.tobytes() for u in vfi.history]
+
+    def test_policy_operator_is_built_once_per_greedy_policy(self, monkeypatch):
+        model = ZOO["job_search_markov"].build(ci_scale=True)["mdp"]
+        built = []
+        original = model.transitions.policy_operator
+
+        def recording(sigma):
+            built.append(np.asarray(sigma, dtype=np.int64).tobytes())
+            return original(sigma)
+
+        monkeypatch.setattr(model.transitions, "policy_operator", recording)
+        result = solve_opi(model, m=10)
+        # The first build is the start evaluation's.
+        loop = built[1:]
+        assert len(loop) == len(set(loop)) < result.iterations
+        built.clear()
+        solve_opi(model, m=1)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("tolerance", [10.0, 1e-2, 1e-6])
+    def test_policy_within_the_error_bound(self, m, tolerance):
+        # From a poor start and at a loose tolerance, some runs stop at a
+        # policy that is not optimal.
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            model = random_mdp(rng, n=12, m=4)
+            opi = solve_opi(model, sigma0=np.zeros(12), m=m, tolerance=tolerance)
+            star = solve_hpi(model)
+            v_sigma = policy_value(model, opi.policy)
+            assert np.max(np.abs(star.value - v_sigma)) <= opi.error_bound + 1e-12
+            beta = model.beta
+            assert opi.error_bound == 2 * beta / (1 - beta) * opi.residual
+
+    def test_certified_factored_bound_and_none_without_a_pair(self):
+        model = ZOO["inventory_sdd"].build(ci_scale=True)["mdp"]
+        star = solve_hpi(model).value
+        h, lam = model._bounding
+        for m in (1, 5):
+            opi = solve_opi(model, m=m, tolerance=1e-1)
+            tv = bellman(model, opi.value)
+            step = np.max(np.abs(tv - opi.value) / h)
+            assert opi.error_bound == np.max(h) * 2 * lam / (1 - lam) * step
+            assert np.max(np.abs(star - policy_value(model, opi.policy))) <= opi.error_bound
+        rng = np.random.default_rng(21)
+        n, m = 5, 3
+        model = MDPModel(
+            np.ones((n, m), dtype=bool), rng.standard_normal((n, m)),
+            _stochastic(rng, (n, m, n)), discount_weights=rng.uniform(0.5, 0.9, (n, m, n)),
+        )
+        certify_stability(model, "certified")
+        assert solve_opi(model, m=1).error_bound is None
+        assert solve_opi(model, m=5).error_bound is None
 
 
 class TestStateDependentDiscounting:

@@ -245,6 +245,19 @@ class TestSolverCore:
             run()
         assert info.value.last == pytest.approx(np.full(3, last), abs=1e-15)
 
+    def test_opi_builds_each_greedy_policys_operator_once(self):
+        # The greedy policy flips from zeros to ones once, after the first sweep.
+        built = []
+
+        def policy_operator(sigma):
+            built.append(sigma.tolist())
+            return halve_plus_one
+
+        greedy = lambda v: (v > 1.2).astype(np.int64)
+        v, k = optimistic_policy_iteration(greedy, policy_operator, np.zeros(3), 2, 1e-12, 100)
+        assert built == [[0, 0, 0], [1, 1, 1]]
+        assert k > 10 and v == pytest.approx(np.full(3, 2.0))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_rdp_vfi_of_wrapped_mdp_matches_mdp_vfi(self, seed):
         rng = np.random.default_rng(seed)

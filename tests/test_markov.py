@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -235,6 +237,24 @@ class TestSparseChains:
         assert markov.is_irreducible(csr) and markov.is_irreducible(p)
         psi = markov.stationary_distribution(p)
         assert np.max(np.abs(markov.stationary_distribution(csr) - psi)) <= 1e-14
+
+    def test_large_banded_csr_is_solved_without_a_dense_copy(self):
+        # A dense copy of this chain alone would take 800 MB.
+        rng = np.random.default_rng(10)
+        n, offsets = 10_000, np.arange(-3, 4)
+        rows = np.repeat(np.arange(n), offsets.size)
+        cols = (rows + np.tile(offsets, n)) % n
+        p = sp.csr_matrix((rng.uniform(0.1, 1.0, rows.size), (rows, cols)), shape=(n, n))
+        p = (sp.diags(1.0 / np.asarray(p.sum(axis=1)).ravel()) @ p).tocsr()
+        tracemalloc.start()
+        try:
+            psi = markov.stationary_distribution(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert np.max(np.abs(psi @ p - psi)) <= 1e-12
+        assert psi.min() > 0 and abs(psi.sum() - 1.0) <= 1e-12
 
     def test_day_laborer_csr(self):
         psi = markov.stationary_distribution(sp.csr_matrix(day_laborer()))
