@@ -171,12 +171,16 @@ def is_irreducible(p):
 
 def _all_reachable(adjacency, source):
     n = adjacency.shape[0]
+    if sp.issparse(adjacency):
+        # Imported here: at module level it would add about 5 ms to every CLI start-up.
+        from scipy.sparse.csgraph import breadth_first_order
+
+        return breadth_first_order(adjacency, source, return_predecessors=False).size == n
     seen = np.zeros(n, dtype=bool)
     seen[source] = True
     frontier = [source]
     while frontier:
-        # A boolean sum is a logical or, for dense and CSR adjacency alike.
-        nxt = np.asarray(adjacency[frontier].sum(axis=0, dtype=bool)).ravel() & ~seen
+        nxt = adjacency[frontier].any(axis=0) & ~seen
         frontier = np.flatnonzero(nxt).tolist()
         seen |= nxt
     return bool(seen.all())
@@ -245,9 +249,12 @@ def tauchen(spec_or_n, rho=None, nu=None, b=0.0, m=3.0):
     Accepts either a :class:`TauchenSpec` or positional parameters
     ``(n, rho, nu, b, m)``.  The grid is centered on the stationary mean
     ``b / (1 - rho)`` and spans ``m`` stationary standard deviations on
-    each side.  Transition entries are Gaussian CDF differences computed
-    on the demeaned grid; boundary columns absorb the tails, so every
-    row sums to one.
+    each side.  Row ``i`` is the Gaussian CDF at the ``n - 1`` interior
+    cell edges of the demeaned grid, given ``rho * grid[i]``, padded
+    with 0 and 1 and differenced, so boundary columns absorb the tails
+    and each row sums to one.  The grid is symmetric, so only the top
+    ``(n + 1) // 2`` rows are computed: row ``n - 1 - i`` is row ``i``
+    reversed.
 
     Returns ``(grid, p)``.
     """
@@ -266,13 +273,18 @@ def tauchen(spec_or_n, rho=None, nu=None, b=0.0, m=3.0):
 
     sigma_x = spec.nu / np.sqrt(1.0 - spec.rho**2)
     grid = np.linspace(-spec.m * sigma_x, spec.m * sigma_x, spec.n)
-    step = grid[1] - grid[0]
-    half = step / 2.0
+    half = (grid[1] - grid[0]) / 2.0
 
-    centered = grid[None, :] - spec.rho * grid[:, None]
-    p = ndtr((centered + half) / spec.nu) - ndtr((centered - half) / spec.nu)
-    p[:, 0] = ndtr((centered[:, 0] + half) / spec.nu)
-    p[:, -1] = 1.0 - ndtr((centered[:, -1] - half) / spec.nu)
+    top = (spec.n + 1) // 2
+    cdf = np.empty((top, spec.n + 1))
+    cdf[:, 0], cdf[:, -1] = 0.0, 1.0
+    edges = cdf[:, 1:-1]
+    np.subtract(grid[:-1] + half, spec.rho * grid[:top, None], out=edges)
+    edges /= spec.nu
+    ndtr(edges, out=edges)
+    p = np.empty((spec.n, spec.n))
+    np.subtract(cdf[:, 1:], cdf[:, :-1], out=p[:top])
+    p[top:] = p[spec.n - top - 1 :: -1, ::-1]
 
     mu_x = spec.b / (1.0 - spec.rho)
     return grid + mu_x, require_stochastic_matrix(p)

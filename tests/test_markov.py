@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import binom, norm
 
 from fsdp import koopmans, markov
@@ -271,6 +272,43 @@ class TestSparseChains:
             sparse = markov.stationary_distribution(sp.csr_matrix(p))
         assert np.max(np.abs(sparse - dense)) <= 1e-14
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        density=st.sampled_from([0.0, 0.03, 0.1, 0.3]),
+        cycle=st.booleans(),
+    )
+    def test_csr_and_dense_agree_with_a_plain_search(self, seed, n, density, cycle):
+        rng = np.random.default_rng(seed)
+        support = rng.random((n, n)) < density
+        support[np.arange(n), rng.integers(0, n, n)] = True
+        if cycle:
+            order = rng.permutation(n)
+            support[order, np.roll(order, -1)] = True
+        p = np.where(support, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+        p /= p.sum(axis=1, keepdims=True)
+        # Store some zeros explicitly: they must not count as edges.
+        stored = support | (rng.random((n, n)) < 0.2)
+        csr = sp.csr_matrix((p[stored], np.nonzero(stored)), shape=(n, n))
+        assert csr.nnz == stored.sum()
+
+        def reaches_all(adjacent):
+            seen, stack = {0}, [0]
+            while stack:
+                for y in adjacent(stack.pop()):
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            return len(seen) == n
+
+        expected = reaches_all(lambda x: np.flatnonzero(support[x])) and reaches_all(
+            lambda x: np.flatnonzero(support[:, x])
+        )
+        assert expected or not cycle
+        assert markov.is_irreducible(p) == expected
+        assert markov.is_irreducible(csr) == expected
+
     def test_stored_zeros_are_not_edges(self):
         # Block-diagonal support, with the off-block entries stored as explicit zeros.
         p = np.zeros((4, 4))
@@ -360,6 +398,18 @@ class TestGeometricValue:
         assert np.all(np.diff(v) > 0)
 
 
+def _two_cdf_tauchen(n, rho, nu, b, m):
+    """Tauchen's grid and matrix with both edges of every cell evaluated, as first written."""
+    sigma_x = nu / np.sqrt(1.0 - rho**2)
+    grid = np.linspace(-m * sigma_x, m * sigma_x, n)
+    half = (grid[1] - grid[0]) / 2.0
+    centered = grid[None, :] - rho * grid[:, None]
+    p = ndtr((centered + half) / nu) - ndtr((centered - half) / nu)
+    p[:, 0] = ndtr((centered[:, 0] + half) / nu)
+    p[:, -1] = 1.0 - ndtr((centered[:, -1] - half) / nu)
+    return grid + b / (1.0 - rho), p
+
+
 class TestTauchen:
     def test_iid_limit_rows_identical(self):
         _, p = markov.tauchen(9, rho=0.0, nu=0.5)
@@ -391,6 +441,35 @@ class TestTauchen:
     def test_not_monotone_with_negative_persistence(self):
         _, p = markov.tauchen(5, rho=-0.8, nu=0.4)
         assert not markov.is_monotone_increasing(p)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 200),
+        rho=st.floats(-0.995, 0.995),
+        nu=st.floats(0.01, 2.0),
+        m=st.floats(0.5, 12.0),
+        b=st.floats(-5.0, 5.0),
+    )
+    def test_one_cdf_per_edge_and_mirrored_rows(self, n, rho, nu, m, b):
+        grid, p = markov.tauchen(n, rho=rho, nu=nu, b=b, m=m)
+        grid_ref, p_ref = _two_cdf_tauchen(n, rho, nu, b, m)
+        assert np.array_equal(grid, grid_ref)
+        assert np.max(np.abs(p - p_ref)) <= 1e-13
+        k = n // 2
+        assert np.array_equal(p[n - k :], p[k - 1 :: -1, ::-1])
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-15
+        if rho >= 0:
+            assert markov.is_monotone_increasing(p)
+
+    def test_large_chain_traced_peak_is_p_and_half_a_cdf_table(self):
+        tracemalloc.start()
+        try:
+            _, p = markov.tauchen(1000, rho=0.96, nu=0.1, m=10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # p alone is 8 MB; the half-height CDF table adds 4 MB.
+        assert peak < 16e6
 
 
 class TestStochasticDominance:
