@@ -20,10 +20,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import bicgstab
 
 from .errors import ConvergenceError, SingularJacobianError
-from .spectral import shifted
+from .spectral import bicgstab, shifted
 
 # Iterates above this sup-norm abort with a divergence diagnostic.
 DIVERGENCE_LIMIT = 1e12
@@ -157,15 +156,15 @@ def certified_solve(apply, b, h, lam, tolerance=None, x0=None):
     scale = float(np.max(np.abs(b), initial=0.0))
     if scale == 0:
         return np.zeros_like(b, dtype=float), 0.0
-    system = shifted(apply, b.size)
+    system = shifted(apply)
     b = b / scale
     floor = max(1e-12, 64 * np.finfo(float).eps / (1 - lam))
     tolerance = floor if tolerance is None else max(tolerance, floor)
     y = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float) / scale
     rtol = tolerance * (1 - lam)
     for _ in range(SOLVE_PASSES):
-        y, _ = bicgstab(system, b, x0=y, rtol=rtol, atol=0.0)
-        res = b - system.matvec(y)
+        y, _ = bicgstab(system, b, x0=y, rtol=rtol)
+        res = b - system(y)
         bound = error_bound(res, h, lam)
         target = tolerance * max(1.0 / scale, np.max(np.abs(y)))
         if bound <= target:
@@ -410,11 +409,11 @@ def newton_fixed_point(op, u0, cfg=None, jacobian=None):
         scale = float(np.max(np.abs(tu - u)))
         if not 0 < scale < np.inf:
             return tu
-        system, rhs = shifted(jvp, u.size), (tu - u) / scale
-        d, info = bicgstab(system, rhs, rtol=1e-12, atol=0.0)
+        system, rhs = shifted(jvp), (tu - u) / scale
+        d, info = bicgstab(system, rhs, rtol=1e-12)
         # BiCGSTAB's recurrence can report success after drifting from the
         # true residual; a user Jacobian is exact, so its residual is checked.
-        drifted = jacobian is not None and not np.max(np.abs(rhs - system.matvec(d))) <= 1e-8
+        drifted = jacobian is not None and not np.max(np.abs(rhs - system(d))) <= 1e-8
         if info != 0 or drifted or not np.all(np.isfinite(d)):
             raise SingularJacobianError(f"I - J is singular or ill-conditioned at iteration {k}")
         return u + scale * d

@@ -20,10 +20,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from . import fixed_point, markov, spectral
 from .errors import ConvergenceError, SpectralRadiusError, StabilityError
+
+
+@dataclass(frozen=True)
+class _LinearMap:
+    """A linear map given by ``apply = d -> J d``; ``J @ d`` takes a vector, or a matrix column by column."""
+
+    apply: object
+
+    def __matmul__(self, d):
+        d = np.asarray(d, dtype=float)
+        return self.apply(d) if d.ndim == 1 else np.column_stack([self.apply(c) for c in d.T])
 
 
 def _row_shifted(vals, weights):
@@ -119,7 +129,7 @@ class Entropic(_CertaintyEquivalent):
     def jacobian(self, v):
         """``W(v)``, the row-stochastic ``P * exp(theta v)`` with rows normalized.
 
-        Returned as the operator ``d -> P (e * d) / (P e)`` with ``e =
+        Returned as a linear map, ``W @ d = P (e * d) / (P e)`` with ``e =
         exp(theta v - max(theta v))``, one product per application; rows
         rescued by :func:`_weighted_logsumexp_rows` are kept as dense rows.
         """
@@ -132,13 +142,12 @@ class Entropic(_CertaintyEquivalent):
             rescued /= rescued.sum(axis=1, keepdims=True)
 
         def apply(d):
-            d = np.ravel(d)
             out = self.p @ (e * d) / r
             if rescued is not None:
                 out[low] = rescued @ d
             return out
 
-        return LinearOperator(self.p.shape, matvec=apply, dtype=float)
+        return _LinearMap(apply)
 
 
 class KrepsPorteus(_CertaintyEquivalent):
@@ -189,9 +198,9 @@ class QuantileCE(_CertaintyEquivalent):
         return v[self._index(v)]
 
     def jacobian(self, v):
-        """The selection ``d -> d[j(v)]`` of each row's quantile: a generalized Jacobian."""
+        """The selection ``J @ d = d[j(v)]`` of each row's quantile, as a linear map: a generalized Jacobian."""
         j = self._index(np.asarray(v, dtype=float))
-        return LinearOperator(self.p.shape, matvec=lambda d: np.ravel(d)[j], dtype=float)
+        return _LinearMap(lambda d: d[j])
 
 
 # ---------------------------------------------------------------------------

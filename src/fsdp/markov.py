@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 from scipy.special import ndtr
 
 from . import spectral
@@ -203,6 +202,9 @@ def stationary_distribution(p):
     irreducible = is_irreducible(p)
     n = p.shape[0]
     if irreducible and sp.issparse(p) and n > 1:
+        # Imported here, as csgraph is: it would load scipy.linalg into every CLI start-up.
+        from scipy.sparse.linalg import spsolve
+
         # The system's columns are diagonally dominant, so the LU pivots on
         # the diagonal and fills in no more than the sparsity pattern asks.
         a = sp.identity(n, format="csc") - p.T.tocsc()

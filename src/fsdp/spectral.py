@@ -6,14 +6,13 @@ exponential, and dominant (Perron-Frobenius) eigenpairs of nonnegative
 matrices.  All routines operate on square real matrices given as 2-d
 numpy arrays.  :func:`bounding_pair` decides ``rho < 1`` for nonnegative
 input; eigenvalues decide signed input and report rejections.
+Only :func:`eig` and :func:`matrix_exponential` load ``scipy.linalg``, on first use.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eig, expm
 from scipy.sparse import issparse
-from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .errors import ConvergenceError, SpectralRadiusError
 
@@ -73,9 +72,57 @@ def spectral_radius_bounds(a):
     return float(lower), float(upper)
 
 
-def shifted(apply, n):
-    """``I - L`` as a LinearOperator of order ``n``, given ``apply = v -> L v``."""
-    return LinearOperator((n, n), matvec=lambda v: v - apply(v), dtype=float)
+def shifted(apply):
+    """``v -> v - L v``, the product with ``I - L``, given ``apply = v -> L v``."""
+    return lambda v: v - apply(v)
+
+
+def bicgstab(matvec, b, x0=None, rtol=1e-5, maxiter=None):
+    """Solve ``A x = b`` by BiCGSTAB (van der Vorst 1992), given ``matvec = v -> A v``.
+
+    scipy 1.17's unpreconditioned ``scipy.sparse.linalg.bicgstab`` loop at ``atol=0``, update
+    for update (its ``s`` is ``r``), so it gives scipy's iterates to the bit.  ``info`` is 0 once
+    ``||r||_2 < rtol ||b||_2``, ``maxiter`` (default ``10 n``) when that runs out, and -10 or -11
+    when ``|rho|`` or ``|omega|`` is below ``eps**2`` or ``rtilde . v`` is 0.  ``x0`` is copied.
+    """
+    b = np.asarray(b, dtype=float).ravel()
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b.copy(), 0
+    atol, breakdown = rtol * bnrm2, np.finfo(float).eps ** 2
+    maxiter = 10 * b.size if maxiter is None else maxiter
+    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float).ravel()
+    r = b - matvec(x) if x.any() else b.copy()
+    rtilde = r.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < breakdown:
+            return x, -10
+        if iteration == 0:
+            p = r.copy()
+        elif np.abs(omega) < breakdown:
+            return x, -11
+        else:
+            p -= omega * v
+            p *= (rho / rho_prev) * (alpha / omega)
+            p += r
+        v = matvec(p)
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v
+        if np.linalg.norm(r) < atol:
+            return x + alpha * p, 0
+        t = matvec(r)
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += alpha * p
+        x += omega * r
+        r -= omega * t
+        rho_prev = rho
+    return x, maxiter
 
 
 def bounding_pair(apply, n):
@@ -89,7 +136,7 @@ def bounding_pair(apply, n):
     h = np.ones(n)
     lam = float(np.max(apply(h)))
     if not lam < 1.0 - RADIUS_SLACK:
-        h = bicgstab(shifted(apply, n), h, rtol=1e-10, atol=0.0)[0]
+        h = bicgstab(shifted(apply), h, rtol=1e-10)[0]
         lam = float(np.max(apply(h) / h)) if np.all((h > 0) & (h < np.inf)) else np.inf
     return (h, lam) if lam < 1.0 - RADIUS_SLACK else None
 
@@ -174,8 +221,17 @@ def spectral_bound(a):
 
 
 def matrix_exponential(a):
-    """Matrix exponential of a square matrix (``scipy.linalg.expm``)."""
+    """Matrix exponential of a square matrix (``scipy.linalg.expm``, imported on first use)."""
+    from scipy.linalg import expm
+
     return expm(require_square(a))
+
+
+def eig(*args, **kwargs):
+    """``scipy.linalg.eig``, imported on first use: no solve, simulation or bench loads it."""
+    from scipy.linalg import eig
+
+    return eig(*args, **kwargs)
 
 
 def dominant_eigenpair(a, assume_irreducible=False):

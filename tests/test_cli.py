@@ -21,13 +21,63 @@ def write_config(tmp_path, name, payload):
     return path
 
 
-def test_startup_does_not_import_csgraph():
-    # markov imports scipy.sparse.csgraph only when a CSR chain is searched.
+def _run_python(code):
+    """Standard output of ``code`` run by a fresh interpreter that imports this ``fsdp``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import fsdp.cli, sys; print('scipy.sparse.csgraph' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_startup_does_not_import_csgraph():
+    # markov imports scipy.sparse.csgraph only when a CSR chain is searched.
+    code = "import fsdp.cli, sys; print('scipy.sparse.csgraph' in sys.modules)"
+    assert _run_python(code).strip() == "False"
+
+
+LAZY_SCIPY = ("scipy.linalg", "scipy.sparse.linalg")
+
+
+def test_solve_simulate_and_bench_load_no_scipy_linalg(tmp_path):
+    # Only the eigenpairs and the matrix exponential of fsdp spectral need
+    # scipy.linalg, and only a sparse stationary law needs scipy.sparse.linalg.
+    def command(verb, name, **config):
+        if name in ZOO and ZOO[name].ci_overrides:
+            config["overrides"] = ZOO[name].ci_overrides
+        cfg = write_config(tmp_path, f"{verb}-{name}.json", {"model": name, **config})
+        return [verb, str(cfg), "--out", str(tmp_path / f"{verb}-{name}")]
+
+    commands = [
+        command("solve", "firm_hiring", solver="hpi"),
+        command("solve", "optimal_savings", solver="vfi"),
+        command("solve", "job_search_markov", solver="hpi"),
+        command("bench", "firm_exit", m_grid=[1, 10]),
+        command("simulate", "optimal_investment", solver="hpi", horizon=1000),
+        command("simulate", "ct_inventory_restock", horizon=50),
+    ]
+    for c in commands:
+        c.insert(1, "--config")
+    matrix = np.array([[0.4, 0.1], [0.7, 0.2]])
+    (tmp_path / "m.json").write_text(json.dumps(matrix.tolist()))
+    commands.append(["spectral", str(tmp_path / "m.json"), "--out", str(tmp_path / "report.json")])
+    code = (
+        "import json, sys\n"
+        "from fsdp import cli\n"
+        f"for command in {commands!r}:\n"
+        "    code = cli.main(command)\n"
+        f"    print('loaded', json.dumps([command[0], code] + [m in sys.modules for m in {LAZY_SCIPY!r}]))\n"
+    )
+    lines = _run_python(code).splitlines()
+    loaded = [json.loads(line.removeprefix("loaded ")) for line in lines if line.startswith("loaded ")]
+    assert loaded[:-1] == [[c[0], 0, False, False] for c in commands[:-1]]
+    # fsdp spectral imports scipy.linalg for its eigenpair, and writes the same report.
+    assert loaded[-1] == ["spectral", 0, True, False]
+    report = json.loads((tmp_path / "report.json").read_text())
+    pair = spectral.dominant_eigenpair(matrix)
+    assert report["spectral_radius"] == pytest.approx(spectral.spectral_radius(matrix), rel=1e-14)
+    assert report["dominant_value"] == pytest.approx(pair.value, rel=1e-14)
+    assert report["dominant_right"] == pytest.approx(pair.right.tolist(), rel=1e-14)
+    assert report["dominant_left"] == pytest.approx(pair.left.tolist(), rel=1e-14)
 
 
 @pytest.fixture

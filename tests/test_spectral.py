@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -291,6 +292,83 @@ class TestSpectralBound:
             assert spectral.spectral_bound(tau * a) == pytest.approx(
                 tau * spectral.spectral_bound(a)
             )
+
+
+def _both_bicgstab(a, b, **kwargs):
+    """``(x, info, products)`` from :func:`spectral.bicgstab` and from scipy's, at ``atol=0``."""
+    out = []
+    for solver in (spectral.bicgstab, scipy.sparse.linalg.bicgstab):
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return a @ v
+
+        if solver is scipy.sparse.linalg.bicgstab:
+            op = scipy.sparse.linalg.LinearOperator(a.shape, matvec=matvec, dtype=float)
+            x, info = solver(op, b, atol=0.0, **kwargs)
+        else:
+            x, info = solver(matvec, b, **kwargs)
+        out.append((x.tobytes(), info, len(calls)))
+    return out
+
+
+class TestBicgstab:
+    """:func:`spectral.bicgstab` is scipy's unpreconditioned loop: same bytes, info and products."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        kind=st.sampled_from(["shifted", "general"]),
+        start=st.sampled_from(["none", "zero", "random"]),
+        rtol=st.sampled_from([1e-3, 1e-8, 1e-12]),
+        maxiter=st.sampled_from([None, 1, 2, 5]),
+    )
+    def test_matches_scipy(self, seed, n, kind, start, rtol, maxiter):
+        rng = np.random.default_rng(seed)
+        if kind == "shifted":
+            # I - L for a discounted stochastic L, as in a policy evaluation.
+            a = np.eye(n) - rng.uniform(0.5, 0.999) * random_stochastic(rng, n)
+        else:
+            a = rng.standard_normal((n, n)) + rng.uniform(0.0, 3.0) * np.sqrt(n) * np.eye(n)
+        assume(np.linalg.cond(a) < 1e10)
+        b = rng.standard_normal(n)
+        x0 = {"none": None, "zero": np.zeros(n), "random": rng.standard_normal(n)}[start]
+        ours, scipys = _both_bicgstab(a, b, x0=x0, rtol=rtol, maxiter=maxiter)
+        assert ours == scipys
+
+    @pytest.mark.parametrize(
+        "a, b, info",
+        [
+            # rho = rtilde . r vanishes at the second iteration.
+            ([[-1.0, 2.0, 1.0], [2.0, -1.0, -1.0], [2.0, -1.0, 1.0]], [-1.0, -1.0, 0.0], -10),
+            # rtilde . v = 0 at the first iteration.
+            ([[0.0, 1.0], [2.0, -1.0]], [1.0, 0.0], -11),
+            # omega = 0 after the first iteration.
+            ([[1.0, 0.0, 1.0], [2.0, 1.0, 0.0], [1.0, 2.0, 1.0]], [-1.0, -1.0, -1.0], -11),
+        ],
+    )
+    def test_breakdowns_match_scipy(self, a, b, info):
+        ours, scipys = _both_bicgstab(np.array(a), np.array(b), rtol=1e-12)
+        assert ours == scipys
+        assert ours[1] == info
+
+    def test_exhausted_iterations_return_maxiter(self):
+        rng = np.random.default_rng(14)
+        a = np.eye(30) - 0.99 * random_stochastic(rng, 30)
+        ours, scipys = _both_bicgstab(a, rng.standard_normal(30), rtol=1e-14, maxiter=3)
+        assert ours == scipys
+        assert ours[1] == 3 and ours[2] == 6
+
+    def test_zero_right_hand_side(self):
+        x, info = spectral.bicgstab(lambda v: v, np.zeros(3), x0=np.ones(3))
+        assert info == 0 and np.array_equal(x, np.zeros(3))
+
+    def test_start_is_copied(self):
+        x0 = np.ones(4)
+        spectral.bicgstab(lambda v: 2.0 * v, np.arange(4.0), x0=x0)
+        assert np.array_equal(x0, np.ones(4))
 
 
 class TestMatrixExponential:
