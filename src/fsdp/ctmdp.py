@@ -171,7 +171,6 @@ class CTMDPModel(dp._StateActions):
         rows[np.arange(states.size), states] = 0.0
         if np.any(rows < -1e-12):
             raise ValueError("off-diagonal intensities must be nonnegative")
-        self._uniform = None
 
 
 def ct_policy_value(model, sigma):
@@ -219,17 +218,13 @@ def uniformized_mdp(model, rate=None):
     intensities are clipped at 0 and each feasible diagonal is one minus
     its row's off-diagonals, so feasible rows of ``P`` sum to one up to
     rounding.  The default ``theta`` is 5% above the largest feasible
-    exit rate (the clipped off-diagonal row sums); that model is built on
-    first use and kept, so ``model`` is not to be changed after it.
+    exit rate (the clipped off-diagonal row sums).
     """
     return _uniformized(model, rate)[0]
 
 
 def _uniformized(model, rate=None):
-    """:func:`uniformized_mdp` and its rate ``theta``; the default-rate pair is kept on the model."""
-    if rate is None and model._uniform is not None:
-        return model._uniform
-    default = rate is None
+    """:func:`uniformized_mdp` and its rate ``theta``."""
     idx = np.arange(model.n_states)
     kernel = np.clip(model.kernel, 0.0, None)
     kernel[idx, :, idx] = 0.0
@@ -244,7 +239,4 @@ def _uniformized(model, rate=None):
     kernel[states, actions] = 0.0
     kernel[states, actions, states] = 1.0
     scale = rate + model.discount_rate
-    pair = dp.MDPModel(model.feasible, model.reward / scale, kernel, beta=rate / scale), rate
-    if default:
-        model._uniform = pair
-    return pair
+    return dp.MDPModel(model.feasible, model.reward / scale, kernel, beta=rate / scale), rate

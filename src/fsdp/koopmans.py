@@ -32,8 +32,7 @@ class _LinearMap:
     apply: object
 
     def __matmul__(self, d):
-        d = np.asarray(d, dtype=float)
-        return self.apply(d) if d.ndim == 1 else np.column_stack([self.apply(c) for c in d.T])
+        return self.apply(d) if np.ndim(d) == 1 else np.column_stack([self.apply(c) for c in d.T])
 
 
 def _row_shifted(vals, weights):
@@ -198,7 +197,7 @@ class QuantileCE(_CertaintyEquivalent):
         return v[self._index(v)]
 
     def jacobian(self, v):
-        """The selection ``J @ d = d[j(v)]`` of each row's quantile, as a linear map: a generalized Jacobian."""
+        """The selection ``J @ d = d[j(v)]`` of each row's quantile: a generalized Jacobian."""
         j = self._index(np.asarray(v, dtype=float))
         return _LinearMap(lambda d: d[j])
 

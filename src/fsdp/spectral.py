@@ -6,7 +6,6 @@ exponential, and dominant (Perron-Frobenius) eigenpairs of nonnegative
 matrices.  All routines operate on square real matrices given as 2-d
 numpy arrays.  :func:`bounding_pair` decides ``rho < 1`` for nonnegative
 input; eigenvalues decide signed input and report rejections.
-Only :func:`eig` and :func:`matrix_exponential` load ``scipy.linalg``, on first use.
 """
 
 from typing import NamedTuple
@@ -77,20 +76,16 @@ def shifted(apply):
     return lambda v: v - apply(v)
 
 
-def bicgstab(matvec, b, x0=None, rtol=1e-5, maxiter=None):
+def bicgstab(matvec, b, x0=None, *, rtol):
     """Solve ``A x = b`` by BiCGSTAB (van der Vorst 1992), given ``matvec = v -> A v``.
 
-    scipy 1.17's unpreconditioned ``scipy.sparse.linalg.bicgstab`` loop at ``atol=0``, update
-    for update (its ``s`` is ``r``), so it gives scipy's iterates to the bit.  ``info`` is 0 once
-    ``||r||_2 < rtol ||b||_2``, ``maxiter`` (default ``10 n``) when that runs out, and -10 or -11
-    when ``|rho|`` or ``|omega|`` is below ``eps**2`` or ``rtilde . v`` is 0.  ``x0`` is copied.
+    scipy 1.17's unpreconditioned loop at ``atol=0``, update for update (its ``s`` is ``r``), to the bit.
+    ``info``: 0 on convergence, ``10 n`` once that many iterations run out, -10 or -11 on breakdown.
     """
-    b = np.asarray(b, dtype=float).ravel()
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b.copy(), 0
-    atol, breakdown = rtol * bnrm2, np.finfo(float).eps ** 2
-    maxiter = 10 * b.size if maxiter is None else maxiter
+    atol, breakdown, maxiter = rtol * bnrm2, np.finfo(float).eps ** 2, 10 * b.size
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float).ravel()
     r = b - matvec(x) if x.any() else b.copy()
     rtilde = r.copy()

@@ -515,28 +515,3 @@ def test_ct_hpi_makes_no_dense_solve(monkeypatch):
     assert 0 < result.error_bound < 1e-9
     assert models.ct_reservation_wage(built, result) == pytest.approx(12.0, abs=1.0)
 
-
-def test_uniformized_model_is_built_once(monkeypatch):
-    """Greedy steps and HJB residuals share the default-rate uniformized model."""
-    model = models.ct_job_search(n=25)["ctmdp"]
-    fresh = models.ct_job_search(n=25)["ctmdp"]
-    v = np.random.default_rng(19).standard_normal(model.n_states)
-    built = []
-    init = dp.MDPModel.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(dp.MDPModel, "__init__", counted)
-    first, second = ct_greedy(model, v), ct_greedy(model, 2.0 * v)
-    residual = hjb_residual(model, v)
-    assert len(built) == 1
-    # An explicit rate is never kept; at the default theta it builds the same model.
-    theta = ctmdp._uniformized(model)[1]
-    exact = uniformized_mdp(fresh, rate=theta)
-    assert len(built) == 2 and fresh._uniform is None
-    assert np.array_equal(first, dp.greedy(exact, v))
-    assert np.array_equal(second, dp.greedy(exact, 2.0 * v))
-    step = dp.bellman(exact, v) - v
-    assert residual == (theta + model.discount_rate) * float(np.max(np.abs(step)))

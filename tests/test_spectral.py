@@ -314,7 +314,12 @@ def _both_bicgstab(a, b, **kwargs):
 
 
 class TestBicgstab:
-    """:func:`spectral.bicgstab` is scipy's unpreconditioned loop: same bytes, info and products."""
+    """:func:`spectral.bicgstab` is scipy's unpreconditioned loop: same bytes, info and products.
+
+    The oracle is scipy's own Python BiCGSTAB loop, which scipy has had since 1.12 and which
+    ``spectral.bicgstab`` ports from scipy 1.17.  A scipy release that changes that loop fails
+    these parity tests while ``spectral.bicgstab`` stays a correct solver.
+    """
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
@@ -323,9 +328,8 @@ class TestBicgstab:
         kind=st.sampled_from(["shifted", "general"]),
         start=st.sampled_from(["none", "zero", "random"]),
         rtol=st.sampled_from([1e-3, 1e-8, 1e-12]),
-        maxiter=st.sampled_from([None, 1, 2, 5]),
     )
-    def test_matches_scipy(self, seed, n, kind, start, rtol, maxiter):
+    def test_matches_scipy(self, seed, n, kind, start, rtol):
         rng = np.random.default_rng(seed)
         if kind == "shifted":
             # I - L for a discounted stochastic L, as in a policy evaluation.
@@ -335,7 +339,7 @@ class TestBicgstab:
         assume(np.linalg.cond(a) < 1e10)
         b = rng.standard_normal(n)
         x0 = {"none": None, "zero": np.zeros(n), "random": rng.standard_normal(n)}[start]
-        ours, scipys = _both_bicgstab(a, b, x0=x0, rtol=rtol, maxiter=maxiter)
+        ours, scipys = _both_bicgstab(a, b, x0=x0, rtol=rtol)
         assert ours == scipys
 
     @pytest.mark.parametrize(
@@ -354,20 +358,24 @@ class TestBicgstab:
         assert ours == scipys
         assert ours[1] == info
 
-    def test_exhausted_iterations_return_maxiter(self):
-        rng = np.random.default_rng(14)
-        a = np.eye(30) - 0.99 * random_stochastic(rng, 30)
-        ours, scipys = _both_bicgstab(a, rng.standard_normal(30), rtol=1e-14, maxiter=3)
+    def test_exhausted_iterations_return_ten_n(self):
+        # Condition number 1e10 and rtol 0: all 10 n = 40 iterations run, two products each.
+        rng = np.random.default_rng(5)
+        q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = q1 @ np.diag(np.logspace(0, -10, 4)) @ q2
+        with np.errstate(all="raise"):
+            ours, scipys = _both_bicgstab(a, rng.standard_normal(4), rtol=0.0)
         assert ours == scipys
-        assert ours[1] == 3 and ours[2] == 6
+        assert ours[1] == 40 and ours[2] == 80
 
     def test_zero_right_hand_side(self):
-        x, info = spectral.bicgstab(lambda v: v, np.zeros(3), x0=np.ones(3))
+        x, info = spectral.bicgstab(lambda v: v, np.zeros(3), x0=np.ones(3), rtol=1e-5)
         assert info == 0 and np.array_equal(x, np.zeros(3))
 
     def test_start_is_copied(self):
         x0 = np.ones(4)
-        spectral.bicgstab(lambda v: 2.0 * v, np.arange(4.0), x0=x0)
+        spectral.bicgstab(lambda v: 2.0 * v, np.arange(4.0), x0=x0, rtol=1e-5)
         assert np.array_equal(x0, np.ones(4))
 
 
