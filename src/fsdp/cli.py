@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ctmdp, dp, markov, models, rdp, spectral
-from .errors import ConvergenceError, SpectralRadiusError, StabilityError
+from .errors import ConvergenceError, StabilityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,22 +102,6 @@ def _schema_error(instance, schema):
     return None
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
-
-
 # CSV field format by column dtype kind; anything else is written as text.
 _COLUMN_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
@@ -167,7 +151,7 @@ def write_table(path, fmt, header, columns):
 
 def _write_json(path, obj):
     """``obj`` as indented, key-sorted JSON text, also written to ``path`` unless it is empty."""
-    text = json.dumps(_jsonify(obj), indent=1, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=1, sort_keys=True, default=lambda x: x.tolist()) + "\n"
     if path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -325,7 +309,8 @@ def _simulate_mdp(built, result, config):
     steps = int(config.get("horizon", 1000))
     seed = config.get("seed", 0)
     rng = np.random.default_rng(seed)
-    kernel, reward = dp._policy_operator(model, result.policy, discounted=False)
+    kernel = model.transitions.policy_matrix(result.policy, discounted=False)
+    reward = dp.policy_reward(model, result.policy)
     path = markov._sample_path(kernel, 0, rng.random(steps))
     reward_path = reward[path]
     series = np.rec.fromarrays([np.arange(path.size), path, reward_path], names="t,state,reward")
@@ -364,6 +349,8 @@ def cmd_simulate(args):
         )
         print(f"simulated jump chain with {path.states.size} events -> {out}")
         return EXIT_OK
+    if "mdp" not in built:
+        raise ConfigError("simulate requires a discrete MDP model or a jump chain")
     if int(config.get("horizon", 1000)) == 0:
         write_table(out / f"series.{fmt}", fmt, ["t", "state", "reward"], [[], [], []])
         print(f"empty horizon -> header-only {out}")
@@ -507,7 +494,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpectralRadiusError, StabilityError) as exc:
+    except StabilityError as exc:
         rho = getattr(exc, "spectral_radius", None)
         detail = f" (measured spectral radius {rho:.12g})" if rho is not None else ""
         print(f"stability certificate failed: {exc}{detail}", file=sys.stderr)

@@ -342,7 +342,9 @@ class MDPModel(_StateActions):
         self.transitions = kernel
         self._flat = None
         self._certified = False
-        self._bounding = None
+        # The uniform pair (h, lam), L_{x,a} h <= lam h(x) on every feasible row: (1, beta)
+        # here, a factored kernel's exogenous pair from certify_stability, else None.
+        self._bounding = None if self.state_dependent else (np.ones(self.n_states), self.beta)
 
     @property
     def beta(self):
@@ -384,19 +386,9 @@ def _checked_policy(model, sigma):
     return sigma
 
 
-def _policy_operator(model, sigma, discounted=True):
-    """Rows ``L_sigma`` (discounted or not) and rewards ``r_sigma`` of a policy.
-
-    ``L_sigma`` is CSR for a factored kernel and keeps a flat kernel's
-    storage.
-    """
-    sigma = _checked_policy(model, sigma)
-    return model.transitions.policy_matrix(sigma, discounted), policy_reward(model, sigma)
-
-
 def policy_matrix(model, sigma, discounted=False):
     """Dense transition (or discounted transition) matrix under a policy."""
-    out = _policy_operator(model, sigma, discounted)[0]
+    out = model.transitions.policy_matrix(_checked_policy(model, sigma), discounted)
     return out.toarray() if sp.issparse(out) else np.array(out)
 
 
@@ -515,26 +507,13 @@ def _policy_system(model, sigma, tally=None):
     return apply, policy_reward(model, sigma), pair
 
 
-def _uniform_pair(model):
-    """``(h, lam)`` that bounds every feasible discounted row, ``L_{x,a} h <= lam h(x)``, or None.
-
-    Constant ``beta``: ``h = 1`` and ``lam = beta``.  A certified factored
-    kernel with a discount vector: the exogenous pair recorded on the
-    model (see :func:`certify_stability`).  Any other state-dependent
-    model has none.
-    """
-    if not model.state_dependent:
-        return np.ones(model.n_states), model.beta
-    return model._bounding
-
-
 def _bounding_pair(model, apply):
     """``(h, lam)`` with ``h > 0``, ``lam < 1`` and ``L_sigma h <= lam h``, or None.
 
-    The model's :func:`_uniform_pair` if it has one, else
+    The model's uniform pair ``model._bounding`` if it has one, else
     :func:`spectral.bounding_pair` of ``L_sigma``.
     """
-    return _uniform_pair(model) or spectral.bounding_pair(apply, model.n_states)
+    return model._bounding or spectral.bounding_pair(apply, model.n_states)
 
 
 def certify_stability(model, dominating=None):
@@ -740,7 +719,7 @@ def solve_vfi(
     ``tolerance`` and returns the greedy policy of the final iterate.
     Sweeps skip the pairs that can never be maximal again (see
     :class:`_Sweep`); the iterates are :func:`bellman`'s to the bit.
-    Where ``(h, lam)`` bounds every feasible row (:func:`_uniform_pair`),
+    Where the model's uniform pair ``(h, lam)`` bounds every feasible row,
     the result carries the a-posteriori policy bound ``max(h) * 2 lam /
     (1 - lam) * ||v_k - v_{k-1}||_h`` on ``||v* - v_sigma||_inf``, which
     is ``2 beta / (1 - beta) * last_step`` for a constant discount.
@@ -748,7 +727,7 @@ def solve_vfi(
     certify_stability(model, dominating)
     v = np.zeros(model.n_states) if v0 is None else np.asarray(v0, dtype=float).copy()
     history = [v.copy()] if record_history else None
-    pair = _uniform_pair(model)
+    pair = model._bounding
     sweep = _Sweep(model, mode, pair)
     v, k, _ = fixed_point.value_iteration(sweep, v, tolerance, max_iter, history)
     bound = _greedy_bound(pair, sweep.step)
@@ -831,8 +810,8 @@ def solve_opi(
     greedy policy.  ``m = 1`` is value function iteration from that
     start, so it runs VFI's sweep (:class:`_Sweep`), which eliminates
     actions and needs no policy until the end; its iterates are
-    :func:`bellman`'s.  Where ``(h, lam)`` bounds every feasible row
-    (:func:`_uniform_pair`), the result carries ``error_bound``, ``max(h)
+    :func:`bellman`'s.  Where the model's uniform pair ``(h, lam)`` bounds
+    every feasible row, the result carries ``error_bound``, ``max(h)
     * 2 lam / (1 - lam) * ||T v - v||_h`` on ``||v* - v_sigma||_inf``
     for the policy ``sigma`` greedy at the final ``v``.
     """
@@ -840,7 +819,7 @@ def solve_opi(
     sigma, tally = _start_policy(model, sigma0, mode), [0]
     v = _certified_policy_value(model, sigma, system=_policy_system(model, sigma, tally))[0]
     history = [v.copy()] if record_history else None
-    pair = _uniform_pair(model)
+    pair = model._bounding
 
     def policy_operator(sigma):
         sigma = _checked_policy(model, sigma)

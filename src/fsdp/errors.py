@@ -1,7 +1,11 @@
 """Shared exception types for solver failures and violated preconditions."""
 
 
-class SpectralRadiusError(RuntimeError):
+class StabilityError(RuntimeError):
+    """No stability certificate holds, so the solver refuses to iterate."""
+
+
+class SpectralRadiusError(StabilityError):
     """A spectral-radius stability condition failed.
 
     Carries the measured radius in ``spectral_radius`` and, when the check
@@ -33,9 +37,5 @@ class ConvergenceError(RuntimeError):
         self.measure = measure
 
 
-class SingularJacobianError(RuntimeError):
+class SingularJacobianError(ConvergenceError):
     """Newton iteration encountered a singular linearized system."""
-
-
-class StabilityError(RuntimeError):
-    """No stability certificate holds, so the solver refuses to iterate."""

@@ -403,7 +403,7 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
 
     def newton(h, lam, method):
         v, iterations, bound = fixed_point.newton_krylov(k, v0, k.jacobian, h, lam, tol, max_iter)
-        return LifetimeValueResult(v, method, iterations, _residual(k, v), bound)
+        return LifetimeValueResult(v, method, iterations, fixed_point.sup_step(k(v), v), bound)
 
     check = blackwell_contraction_check(k)
     if check.classification == "contraction":
@@ -413,11 +413,11 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
         if not agg.beta < 1:
             raise StabilityError("Epstein-Zin conjugacy requires beta < 1")
         v = epstein_zin_value(agg.r**agg.alpha, agg.beta, agg.alpha, ce.gamma, ce.p, cfg)
-        return LifetimeValueResult(v, "epstein-zin-conjugate", 0, _residual(k, v))
+        return LifetimeValueResult(v, "epstein-zin-conjugate", 0, fixed_point.sup_step(k(v), v))
 
     if isinstance(agg, CESUzawa) and isinstance(ce, KrepsPorteus):
         v = ez_sdd_value(agg.r**agg.alpha, agg.b, agg.alpha, ce.gamma, ce.p, cfg)
-        return LifetimeValueResult(v, "epstein-zin-sdd-conjugate", 0, _residual(k, v))
+        return LifetimeValueResult(v, "epstein-zin-sdd-conjugate", 0, fixed_point.sup_step(k(v), v))
 
     if isinstance(agg, Uzawa) and isinstance(ce, Expectation):
         pair = spectral.check_radius_below_one(agg.b[:, None] * ce.p, "discount operator b*P")
@@ -429,17 +429,13 @@ def solve_lifetime_value(k, cfg=None, bracket=None):
         v, iterations = bracketed_fixed_point(k, bracket[0], bracket[1], tol, max_iter)
         # The fixed point lies between ends at most tol apart; v is their midpoint.
         return LifetimeValueResult(
-            v, "order-interval-bracket", iterations, _residual(k, v), 0.5 * tol
+            v, "order-interval-bracket", iterations, fixed_point.sup_step(k(v), v), 0.5 * tol
         )
 
     raise StabilityError(
         "no stability certificate: operator is not Blackwell-contracting, has no "
         "conjugate or spectral reduction, and no bracket was supplied"
     )
-
-
-def _residual(k, v):
-    return float(np.linalg.norm(k(v) - v, np.inf))
 
 
 def bracketed_fixed_point(op, lower, upper, tol=1e-10, max_iter=100_000):

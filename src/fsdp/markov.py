@@ -361,11 +361,7 @@ def quantile(tau, values, phi):
     values = np.asarray(values, dtype=float)
     if values.size != phi.size:
         raise ValueError("values and weights must align")
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(phi[order])
-    idx = int(np.searchsorted(cum, tau - _QUANTILE_TOL, side="left"))
-    idx = min(idx, values.size - 1)
-    return float(values[order][idx])
+    return float(values[_quantile_index(tau, values, phi[None, :])[0]])
 
 
 def conditional_quantile(tau, v, p):

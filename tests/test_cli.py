@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsdp import cli, models, rdp, spectral
+from fsdp import cli, dp, models, rdp, spectral
+from fsdp.errors import SingularJacobianError, SpectralRadiusError, StabilityError
 from fsdp.models import ZOO
 
 
@@ -198,6 +199,44 @@ class TestSolve:
         assert value[0] == "state,value"
         assert float(value[1].split(",")[1]) == pytest.approx(10.0)
 
+    def test_opi_solver_writes_solve_opi(self, tmp_path):
+        card = ZOO["firm_exit"]
+        config = {"model": "firm_exit", "solver": "opi", "m": 10, "overrides": card.ci_overrides}
+        out = tmp_path / "opi"
+        assert run_cli(["solve", "--config", write_config(tmp_path, "cfg.json", config), "--out", out]) == 0
+        expected = dp.solve_opi(card.build(ci_scale=True)["mdp"], m=10, tolerance=1e-8)
+        table = np.loadtxt(out / "value.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 1], expected.value)
+        assert np.array_equal(np.loadtxt(out / "policy.csv", delimiter=",", skiprows=1)[:, 1], expected.policy)
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["solver"] == "opi(m=10)"
+        assert meta["iterations"] == expected.iterations
+        assert meta["error_bound"] == expected.error_bound
+
+    def test_inline_model_with_discount_weights_solves(self, tmp_path):
+        inline = {
+            "type": "mdp",
+            "reward": [[1.0, 0.5], [0.0, 2.0]],
+            "kernel": [[[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5], [0.1, 0.9]]],
+            "discount_weights": [[[0.9, 0.95], [0.92, 0.9]], [[0.85, 0.9], [0.93, 0.94]]],
+        }
+        out = tmp_path / "sdd"
+        cfg = write_config(tmp_path, "cfg.json", {"model": inline, "solver": "hpi"})
+        assert run_cli(["solve", "--config", cfg, "--out", out]) == 0
+        kernel, weights = np.array(inline["kernel"]), np.array(inline["discount_weights"])
+        reward = np.array(inline["reward"])
+        expected = dp.solve_hpi(
+            dp.MDPModel(np.ones((2, 2), bool), reward, kernel, discount_weights=weights)
+        )
+        assert np.array_equal(np.loadtxt(out / "value.csv", delimiter=",", skiprows=1)[:, 1], expected.value)
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["certificate"] == {"kind": "state-dependent"}
+        # The values solve v = r_sigma + (w * P)_sigma v for the written policy.
+        sigma = np.loadtxt(out / "policy.csv", delimiter=",", skiprows=1)[:, 1].astype(int)
+        rows = (weights * kernel)[[0, 1], sigma]
+        dense = np.linalg.solve(np.eye(2) - rows, reward[[0, 1], sigma])
+        assert np.allclose(expected.value, dense, rtol=0, atol=1e-10)
+
     def test_unknown_model_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {"model": "no_such_model"})
         assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
@@ -344,6 +383,36 @@ def test_capped_newton_evaluation_prints_residuals_on_exit_4(tmp_path, monkeypat
     assert "iteration hit its cap of 1" in err and "last residuals " in err
 
 
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (SingularJacobianError("I - J is singular"), 4, "convergence failure: I - J is singular"),
+        (
+            SpectralRadiusError("radius too large", spectral_radius=1.25),
+            3,
+            "radius too large (measured spectral radius 1.25)",
+        ),
+        (StabilityError("no certificate"), 3, "stability certificate failed: no certificate"),
+    ],
+    ids=["singular-jacobian", "spectral-radius", "stability"],
+)
+def test_exception_class_sets_the_exit_code(tmp_path, monkeypatch, capsys, error, code, message):
+    def fail(built, config):
+        raise error
+
+    monkeypatch.setattr(cli, "run_solver", fail)
+    cfg = write_config(tmp_path, "cfg.json", {"model": "job_search_iid"})
+    assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "bench"])
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_every_zoo_card_exits_0_or_2(tmp_path, name, command):
+    cfg = write_config(tmp_path, "cfg.json", {"model": name, "overrides": ZOO[name].ci_overrides})
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) in (0, 2)
+
+
 class TestSimulate:
     def test_inventory_series_is_lumpy(self, tmp_path):
         cfg = write_config(
@@ -428,6 +497,25 @@ class TestSimulate:
             assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
             blobs.append((out / "series.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("horizon", [0, 100])
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("ct_job_search", ZOO["ct_job_search"].ci_overrides),
+            ("job_search_markov", {"n": 30, "variant": "quantile"}),
+            ("job_search_markov", {"n": 30, "variant": "risk_sensitive"}),
+        ],
+    )
+    def test_model_without_discrete_mdp_exits_2_before_solving(
+        self, tmp_path, capsys, monkeypatch, name, overrides, horizon
+    ):
+        monkeypatch.setattr(cli, "run_solver", lambda *args: pytest.fail("solved the model"))
+        config = {"model": name, "overrides": overrides, "horizon": horizon}
+        cfg = write_config(tmp_path, "sim.json", config)
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "simulate requires a discrete MDP model" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestBench:
@@ -659,3 +747,17 @@ class TestWriteTable:
         assert {"series", "events"} & {Path(f).stem for f in files}
         for file in files:
             assert (tmp_path / "new" / file).read_bytes() == (tmp_path / "old" / file).read_bytes()
+
+
+def test_write_json_writes_numpy_values_as_their_python_values(tmp_path):
+    payload = {
+        "f": np.float64(1 / 3), "g": np.float32(0.1), "i": np.int64(-7), "b": np.bool_(True),
+        "a": np.array([[1.5, np.inf], [np.nan, -0.0]]), "t": (np.int32(2), 0.25), "n": None, "s": "x",
+    }
+    plain = {
+        "f": 1 / 3, "g": float(np.float32(0.1)), "i": -7, "b": True,
+        "a": [[1.5, float("inf")], [float("nan"), -0.0]], "t": [2, 0.25], "n": None, "s": "x",
+    }
+    text = cli._write_json(tmp_path / "out.json", payload)
+    assert text == json.dumps(plain, indent=1, sort_keys=True) + "\n"
+    assert (tmp_path / "out.json").read_text(encoding="utf-8") == text

@@ -387,6 +387,17 @@ class TestCTHPI:
         result = ct_hpi(model)
         assert result.residual < 1e-8
 
+    def test_hjb_residual_function_matches_the_dense_residual(self):
+        rng = np.random.default_rng(19)
+        n, m, delta = 6, 3, 0.25
+        kernel = np.stack([random_intensity(rng, n) for _ in range(m)], axis=1)
+        model = CTMDPModel(np.ones((n, m), dtype=bool), delta, rng.standard_normal((n, m)), kernel)
+        result = ct_hpi(model)
+        assert hjb_residual(model, result.value) == result.residual
+        for v in (result.value, rng.standard_normal(n)):
+            dense = np.max(np.abs(delta * v - np.max(model.reward + kernel @ v, axis=1)))
+            assert hjb_residual(model, v) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
     def test_value_iterates_nondecreasing(self):
         rng = np.random.default_rng(17)
         n, m = 5, 3

@@ -843,7 +843,7 @@ def _assert_same_vfi(result, oracle):
 def _kept_pairs(model, v0=None, mode="max", tolerance=1e-8):
     """The pairs a VFI run still sweeps at its end, as a boolean ``(n, m)`` mask."""
     v = np.zeros(model.n_states) if v0 is None else np.array(v0, dtype=float)
-    sweep = dp._Sweep(model, mode, dp._uniform_pair(model))
+    sweep = dp._Sweep(model, mode, model._bounding)
     fixed_point.value_iteration(sweep, v, tolerance, 100_000)
     swept = set(zip(sweep.states.tolist(), sweep.index.tolist()))
     states, actions = np.nonzero(model.feasible)
@@ -1262,6 +1262,17 @@ class TestFactorizedOperators:
         assert ops.R(g) == pytest.approx(r_explicit)
         s_explicit = model.reward + model.beta * np.einsum("xay,y->xa", kernel3, q.max(axis=1))
         assert ops.S(q) == pytest.approx(s_explicit)
+
+    def test_policy_forms(self):
+        rng = np.random.default_rng(26)
+        model = random_mdp(rng, n=5, m=3)
+        ops = FactorizedOperators(model)
+        v, q = rng.standard_normal(5), rng.standard_normal((5, 3))
+        sigma = rng.integers(0, 3, 5)
+        assert ops.T_sigma(v, sigma) == pytest.approx(policy_apply(model, sigma, v), rel=1e-14)
+        # S_sigma q is the Q-factor table of the value q(x, sigma(x)).
+        q_sigma = q[np.arange(5), sigma]
+        assert ops.S_sigma(q, sigma) == pytest.approx(dp.q_factors(model, q_sigma), rel=1e-14)
 
     def test_composition_identities(self):
         rng = np.random.default_rng(21)

@@ -509,6 +509,18 @@ class TestEZSDD:
         with pytest.raises(StabilityError):
             ez_sdd_value(h, scale * b, alpha, gamma, p)
 
+    def test_lifetime_value_takes_the_conjugate_route(self):
+        rng = np.random.default_rng(24)
+        p = random_stochastic(rng, 6)
+        r = rng.random(6) + 0.3
+        b = rng.uniform(0.85, 0.95, size=6)
+        alpha, gamma = 0.75, -2.0
+        k = KoopmansOperator(CESUzawa(r, b, alpha), KrepsPorteus(gamma, p), "positive")
+        result = solve_lifetime_value(k)
+        assert result.method == "epstein-zin-sdd-conjugate"
+        assert np.array_equal(result.value, ez_sdd_value(r**alpha, b, alpha, gamma, p))
+        assert result.residual == np.max(np.abs(k(result.value) - result.value)) < 1e-8
+
     def test_fixed_point_residual(self):
         rng = np.random.default_rng(23)
         p = random_stochastic(rng, 8)

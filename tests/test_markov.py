@@ -560,6 +560,27 @@ class TestQuantile:
         phi = np.array([0.2, 0.5, 0.3])
         assert markov.quantile(0.5, values, phi) == 1.0
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        tau=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)),
+        quarters=st.booleans(),
+    )
+    def test_quantile_is_the_first_value_reaching_tau(self, seed, n, tau, quarters):
+        """Oracle: walk the support in value order, ties by position, to the first mass >= tau - 1e-12."""
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 4, n).astype(float)
+        phi = rng.multinomial(4, np.full(n, 1.0 / n)) / 4.0 if quarters else rng.dirichlet(np.ones(n))
+        order = sorted(range(n), key=lambda i: (values[i], i))
+        total, want = 0.0, values[order[-1]]
+        for i in order:
+            total += phi[i]
+            if total >= tau - 1e-12:
+                want = values[i]
+                break
+        assert markov.quantile(tau, values, phi) == want
+
     def test_conditional_quantile_rows(self):
         p = np.array([[1.0, 0.0], [0.5, 0.5]])
         v = np.array([1.0, 5.0])
