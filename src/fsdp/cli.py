@@ -263,8 +263,7 @@ def run_solver(built, config):
             return dp.solve_hpi(model)
         return dp.solve_opi(model, m=m, tolerance=tolerance)
     if "rdp" in built:
-        algorithm = {"vfi": "vfi", "hpi": "hpi", "opi": "opi"}[solver]
-        return rdp.rdp_solve(built["rdp"], algorithm=algorithm, m=m, tolerance=tolerance)
+        return rdp.rdp_solve(built["rdp"], algorithm=solver, m=m, tolerance=tolerance)
     raise ConfigError(f"model {built.get('name')} has no solvable component")
 
 
@@ -279,15 +278,29 @@ def model_summary(built, result):
     return out
 
 
-def cmd_solve(args):
+def _command(args):
+    """Config, model, output directory and table writer of a solve, simulate or bench run.
+
+    The directory is ``--out``, by default ``fsdp_<command>_output``;
+    ``write(name, header, columns)`` puts table ``name`` there in the
+    ``--format`` asked for.
+    """
     config = load_config(args.config, parse_cli_overrides(args.override), args.seed)
     built = build_model(config)
+    out = Path(args.out or f"fsdp_{args.command}_output")
+
+    def write(name, header, columns):
+        write_table(out / f"{name}.{args.format}", args.format, header, columns)
+
+    return config, built, out, write
+
+
+def cmd_solve(args):
+    config, built, out, write = _command(args)
     result = run_solver(built, config)
-    out = Path(args.out or "fsdp_solve_output")
-    fmt = args.format
     states = np.arange(result.value.size)
-    write_table(out / f"value.{fmt}", fmt, ["state", "value"], [states, result.value])
-    write_table(out / f"policy.{fmt}", fmt, ["state", "action"], [states, result.policy])
+    write("value", ["state", "value"], [states, result.value])
+    write("policy", ["state", "action"], [states, result.policy])
     metadata = {
         "model": built.get("name"),
         "solver": result.method,
@@ -305,8 +318,9 @@ def cmd_solve(args):
 
 
 def _simulate_mdp(built, result, config):
+    """Series, occupation frequencies and stats of ``config["horizon"]`` steps from state 0."""
     model = built["mdp"]
-    steps = int(config.get("horizon", 1000))
+    steps = config.get("horizon", 1000)
     seed = config.get("seed", 0)
     rng = np.random.default_rng(seed)
     kernel = model.transitions.policy_matrix(result.policy, discounted=False)
@@ -326,17 +340,22 @@ def _simulate_mdp(built, result, config):
 
 
 def cmd_simulate(args):
-    config = load_config(args.config, parse_cli_overrides(args.override), args.seed)
-    built = build_model(config)
-    out = Path(args.out or "fsdp_simulate_output")
-    fmt = args.format
+    config, built, out, write = _command(args)
+    if "jump_spec" in built:
+        name, header, horizon = "events", ["jump_time", "state"], float(config.get("horizon", 50.0))
+    elif "mdp" in built:
+        name, header, horizon = "series", ["t", "state", "reward"], config.get("horizon", 1000)
+        if not float(horizon).is_integer():
+            raise ConfigError(f"an MDP horizon is a number of steps, not {horizon!r}")
+        horizon = int(horizon)
+    else:
+        raise ConfigError("simulate requires a discrete MDP model or a jump chain")
+    if horizon == 0:
+        write(name, header, [[]] * len(header))
+        print(f"empty horizon -> header-only {out}")
+        return EXIT_OK
     if "jump_spec" in built:
         spec = built["jump_spec"]
-        horizon = float(config.get("horizon", 50.0))
-        if horizon == 0:
-            write_table(out / f"events.{fmt}", fmt, ["jump_time", "state"], [[], []])
-            print(f"empty horizon -> header-only {out}")
-            return EXIT_OK
         rng = np.random.default_rng(config.get("seed", 0))
         psi0 = np.zeros(spec.rates.size)
         psi0[-1] = 1.0
@@ -344,69 +363,33 @@ def cmd_simulate(args):
             path = ctmdp.simulate_jump_chain(spec, psi0, horizon, rng)
         except ValueError as exc:
             raise ConfigError(f"jump chain rejected: {exc}") from exc
-        write_table(
-            out / f"events.{fmt}", fmt, ["jump_time", "state"], [path.jump_times, path.states]
-        )
+        write(name, header, [path.jump_times, path.states])
         print(f"simulated jump chain with {path.states.size} events -> {out}")
         return EXIT_OK
-    if "mdp" not in built:
-        raise ConfigError("simulate requires a discrete MDP model or a jump chain")
-    if int(config.get("horizon", 1000)) == 0:
-        write_table(out / f"series.{fmt}", fmt, ["t", "state", "reward"], [[], [], []])
-        print(f"empty horizon -> header-only {out}")
-        return EXIT_OK
     result = run_solver(built, config)
-    series, occupation, stats = _simulate_mdp(built, result, config)
-    names = series.dtype.names
-    write_table(out / f"series.{fmt}", fmt, names, [series[name] for name in names])
-    write_table(
-        out / f"occupation.{fmt}",
-        fmt,
-        ["state", "frequency"],
-        [np.arange(occupation.size), occupation],
-    )
+    series, occupation, stats = _simulate_mdp(built, result, {**config, "horizon": horizon})
+    write(name, header, [series[column] for column in header])
+    write("occupation", ["state", "frequency"], [np.arange(occupation.size), occupation])
     _write_json(out / "stats.json", stats)
     print(f"simulated {stats['steps']} steps -> {out}")
     return EXIT_OK
 
 
 def cmd_bench(args):
-    config = load_config(args.config, parse_cli_overrides(args.override), args.seed)
-    built = build_model(config)
+    config, built, out, write = _command(args)
     if "mdp" not in built:
         raise ConfigError("bench requires a discrete MDP model")
-    model = built["mdp"]
-    tolerance = config.get("tolerance", 1e-6)
-    m_grid = config.get("m_grid", [1, 10, 50, 100])
-    rows = []
-    policies = []
-
-    def timed(fn):
+    config.setdefault("tolerance", 1e-6)
+    opi = [("opi", m) for m in config.get("m_grid", [1, 10, 50, 100])]
+    rows, policies = [], []
+    for solver, m in [("vfi", None), ("hpi", None), *opi]:
         t0 = time.perf_counter()
-        result = fn()
-        return time.perf_counter() - t0, result
-
-    elapsed, vfi = timed(lambda: dp.solve_vfi(model, tolerance=tolerance))
-    rows.append(["vfi", "n/a", elapsed, vfi.iterations])
-    policies.append(vfi.policy)
-    elapsed, hpi = timed(lambda: dp.solve_hpi(model))
-    rows.append(["hpi", "n/a", elapsed, hpi.iterations])
-    policies.append(hpi.policy)
-    for m in m_grid:
-        elapsed, opi = timed(
-            lambda m=m: dp.solve_opi(model, m=m, tolerance=tolerance)
-        )
-        rows.append([f"opi", str(m), elapsed, opi.iterations])
-        policies.append(opi.policy)
+        result = run_solver(built, {**config, "solver": solver, "m": m})
+        rows.append([solver, str(m or "n/a"), time.perf_counter() - t0, result.iterations])
+        policies.append(result.policy)
     agree = all(np.array_equal(policies[0], p) for p in policies[1:])
     rows = [row + [str(agree).lower()] for row in rows]
-    out = Path(args.out or "fsdp_bench_output")
-    write_table(
-        out / f"bench.{args.format}",
-        args.format,
-        ["solver", "m", "seconds", "iterations", "policies_agree"],
-        list(zip(*rows)),
-    )
+    write("bench", ["solver", "m", "seconds", "iterations", "policies_agree"], list(zip(*rows)))
     print(f"benchmarked {len(rows)} solver runs (agreement: {agree}) -> {out}")
     return EXIT_OK
 

@@ -115,8 +115,8 @@ def simulate_jump_chain(spec, psi0, horizon, rng):
     rates = _require_rates(spec.rates).tolist()
     pi = markov.require_stochastic_matrix(spec.jump_matrix)
     psi0 = markov.require_distribution(psi0)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < np.inf:  # a NaN or infinite horizon is never passed
+        raise ValueError("horizon must be positive and finite")
     step = markov._row_sampler(pi)
     state = markov._row_sampler(psi0[None, :])(0, rng.random())
     times, states = [0.0], [state]

@@ -285,8 +285,8 @@ class Factored:
 class _StateActions:
     """The state-action contract of every decision process: MDPs, RDPs and CT-MDPs.
 
-    ``feasible`` is an ``(n, m)`` boolean mask with at least one action
-    per state; ``reward``, where the model has one, is ``(n, m)`` and
+    ``feasible`` is an ``(n, m)`` boolean mask with at least one state
+    and at least one action per state; ``reward``, where the model has one, is ``(n, m)`` and
     finite on feasible pairs.
     """
 
@@ -296,6 +296,8 @@ class _StateActions:
             raise ValueError("feasible mask must be 2-d (states by actions)")
         if not self.feasible.any(axis=1).all():
             raise ValueError("every state needs at least one feasible action")
+        if self.feasible.shape[0] == 0:
+            raise ValueError("a model needs at least one state")
         if reward:
             self.reward = np.asarray(self.reward, dtype=float)
             if self.reward.shape != self.feasible.shape:

@@ -373,7 +373,7 @@ def _geometric_demand(p, d_max):
 
 
 def _restock(K, c, kappa, p, d_max):
-    """Rewards and kernel ``(n, n, n)`` of a store of capacity ``K``, ``n = K + 1``.
+    """Feasibility, rewards and kernel ``(n, n, n)`` of a store of capacity ``K``, ``n = K + 1``.
 
     From stock ``x`` an order ``a`` is feasible while ``x + a <= K``; it
     earns the expected sales less ``c a`` and, when positive, the fixed
@@ -395,13 +395,12 @@ def _restock(K, c, kappa, p, d_max):
     x, a, j = np.nonzero(feasible[:, :, None] & feasible)  # x + a <= K and a + j <= K
     kernel = np.zeros((K + 1, K + 1, K + 1))
     kernel[x, a, a + j] = left[x, j]
-    return reward, kernel
+    return feasible, reward, kernel
 
 
 def inventory_mdp(beta=0.98, K=40, c=0.2, kappa=2.0, p=0.6, d_max=100):
     """Inventory control with fixed ordering costs and geometric demand."""
-    reward, kernel = _restock(K, c, kappa, p, d_max)
-    feasible = np.add.outer(np.arange(K + 1), np.arange(K + 1)) <= K
+    feasible, reward, kernel = _restock(K, c, kappa, p, d_max)
     return {
         "mdp": dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta),
         "demand_probs": _geometric_demand(p, d_max),
@@ -444,12 +443,11 @@ def inventory_sdd(
     z_grid, q = markov.tauchen(n_z, rho=rho, nu=nu)
     z_vals = z_grid + b
     l_z = z_vals[:, None] * q
-    reward_y, restock = _restock(K, c, kappa, p, d_max)
+    feasible_y, reward_y, restock = _restock(K, c, kappa, p, d_max)
 
-    # State y * n_z + iz; order a is feasible while y + a <= K.
-    feasible = np.repeat(np.add.outer(np.arange(K + 1), np.arange(K + 1)) <= K, n_z, axis=0)
+    # State y * n_z + iz.
     model = dp.MDPModel(
-        feasible=feasible,
+        feasible=np.repeat(feasible_y, n_z, axis=0),
         reward=np.repeat(reward_y, n_z, axis=0),
         kernel=dp.Factored(q, z_vals, endogenous=restock),
     )
@@ -472,6 +470,45 @@ def crra_utility(c, gamma):
     return np.log(c) if gamma == 1 else c ** (1 - gamma) / (1 - gamma)
 
 
+def _choice_mdp(reward, q, beta, feasible=None):
+    """MDP whose action is the next endogenous index, beside the exogenous chain ``q``.
+
+    ``reward`` and ``feasible`` (every pair when omitted) are indexed
+    ``(e, z..., e')``: the state is ``e`` and the exogenous index, read in
+    C order, and the action is ``e'``.
+    """
+    shape = (int(np.prod(reward.shape[:-1])), reward.shape[-1])
+    feasible = np.ones(shape, dtype=bool) if feasible is None else feasible.reshape(shape)
+    return dp.MDPModel(feasible=feasible, reward=reward.reshape(shape), kernel=dp.Factored(q, beta))
+
+
+def _savings(beta, gamma, w_min, w_max, w_size, rho, nu, y_size, eta_grid, eta_probs):
+    """Savings over states (wealth, income, gross return), action next-period wealth.
+
+    Income follows a Tauchen chain and the return ``eta`` is IID with
+    law ``eta_probs``; consumption is ``w + y - w'/eta`` and must be
+    positive.
+    """
+    w_grid = np.linspace(w_min, w_max, w_size)
+    y_grid_log, q = markov.tauchen(y_size, rho=rho, nu=nu)
+    y_grid = np.exp(y_grid_log)
+    consumption = (
+        w_grid[:, None, None, None]
+        + y_grid[None, :, None, None]
+        - w_grid[None, None, None, :] / eta_grid[None, None, :, None]
+    )
+    feasible = consumption > 0
+    reward = np.where(feasible, crra_utility(np.where(feasible, consumption, 1.0), gamma), -np.inf)
+    # Exogenous state (income, return): q[iy, iy'] * eta_probs[ie'].
+    exogenous = np.kron(q, np.tile(eta_probs, (eta_probs.size, 1)))
+    return {
+        "mdp": _choice_mdp(reward, exogenous, beta, feasible),
+        "w_grid": w_grid,
+        "y_grid": y_grid,
+        "transition": q,
+    }
+
+
 def optimal_savings(
     R=1.01,
     beta=0.98,
@@ -486,30 +523,11 @@ def optimal_savings(
     """Consumption-saving problem with persistent labor income.
 
     State (wealth, income), action next-period wealth; consumption is
-    ``w + y - w'/R`` and must be positive.
+    ``w + y - w'/R`` and must be positive.  This is the savings card
+    with one gross return ``R``.
     """
-    w_grid = np.linspace(w_min, w_max, w_size)
-    y_grid_log, q = markov.tauchen(y_size, rho=rho, nu=nu)
-    y_grid = np.exp(y_grid_log)
-    n = w_size * y_size
-    m = w_size
-    consumption = (
-        w_grid[:, None, None] + y_grid[None, :, None] - w_grid[None, None, :] / R
-    )
-    feasible3 = consumption > 0
-    reward3 = np.where(feasible3, crra_utility(np.where(feasible3, consumption, 1.0), gamma), -np.inf)
-    feasible = feasible3.reshape(n, m)
-    reward = reward3.reshape(n, m)
-
-    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=dp.Factored(q, beta))
-    return {
-        "mdp": model,
-        "w_grid": w_grid,
-        "y_grid": y_grid,
-        "transition": q,
-        "R": R,
-        "shape": (w_size, y_size),
-    }
+    built = _savings(beta, gamma, w_min, w_max, w_size, rho, nu, y_size, np.array([R]), np.ones(1))
+    return {**built, "R": R, "shape": (w_size, y_size)}
 
 
 def _follow_policy(table, e0, z):
@@ -521,12 +539,25 @@ def _follow_policy(table, e0, z):
     return np.array(path, dtype=np.int64)
 
 
+def _simulate_choice(built, result, e0, z0, steps, seed):
+    """Endogenous and exogenous index paths of a choice card under its solved policy.
+
+    The Markov index starts at ``z0`` and moves by ``built["transition"]``;
+    the IID components sized by ``built["shape"][2:]`` are drawn after
+    it.  The endogenous index follows the policy from ``e0``.  Returns
+    ``steps + 1`` endogenous and ``steps`` exogenous indices.
+    """
+    n_e, _, *iid = built["shape"]
+    rng = np.random.default_rng(seed)
+    z = markov._sample_path(built["transition"], z0, rng.random(steps))[:steps]
+    for size in iid:
+        z = z * size + rng.integers(0, size, size=steps)
+    return _follow_policy(result.policy.reshape(n_e, -1), e0, z), z
+
+
 def simulate_savings_wealth(built, result, steps=1_000_000, seed=0, w0_index=0):
     """Long wealth series under the optimal policy."""
-    w_size, y_size = built["shape"]
-    rng = np.random.default_rng(seed)
-    income = markov._sample_path(built["transition"], 0, rng.random(steps))[:steps]
-    wealth = _follow_policy(result.policy.reshape(w_size, y_size), w0_index, income)
+    wealth, _ = _simulate_choice(built, result, w0_index, 0, steps, seed)
     return built["w_grid"][wealth]
 
 
@@ -556,46 +587,15 @@ def optimal_savings_stochastic_returns(
     State (wealth, income, current return), action next-period wealth;
     consumption is ``w + y - w'/eta``.
     """
-    w_grid = np.linspace(w_min, w_max, w_size)
-    y_grid_log, q = markov.tauchen(y_size, rho=rho, nu=nu)
-    y_grid = np.exp(y_grid_log)
     eta_grid = np.linspace(eta_min, eta_max, eta_size)
-    eta_probs = np.full(eta_size, 1.0 / eta_size)
-    n = w_size * y_size * eta_size
-    m = w_size
-    consumption = (
-        w_grid[:, None, None, None]
-        + y_grid[None, :, None, None]
-        - w_grid[None, None, None, :] / eta_grid[None, None, :, None]
-    )
-    feasible4 = consumption > 0
-    reward4 = np.where(
-        feasible4, crra_utility(np.where(feasible4, consumption, 1.0), gamma), -np.inf
-    )
-    feasible = feasible4.reshape(n, m)
-    reward = reward4.reshape(n, m)
-
-    # Exogenous state (income, return): q[iy, iy'] * eta_probs[ie'].
-    exogenous = np.kron(q, np.tile(eta_probs, (eta_size, 1)))
-    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=dp.Factored(exogenous, beta))
-    return {
-        "mdp": model,
-        "w_grid": w_grid,
-        "y_grid": y_grid,
-        "eta_grid": eta_grid,
-        "eta_probs": eta_probs,
-        "transition": q,
-        "shape": (w_size, y_size, eta_size),
-    }
+    eta_probs = np.full(eta_size, 1.0) / eta_size
+    built = _savings(beta, gamma, w_min, w_max, w_size, rho, nu, y_size, eta_grid, eta_probs)
+    shape = (w_size, y_size, eta_size)
+    return {**built, "eta_grid": eta_grid, "eta_probs": eta_probs, "shape": shape}
 
 
 def simulate_savings_wealth_stochastic(built, result, steps=1_000_000, seed=0):
-    w_size, y_size, eta_size = built["shape"]
-    rng = np.random.default_rng(seed)
-    income = markov._sample_path(built["transition"], 0, rng.random(steps))[:steps]
-    returns = rng.integers(0, eta_size, size=steps)
-    policy = result.policy.reshape(w_size, y_size * eta_size)
-    wealth = _follow_policy(policy, 0, income * eta_size + returns)
+    wealth, _ = _simulate_choice(built, result, 0, 0, steps, seed)
     return built["w_grid"][wealth]
 
 
@@ -620,17 +620,12 @@ def optimal_investment(
     beta = 1.0 / (1.0 + r)
     y_grid = np.linspace(y_min, y_max, y_size)
     z_grid, q = markov.tauchen(z_size, rho=rho, nu=nu)
-    n = y_size * z_size
-    m = y_size
     profit = (
         (a0 - a1 * y_grid[:, None] + z_grid[None, :] - c) * y_grid[:, None]
     )  # (y, z)
-    adjustment = gamma * (y_grid[None, :] - y_grid[:, None]) ** 2  # (y, q)
-    reward = (profit[:, :, None] - adjustment[:, None, :]).reshape(n, m)
-    feasible = np.ones((n, m), dtype=bool)
-    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=dp.Factored(q, beta))
+    adjustment = gamma * (y_grid[None, :] - y_grid[:, None]) ** 2  # (y, y')
     return {
-        "mdp": model,
+        "mdp": _choice_mdp(profit[:, :, None] - adjustment[:, None, :], q, beta),
         "y_grid": y_grid,
         "z_grid": z_grid,
         "transition": q,
@@ -643,10 +638,8 @@ def optimal_investment(
 def simulate_investment(built, result, steps=10_000, seed=0):
     """Optimal output path alongside the zero-adjustment-cost target."""
     y_size, z_size = built["shape"]
-    rng = np.random.default_rng(seed)
-    shocks = markov._sample_path(built["transition"], z_size // 2, rng.random(steps))[:steps]
-    output = _follow_policy(result.policy.reshape(y_size, z_size), y_size // 2, shocks)[:steps]
-    return built["y_grid"][output], built["target_output"](built["z_grid"][shocks])
+    output, shocks = _simulate_choice(built, result, y_size // 2, z_size // 2, steps, seed)
+    return built["y_grid"][output[:steps]], built["target_output"](built["z_grid"][shocks])
 
 
 def firm_hiring(
@@ -668,18 +661,12 @@ def firm_hiring(
     beta = 1.0 / (1.0 + r)
     l_grid = np.linspace(l_min, l_max, l_size)
     z_grid, q = markov.tauchen(z_size, rho=rho, nu=nu, b=b, m=m_width)
-    n = l_size * z_size
-    m = l_size
     output = p * z_grid[None, :] * l_grid[:, None] ** alpha  # (l, z)
     wage_bill = w * l_grid
     adjust = kappa * (l_grid[None, :] != l_grid[:, None])  # (l, l')
-    reward = (
-        output[:, :, None] - wage_bill[:, None, None] - adjust[:, None, :]
-    ).reshape(n, m)
-    feasible = np.ones((n, m), dtype=bool)
-    model = dp.MDPModel(feasible=feasible, reward=reward, kernel=dp.Factored(q, beta))
+    reward = output[:, :, None] - wage_bill[:, None, None] - adjust[:, None, :]
     return {
-        "mdp": model,
+        "mdp": _choice_mdp(reward, q, beta),
         "l_grid": l_grid,
         "z_grid": z_grid,
         "transition": q,
@@ -688,10 +675,7 @@ def firm_hiring(
 
 
 def simulate_hiring(built, result, steps=10_000, seed=0):
-    l_size, z_size = built["shape"]
-    rng = np.random.default_rng(seed)
-    shocks = markov._sample_path(built["transition"], z_size // 2, rng.random(steps))[:steps]
-    labor = _follow_policy(result.policy.reshape(l_size, z_size), 0, shocks)
+    labor, _ = _simulate_choice(built, result, 0, built["shape"][1] // 2, steps, seed)
     return built["l_grid"][labor]
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -413,7 +414,109 @@ def test_every_zoo_card_exits_0_or_2(tmp_path, name, command):
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) in (0, 2)
 
 
+ZERO_SIZES = [
+    (name, key)
+    for name, card in sorted(ZOO.items())
+    for key, parameter in inspect.signature(card.builder).parameters.items()
+    if type(parameter.default) is int
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # say, a beta-binomial pmf with a = 0
+@pytest.mark.parametrize("name, key", ZERO_SIZES)
+def test_every_integer_parameter_at_zero_exits_0_or_2(tmp_path, name, key):
+    overrides = {**ZOO[name].ci_overrides, key: 0}
+    cfg = write_config(tmp_path, "cfg.json", {"model": name, "overrides": overrides})
+    assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("optimal_savings", "w_size"),
+        ("optimal_savings_stochastic_returns", "w_size"),
+        ("optimal_savings_stochastic_returns", "eta_size"),
+        ("optimal_investment", "y_size"),
+        ("firm_hiring", "l_size"),
+    ],
+)
+def test_model_without_states_exits_2(tmp_path, capsys, name, key):
+    cfg = write_config(tmp_path, "cfg.json", {"model": name, "overrides": {key: 0}})
+    assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert "a model needs at least one state" in capsys.readouterr().err
+
+
+def _counted(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls; return the count list."""
+    fn, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestBenchmarkSeams:
+    """The benchmark times and captures the CLI by replacing module globals."""
+
+    def test_bench_calls_solve_hpi_once_through_dp(self, tmp_path, monkeypatch):
+        # perfbench's check_bench_table expects these six rows, all agreeing.
+        calls = _counted(monkeypatch, dp, "solve_hpi")
+        cfg = write_config(tmp_path, "bench.json", {"model": "firm_exit", "overrides": {"n": 30}})
+        assert run_cli(["bench", "--config", cfg, "--out", tmp_path / "b"]) == 0
+        assert calls == ["solve_hpi"]
+        lines = (tmp_path / "b" / "bench.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        want = [("vfi", "n/a"), ("hpi", "n/a"), ("opi", "1"), ("opi", "10"), ("opi", "50"), ("opi", "100")]
+        assert lines[0] == "solver,m,seconds,iterations,policies_agree"
+        assert [(row[0], row[1]) for row in rows] == want
+        assert [row[4] for row in rows] == ["true"] * 6
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "bench"])
+    def test_commands_run_through_module_globals(self, tmp_path, monkeypatch, command):
+        dispatched = _counted(monkeypatch, cli, f"cmd_{command}")
+        built = _counted(monkeypatch, cli, "build_model")
+        written = _counted(monkeypatch, cli, "write_table")
+        simulated = _counted(monkeypatch, cli, "_simulate_mdp")
+        config = {"model": "firm_exit", "overrides": {"n": 30}, "horizon": 50, "m_grid": [1]}
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "x"]) == 0
+        assert dispatched == [f"cmd_{command}"]
+        assert len(built) == 1
+        assert len(written) == {"solve": 2, "simulate": 2, "bench": 1}[command]
+        assert len(simulated) == (command == "simulate")
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("horizon", [2.5, 0.5, float("nan"), float("inf")])
+    def test_fractional_mdp_horizon_exits_2(self, tmp_path, capsys, monkeypatch, horizon):
+        monkeypatch.setattr(cli, "run_solver", lambda *args: pytest.fail("solved the model"))
+        config = {"model": "firm_exit", "overrides": {"n": 30}, "horizon": horizon}
+        cfg = write_config(tmp_path, "sim.json", config)
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "horizon" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_jump_chain_horizon_must_be_finite(self, tmp_path, capsys, horizon):
+        # Python's json reads NaN and Infinity, and no jump time is ever past them.
+        cfg = write_config(tmp_path, "sim.json", {"model": "ct_inventory_restock", "horizon": horizon})
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "horizon must be positive and finite" in capsys.readouterr().err
+
+    def test_whole_float_mdp_horizon_is_its_step_count(self, tmp_path):
+        outputs = []
+        for horizon in (100, 100.0):
+            config = {"model": "firm_exit", "overrides": {"n": 30}, "horizon": horizon, "seed": 2}
+            cfg = write_config(tmp_path, "sim.json", config)
+            out = tmp_path / repr(horizon)
+            assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("series.csv", "occupation.csv", "stats.json")])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == 1 + 101
+
     def test_inventory_series_is_lumpy(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -81,6 +81,12 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             _state_action_model(kind, *BAD_STATE_ACTIONS[case])
 
+    @pytest.mark.parametrize("kind", ["mdp", "ct", "rdp"])
+    def test_every_model_class_rejects_a_mask_without_states(self, kind):
+        # any(axis=1).all() holds vacuously on a mask with no rows.
+        with pytest.raises(ValueError, match="at least one state"):
+            _state_action_model(kind, np.zeros((0, 2), dtype=bool), np.zeros((0, 2)))
+
     def test_every_state_needs_an_action(self):
         with pytest.raises(ValueError):
             MDPModel(

@@ -180,6 +180,89 @@ def _oracle_inventory_mdp(beta, K, c, kappa, p, d_max):
     return feasible, reward, kernel
 
 
+def _oracle_inventory_sdd(rho, nu, n_z, b, K, c, kappa, p, d_max):
+    z_grid, q = markov.tauchen(n_z, rho=rho, nu=nu)
+    stock_feasible, stock_reward, restock = _oracle_inventory_mdp(None, K, c, kappa, p, d_max)
+    n = (K + 1) * n_z
+    feasible = np.zeros((n, K + 1), dtype=bool)
+    reward = np.zeros((n, K + 1))
+    for y in range(K + 1):
+        for iz in range(n_z):
+            feasible[y * n_z + iz] = stock_feasible[y]
+            reward[y * n_z + iz] = stock_reward[y]
+    return feasible, reward, q, z_grid + b, restock
+
+
+def _oracle_savings(beta, gamma, w_min, w_max, w_size, rho, nu, y_size, eta_grid, eta_probs):
+    """State ``(w, y, eta)``, action ``w'``; exogenous index ``iy * n_eta + ie``.
+
+    An array power may round a unit in the last place away from the
+    scalar one, by where the entry falls in a vector lane.  So the loop
+    fills the consumption table, and the utility is taken of the whole
+    table, laid out as the builder lays it out.
+    """
+    w_grid = np.linspace(w_min, w_max, w_size).tolist()
+    y_grid_log, q = markov.tauchen(y_size, rho=rho, nu=nu)
+    y_grid = np.exp(y_grid_log).tolist()
+    n_eta = len(eta_grid)
+    feasible = np.zeros((w_size * y_size * n_eta, w_size), dtype=bool)
+    consumption = np.ones(feasible.shape)
+    for iw, w in enumerate(w_grid):
+        for iy, y in enumerate(y_grid):
+            for ie, eta in enumerate(eta_grid):
+                state = (iw * y_size + iy) * n_eta + ie
+                for jw, w_next in enumerate(w_grid):
+                    if w + y - w_next / eta > 0:
+                        feasible[state, jw] = True
+                        consumption[state, jw] = w + y - w_next / eta
+    reward = np.where(feasible, models.crra_utility(consumption, gamma), -np.inf)
+    exogenous = np.zeros((y_size * n_eta, y_size * n_eta))
+    for iy in range(y_size):
+        for ie in range(n_eta):
+            for jy in range(y_size):
+                for je in range(n_eta):
+                    exogenous[iy * n_eta + ie, jy * n_eta + je] = q[iy, jy] * eta_probs[je]
+    return feasible, reward, exogenous, beta, None
+
+
+def _oracle_optimal_savings(R, beta, gamma, w_min, w_max, w_size, rho, nu, y_size):
+    return _oracle_savings(beta, gamma, w_min, w_max, w_size, rho, nu, y_size, [R], [1.0])
+
+
+def _oracle_optimal_savings_stochastic_returns(
+    beta, gamma, w_min, w_max, w_size, rho, nu, y_size, eta_min, eta_max, eta_size
+):
+    eta_grid = np.linspace(eta_min, eta_max, eta_size).tolist()
+    eta_probs = [1.0 / eta_size] * eta_size
+    return _oracle_savings(beta, gamma, w_min, w_max, w_size, rho, nu, y_size, eta_grid, eta_probs)
+
+
+def _oracle_optimal_investment(r, a0, a1, gamma, c, y_min, y_max, y_size, rho, nu, z_size):
+    y_grid = np.linspace(y_min, y_max, y_size).tolist()
+    z_grid, q = markov.tauchen(z_size, rho=rho, nu=nu)
+    reward = np.zeros((y_size * z_size, y_size))
+    for iy, y in enumerate(y_grid):
+        for iz, z in enumerate(z_grid.tolist()):
+            profit = (a0 - a1 * y + z - c) * y
+            for jy, y_next in enumerate(y_grid):
+                reward[iy * z_size + iz, jy] = profit - gamma * (y_next - y) ** 2
+    return np.ones(reward.shape, dtype=bool), reward, q, 1.0 / (1.0 + r), None
+
+
+def _oracle_firm_hiring(r, kappa, alpha, p, w, l_min, l_max, l_size, rho, nu, b, z_size, m_width):
+    l_grid = np.linspace(l_min, l_max, l_size)
+    # The power of the whole grid, as the builder takes it (see _oracle_savings).
+    l_power = (l_grid**alpha).tolist()
+    z_grid, q = markov.tauchen(z_size, rho=rho, nu=nu, b=b, m=m_width)
+    reward = np.zeros((l_size * z_size, l_size))
+    for il, labor in enumerate(l_grid.tolist()):
+        for iz, z in enumerate(z_grid.tolist()):
+            output = p * z * l_power[il]
+            for jl, l_next in enumerate(l_grid.tolist()):
+                reward[il * z_size + iz, jl] = output - w * labor - kappa * (l_next != labor)
+    return np.ones(reward.shape, dtype=bool), reward, q, 1.0 / (1.0 + r), None
+
+
 def _oracle_optimal_default(beta, q_price, reentry, haircut, crra, y_size, rho, nu, b_min, b_max, b_size):
     y_grid_log, q = markov.tauchen(y_size, rho=rho, nu=nu)
     y_grid = np.exp(y_grid_log)
@@ -303,6 +386,21 @@ def _assert_same_model(model, oracle, reward_ulp=0):
         assert np.array_equal(got, kernel.reshape(got.shape))
 
 
+def _assert_same_factors(model, oracle):
+    """Mask, reward and factors ``(q, discount, endogenous)`` equal the oracle's exactly."""
+    feasible, reward, q, discount, endogenous = oracle
+    assert np.array_equal(model.feasible, feasible)
+    assert np.array_equal(model.reward, reward)
+    factors = model.transitions
+    assert isinstance(factors, dp.Factored)
+    assert np.array_equal(factors.q, q)
+    assert np.array_equal(factors.discount, discount)
+    if endogenous is None:
+        assert factors.endogenous is None
+    else:
+        assert np.array_equal(factors.endogenous, endogenous)
+
+
 MARKOV_VARIANTS = [
     pytest.param(dict(variant="plain"), id="plain"),
     pytest.param(dict(variant="separation"), id="separation"),
@@ -349,6 +447,17 @@ class TestZooScales:
         params = _params(models.ct_inventory_restock, ci_scale)
         spec = ZOO["ct_inventory_restock"].build(ci_scale=ci_scale)["jump_spec"]
         assert np.array_equal(spec.jump_matrix, _oracle_ct_inventory_restock(**params))
+
+
+FACTORED_CARDS = ["optimal_savings", "optimal_savings_stochastic_returns", "optimal_investment", "firm_hiring"]
+
+
+@pytest.mark.parametrize("ci_scale", [True, False], ids=["ci", "default"])
+@pytest.mark.parametrize("name", [*FACTORED_CARDS, "inventory_sdd"])
+def test_factored_card_matches_oracle(name, ci_scale):
+    params = _params(getattr(models, name), ci_scale)
+    model = ZOO[name].build(ci_scale=ci_scale)["mdp"]
+    _assert_same_factors(model, globals()[f"_oracle_{name}"](**params))
 
 
 @pytest.mark.parametrize("n, T", [(40, 60), (7, 0), (5, 1)])
@@ -495,3 +604,81 @@ def test_ct_inventory_restock_random(alpha, capacity):
 def test_ct_job_search_random(n, kappa, alpha, c):
     params = dict(kappa=kappa, alpha=alpha, delta=0.1, c=c, n=n, rho=0.9, nu=0.2, wage_scale=10.0)
     _assert_same_model(models.ct_job_search(**params)["ctmdp"], _oracle_ct_job_search(**params))
+
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    w_size=st.integers(1, 8),
+    y_size=st.integers(2, 4),
+    R=st.floats(0.5, 2.0),
+    gamma=st.sampled_from([1.0, 2.5, 0.5]),
+    w_min=st.floats(-2.0, 1.0),
+)
+def test_optimal_savings_random(w_size, y_size, R, gamma, w_min):
+    """Negative wealth grids leave some states with consumption at or below zero."""
+    params = dict(R=R, beta=0.9, gamma=gamma, w_min=w_min, w_max=3.0, w_size=w_size, rho=0.9, nu=0.1, y_size=y_size)
+    try:
+        model = models.optimal_savings(**params)["mdp"]
+    except ValueError:
+        # Every action infeasible in some state: the oracle must say so too.
+        assert not _oracle_optimal_savings(**params)[0].any(axis=1).all()
+        return
+    _assert_same_factors(model, _oracle_optimal_savings(**params))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    w_size=st.integers(1, 6),
+    y_size=st.integers(2, 4),
+    eta_size=st.integers(1, 4),
+    eta_min=st.floats(0.3, 1.0),
+    gamma=st.sampled_from([1.0, 2.5]),
+)
+def test_optimal_savings_stochastic_returns_random(w_size, y_size, eta_size, eta_min, gamma):
+    params = dict(
+        beta=0.9, gamma=gamma, w_min=0.01, w_max=4.0, w_size=w_size, rho=0.9, nu=0.1,
+        y_size=y_size, eta_min=eta_min, eta_max=1.5, eta_size=eta_size,
+    )
+    model = models.optimal_savings_stochastic_returns(**params)["mdp"]
+    _assert_same_factors(model, _oracle_optimal_savings_stochastic_returns(**params))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    y_size=st.integers(1, 8),
+    z_size=st.integers(2, 5),
+    gamma=st.floats(0, 30),
+    r=st.floats(0.01, 0.2),
+    nu=st.floats(0.1, 2.0),
+)
+def test_optimal_investment_random(y_size, z_size, gamma, r, nu):
+    params = _params(models.optimal_investment, y_size=y_size, z_size=z_size, gamma=gamma, r=r, nu=nu)
+    _assert_same_factors(models.optimal_investment(**params)["mdp"], _oracle_optimal_investment(**params))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    l_size=st.integers(1, 8),
+    z_size=st.integers(2, 5),
+    alpha=unit,
+    kappa=st.floats(0, 3),
+    w=st.floats(0.1, 2.0),
+)
+def test_firm_hiring_random(l_size, z_size, alpha, kappa, w):
+    params = _params(models.firm_hiring, l_size=l_size, z_size=z_size, alpha=alpha, kappa=kappa, w=w)
+    _assert_same_factors(models.firm_hiring(**params)["mdp"], _oracle_firm_hiring(**params))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    K=st.integers(0, 8),
+    n_z=st.integers(2, 5),
+    d_max=st.integers(0, 10),
+    p=unit,
+    kappa=st.floats(-1, 3),
+)
+def test_inventory_sdd_random(K, n_z, d_max, p, kappa):
+    # b = 0.9 keeps the discount below one on the coarsest grid.
+    params = _params(models.inventory_sdd, K=K, n_z=n_z, d_max=d_max, p=p, kappa=kappa, b=0.9)
+    _assert_same_factors(models.inventory_sdd(**params)["mdp"], _oracle_inventory_sdd(**params))
