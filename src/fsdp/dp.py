@@ -39,8 +39,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from . import fixed_point, markov, spectral
 from .errors import ConvergenceError, StabilityError
@@ -50,7 +48,7 @@ from .errors import ConvergenceError, StabilityError
 POLICY_ENUMERATION_LIMIT = 10_000
 
 def _flatten_kernel(kernel, n, m):
-    if sp.issparse(kernel):
+    if spectral.issparse(kernel):
         if kernel.shape != (n * m, n):
             raise ValueError("sparse kernel must have shape (n_states * n_actions, n_states)")
         return kernel.tocsr()
@@ -103,7 +101,7 @@ class Flat:
         self._discounted = None
 
     def _aligned(self, weights):
-        if sp.issparse(weights):
+        if spectral.issparse(weights):
             weights = weights.tocsr()
             values = weights.data
         else:
@@ -117,7 +115,7 @@ class Flat:
         return weights
 
     def check(self, feasible):
-        _check_entries(self.kernel.data if sp.issparse(self.kernel) else self.kernel, "kernel")
+        _check_entries(self.kernel.data if spectral.issparse(self.kernel) else self.kernel, "kernel")
         sums = np.asarray(self.kernel.sum(axis=1)).reshape(-1)
         _check_rows(sums[feasible.reshape(-1)], "feasible kernel")
 
@@ -129,7 +127,8 @@ class Flat:
         if self._discounted is None:
             if self.weights is None:
                 self._discounted = self.beta * self.kernel
-            elif sp.issparse(self.kernel) or sp.issparse(self.weights):
+            elif spectral.issparse(self.kernel) or spectral.issparse(self.weights):
+                import scipy.sparse as sp
                 self._discounted = sp.csr_matrix(self.kernel).multiply(self.weights).tocsr()
             else:
                 self._discounted = self.weights * self.kernel
@@ -163,8 +162,9 @@ class Factored:
     number of actions is ``n_e``), or ``endogenous[e, a, e']`` is a small
     endogenous kernel.  ``discount`` is a constant in (0, 1) or one factor
     per exogenous state, applied at the current state.  A policy's rows
-    come out as CSR.  The flat view (:meth:`flatten`) is CSR with rows for
-    feasible pairs only, or dense with an endogenous kernel.
+    come out as CSR, or as its three arrays from :meth:`policy_rows`.  The
+    flat view (:meth:`flatten`) is CSR with rows for feasible pairs only,
+    or dense with an endogenous kernel.
     """
 
     def __init__(self, q, discount, endogenous=None):
@@ -241,7 +241,8 @@ class Factored:
         """Discount of states with exogenous index ``z``, as a column."""
         return self.discount if self.beta is not None else self.discount[z][:, None]
 
-    def policy_matrix(self, sigma, discounted):
+    def policy_rows(self, sigma, discounted):
+        """A policy's rows as the ``(data, indices, indptr)`` of canonical CSR, built without scipy."""
         n_e, n_z, _ = self.shape
         n = n_e * n_z
         z = np.tile(np.arange(n_z), n_e)
@@ -256,13 +257,19 @@ class Factored:
             data = self._row_discount(z[states]) * data
         indices = nxt[:, None] * n_z + np.arange(n_z)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(states, minlength=n) * n_z)))
-        return sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
+        return data.reshape(-1), indices.reshape(-1), indptr
+
+    def policy_matrix(self, sigma, discounted):
+        import scipy.sparse as sp
+        n = self.shape[0] * self.shape[1]
+        return sp.csr_matrix(self.policy_rows(sigma, discounted), shape=(n, n))
 
     def flatten(self):
         """The flat view: kernel and weights with one row per state-action pair."""
         n_e, n_z, m = self.shape
         n = n_e * n_z
         if self.endogenous is None:
+            import scipy.sparse as sp
             s, a = np.nonzero(self.feasible)
             z = s % n_z
             rows = np.repeat(s * m + a, n_z)
@@ -391,7 +398,7 @@ def _checked_policy(model, sigma):
 def policy_matrix(model, sigma, discounted=False):
     """Dense transition (or discounted transition) matrix under a policy."""
     out = model.transitions.policy_matrix(_checked_policy(model, sigma), discounted)
-    return out.toarray() if sp.issparse(out) else np.array(out)
+    return out.toarray() if spectral.issparse(out) else np.array(out)
 
 
 def policy_reward(model, sigma):
@@ -556,7 +563,7 @@ def certify_stability(model, dominating=None):
         discounted = kernel.discounted()
         # Row x*m + a of the flat kernel must be dominated by row x of L.
         n, m = model.n_states, model.n_actions
-        if sp.issparse(discounted):
+        if spectral.issparse(discounted):
             coo = discounted.tocoo()
             if np.any(coo.data > dominating[coo.row // m, coo.col] + 1e-12):
                 raise StabilityError("dominating matrix does not bound the discounted kernel")
@@ -669,7 +676,7 @@ class _Sweep:
         kernel, (states, actions) = model.transitions, np.nonzero(model.feasible)
         self.grid, self.rows = kernel.grid, None
         discounted = kernel.discounted() if isinstance(kernel, Flat) else None
-        self.discounted = discounted if sp.issparse(discounted) else None
+        self.discounted = discounted if spectral.issparse(discounted) else None
         self.reduce = (np.maximum if mode == "max" else np.minimum).reduceat
         self.sign = 1.0 if mode == "max" else -1.0
         self._keep(states, kernel.pair_index(states, actions), model.reward[states, actions])
@@ -956,6 +963,8 @@ def gumbel_ev_operator(model):
         raise ValueError("the closed form requires a constant discount factor")
     if not model.feasible.all():
         raise ValueError("unsupported structure: the closed form needs all actions feasible")
+
+    from scipy.special import logsumexp
 
     def operator(g):
         inner = logsumexp(model.reward + model.beta * np.asarray(g, dtype=float), axis=1)

@@ -15,8 +15,6 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import ndtr
 
 from . import spectral
 
@@ -62,7 +60,8 @@ def require_stochastic_matrix(p, repair=False):
     hides modeling bugs.  A sparse matrix is checked on its stored
     entries and returned as CSR, with no dense copy.
     """
-    if sp.issparse(p):
+    if spectral.issparse(p):
+        import scipy.sparse as sp
         p = sp.csr_matrix(p)
         if p.shape[0] != p.shape[1] or p.shape[0] < 1:
             raise ValueError(f"stochastic matrix must be square, got shape {p.shape}")
@@ -78,7 +77,7 @@ def require_stochastic_matrix(p, repair=False):
         if not repair:
             worst = float(np.max(np.abs(sums - 1.0)))
             raise ValueError(f"row sums deviate from 1 by up to {worst:.3g}")
-        p = sp.diags(1.0 / sums) @ p if sp.issparse(p) else p / sums[:, None]
+        p = sp.diags(1.0 / sums) @ p if spectral.issparse(p) else p / sums[:, None]
     return p
 
 
@@ -102,6 +101,7 @@ def simulate_chain(p, psi0, steps, rng):
 def _row_sampler(p):
     """Inverse-CDF ``step(x, u)`` over the rows of a dense or CSR matrix.
 
+    ``p`` may also be canonical CSR rows as ``(data, indices, indptr)``.
     ``step`` returns the first state of row ``x`` whose cumulative weight
     exceeds ``u`` (a positive-probability state, as the weight rises only
     there), or the row's last positive-probability state if ``u`` is at
@@ -109,21 +109,25 @@ def _row_sampler(p):
     its first visit, in column order, so dense and CSR input give the
     same states and no dense copy of ``p`` is made.
     """
-    if sp.issparse(p):
-        p = sp.csr_matrix(p, copy=True)
+    if spectral.issparse(p):
+        p = p.tocsr(copy=True)
         p.sum_duplicates()
+        p = p.data, p.indices, p.indptr
+    if isinstance(p, tuple):
+        data, indices, indptr = p
+        n_rows = indptr.size - 1
 
         def row(x):
-            lo, hi = p.indptr[x], p.indptr[x + 1]
-            return p.data[lo:hi], memoryview(p.indices[lo:hi])
+            lo, hi = indptr[x], indptr[x + 1]
+            return data[lo:hi], memoryview(indices[lo:hi])
 
     else:
-        columns = range(p.shape[1])
+        columns, n_rows = range(p.shape[1]), p.shape[0]
 
         def row(x):
             return p[x], columns
 
-    rows = [None] * p.shape[0]
+    rows = [None] * n_rows
 
     def step(x, u):
         cached = rows[x]
@@ -170,7 +174,7 @@ def is_irreducible(p):
 
 def _all_reachable(adjacency, source):
     n = adjacency.shape[0]
-    if sp.issparse(adjacency):
+    if spectral.issparse(adjacency):
         # Imported here: at module level it would add about 5 ms to every CLI start-up.
         from scipy.sparse.csgraph import breadth_first_order
 
@@ -201,8 +205,9 @@ def stationary_distribution(p):
     p = require_stochastic_matrix(p)
     irreducible = is_irreducible(p)
     n = p.shape[0]
-    if irreducible and sp.issparse(p) and n > 1:
+    if irreducible and spectral.issparse(p) and n > 1:
         # Imported here, as csgraph is: it would load scipy.linalg into every CLI start-up.
+        import scipy.sparse as sp
         from scipy.sparse.linalg import spsolve
 
         # The system's columns are diagonally dominant, so the LU pivots on
@@ -210,7 +215,7 @@ def stationary_distribution(p):
         a = sp.identity(n, format="csc") - p.T.tocsc()
         psi = np.append(spsolve(a[:-1, :-1], -a[:-1, -1].toarray().ravel()), 1.0)
     else:
-        p = p.toarray() if sp.issparse(p) else p
+        p = p.toarray() if spectral.issparse(p) else p
         if irreducible:
             psi = np.linalg.solve(p.T - np.eye(n) + 1.0, np.ones(n))
         else:
@@ -256,7 +261,7 @@ def tauchen(spec_or_n, rho=None, nu=None, b=0.0, m=3.0):
     with 0 and 1 and differenced, so boundary columns absorb the tails
     and each row sums to one.  The grid is symmetric, so only the top
     ``(n + 1) // 2`` rows are computed: row ``n - 1 - i`` is row ``i``
-    reversed.
+    reversed.  The CDF is :func:`_ndtr`, in place, a block of rows at a time.
 
     Returns ``(grid, p)``.
     """
@@ -276,20 +281,84 @@ def tauchen(spec_or_n, rho=None, nu=None, b=0.0, m=3.0):
     sigma_x = spec.nu / np.sqrt(1.0 - spec.rho**2)
     grid = np.linspace(-spec.m * sigma_x, spec.m * sigma_x, spec.n)
     half = (grid[1] - grid[0]) / 2.0
+    if not np.isfinite(half):  # a NaN would pass the cuts below
+        raise ValueError("m and nu must give a finite grid")
 
     top = (spec.n + 1) // 2
-    cdf = np.empty((top, spec.n + 1))
+    rows = max(1, 32768 // spec.n)  # blocks of about 32k entries stay in cache
+    cdf = np.empty((min(rows, top), spec.n + 1))
     cdf[:, 0], cdf[:, -1] = 0.0, 1.0
-    edges = cdf[:, 1:-1]
-    np.subtract(grid[:-1] + half, spec.rho * grid[:top, None], out=edges)
-    edges /= spec.nu
-    ndtr(edges, out=edges)
     p = np.empty((spec.n, spec.n))
-    np.subtract(cdf[:, 1:], cdf[:, :-1], out=p[:top])
+    for start in range(0, top, rows):
+        block = cdf[: min(rows, top - start)]
+        edges = block[:, 1:-1]
+        np.subtract(grid[:-1] + half, spec.rho * grid[start : start + len(block), None], out=edges)
+        edges /= spec.nu
+        # Rows rise along their columns and columns are monotone, so the first and
+        # last rows bound the columns where some CDF is neither 0 nor 1.
+        (lo, hi), (lo_last, hi_last) = (np.searchsorted(edges[i], _NDTR_CUTS) for i in (0, -1))
+        lo, hi = min(lo, lo_last), max(hi, hi_last)
+        edges[:, :lo], edges[:, hi:] = 0.0, 1.0
+        _ndtr(edges[:, lo:hi])
+        np.subtract(block[:, 1:], block[:, :-1], out=p[start : start + len(block)])
     p[top:] = p[spec.n - top - 1 :: -1, ::-1]
 
     mu_x = spec.b / (1.0 - spec.rho)
     return grid + mu_x, require_stochastic_matrix(p)
+
+
+# Cephes ndtr (Moshier 1989), the code behind scipy.special.ndtr: the T/U rational of erf and
+# the P/Q and R/S rationals of erfc, as numerator and monic denominator, highest power first
+# (each coefficient the shortest repr of Cephes' double).
+_ERF_TU = ((9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051, 55592.30130103949),
+           (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095, 49267.39426086359))
+_ERFC_PQ = ((2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814, 196.5208329560771,
+             526.4451949954773, 934.5285271719576, 1027.5518868951572, 557.5353353693994),
+            (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055,
+             1823.9091668790973, 2246.3376081871097, 1656.6630919416134, 557.5353408177277))
+_ERFC_RS = ((0.5641895835477551, 1.275366707599781, 5.019050422511805, 6.160210979930536, 7.4097426995044895,
+             2.9788666537210022),
+            (1.0, 2.2605286322011726, 9.396035249380015, 12.048953980809666, 17.08144507475659, 9.608968090632859,
+             3.369076451000815))
+_SQRT1_2 = 0.7071067811865476
+_ERFC_UNDERFLOW = 26.64174755704633  # the least x with x * x > MAXLOG: Cephes' erfc is 0 from it
+# ndtr is exactly 0 below the first (x < -26.65) and exactly 1 from the second on (x > 6).
+_NDTR_CUTS = (-37.7, 8.5)
+
+
+def _ndtr(a):
+    """The standard normal CDF of the float array ``a``, in place, as Cephes' ``ndtr`` computes it.
+
+    With ``x = a / sqrt(2)``: ``(1 + erf(x)) / 2`` below ``|x| = 1`` (from ``1 / sqrt(2)`` Cephes
+    takes ``(1 - erf(|x|)) / 2``, which rounds the same, as ``erf >= 1/2`` there), else ``erfc(|x|) / 2``
+    by P/Q below 8 and R/S above, 0 from :data:`_ERFC_UNDERFLOW`, taken from 1 for ``x > 0`` (1 above 6).
+    """
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    np.greater(x, 6.0, out=a)
+    m = ~(z >= 1.0)  # NaN too, which stays NaN
+    if m.any():
+        xs = x[m]
+        num, den = (_horner(xs * xs, c) for c in _ERF_TU)
+        a[m] = 0.5 + 0.5 * (xs * num / den)
+    pq, rs = (z >= 1.0) & (z < 8.0) & (x <= 6.0), (x <= -8.0) & (x > -_ERFC_UNDERFLOW)
+    for table, m in ((_ERFC_PQ, pq), (_ERFC_RS, rs)):
+        if m.any():
+            zm = z[m]
+            y = np.exp(zm * -zm)
+            y *= _horner(zm, table[0])
+            y /= _horner(zm, table[1])
+            y *= 0.5
+            a[m] = np.subtract(1.0, y, out=y, where=x[m] > 0)
+
+
+def _horner(x, coefficients):
+    """The polynomial with ``coefficients``, highest power first, at ``x``, by Cephes' steps."""
+    y = x * coefficients[0] + coefficients[1]
+    for c in coefficients[2:]:
+        y *= x
+        y += c
+    return y
 
 
 def counter_cdf(weights, values=None):
@@ -383,6 +452,6 @@ def conditional_quantile(tau, v, p):
 def _quantile_index(tau, v, p):
     """Index into ``v`` of each row's tau-quantile, for a validated ``p``; CSR rows are densified."""
     order = np.argsort(v, kind="stable")
-    cum = p[:, order].toarray() if sp.issparse(p) else p[:, order]
+    cum = p[:, order].toarray() if spectral.issparse(p) else p[:, order]
     np.cumsum(cum, axis=1, out=cum)
     return order[np.minimum(np.count_nonzero(cum < tau - _QUANTILE_TOL, axis=1), v.size - 1)]

@@ -6,9 +6,9 @@ statistics).  Defaults are fixed reference calibrations; tests may pass
 overrides (for instance grid downsizing) through the card registry.
 """
 
+import importlib
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import betaln, comb
 
 from . import ctmdp, dp, fixed_point, koopmans, markov, rdp, spectral
 
@@ -23,6 +23,10 @@ def job_search_iid(n=50, w_min=10.0, w_max=60.0, a=200, b=100, beta=0.96, c=10.0
     freezes the wage.  Returns the MDP plus the pieces needed for the
     scalar continuation-value recursion.
     """
+    from scipy.special import betaln, comb
+    for name, value in (("a", a), ("b", b)):
+        if not value > 0:
+            raise ValueError(f"beta-binomial parameter {name} must be positive, got {value!r}")
     wages = np.linspace(w_min, w_max, n + 1)
     draws = np.arange(n + 1)
     # Beta-binomial(n, a, b) pmf.
@@ -49,6 +53,7 @@ def _job_search_mdp(wages, offers, c, beta, sep):
     job at the offered wage; a job ends with probability ``sep``, leaving
     the worker with a fresh offer.
     """
+    import scipy.sparse as sp
     nw = wages.size
     unemployed = np.arange(nw)
     employed = nw + unemployed
@@ -213,6 +218,7 @@ def _stopping_mdp(continue_rows, continue_reward, stop_reward, beta):
     (dense or sparse, live by live); action 1 pays ``stop_reward`` and
     exits for good.  The exit state only continues, at zero reward.
     """
+    import scipy.sparse as sp
     moves = sp.coo_matrix(continue_rows)
     keep = moves.data > 0
     n = moves.shape[0]
@@ -288,6 +294,7 @@ def american_option_mdp(built):
     Exercising pays the exit reward and jumps to an absorbing state;
     used as a cross-check for the reduced continuation-value solution.
     """
+    import scipy.sparse as sp
     z_vals, q = built["z_vals"], built["transition"]
     w_probs, n_dates = built["w_probs"], built["n_dates"]
     nz, nw = z_vals.size, w_probs.size
@@ -703,6 +710,9 @@ def optimal_default(
     to zero; re-entry occurs with probability ``reentry`` each period.
     Returns a contracting RDP plus the underlying MDP.
     """
+    import scipy.sparse as sp
+    if b_size < 1:
+        raise ValueError(f"b_size must be at least 1, got {b_size!r}")
     y_grid_log, q = markov.tauchen(y_size, rho=rho, nu=nu)
     y_grid = np.exp(y_grid_log)
     b_grid = np.linspace(b_min, b_max, b_size)
@@ -781,6 +791,7 @@ def ez_savings(psi=1.97, beta=0.96, gamma=-7.89, n=80, p=0.5, e_max=0.5, w_size=
     parameter; the endowment has a scaled binomial distribution on
     ``n`` points.
     """
+    from scipy.special import comb
     alpha = 1.0 - 1.0 / psi
     draws = np.arange(n)
     # Binomial(n - 1, p) pmf.
@@ -1005,13 +1016,14 @@ def ct_job_search(
 
 
 class ModelCard:
-    """Named zoo entry: builder (at its own defaults) and test-scale overrides."""
+    """Named zoo entry: builder (at its own defaults), test-scale overrides and the scipy modules it ``needs``."""
 
-    def __init__(self, name, builder, ci_overrides=None, kind="mdp"):
+    def __init__(self, name, builder, ci_overrides=None, kind="mdp", needs=()):
         self.name = name
         self.builder = builder
         self.ci_overrides = ci_overrides or {}
         self.kind = kind
+        self.needs = needs
 
     def build(self, ci_scale=False, **overrides):
         params = dict(self.ci_overrides) if ci_scale else {}
@@ -1019,16 +1031,27 @@ class ModelCard:
         return self.builder(**params)
 
 
-ZOO = {
-    card.name: card
+class _Zoo(dict):
+    """Cards by name.  ``ZOO[name]`` (not ``get``) imports what the card ``needs``, so no build times it."""
+
+    def __getitem__(self, name):
+        card = super().__getitem__(name)
+        for module in card.needs:
+            importlib.import_module(module)
+        return card
+
+
+ZOO = _Zoo(
+    (card.name, card)
     for card in [
-        ModelCard("job_search_iid", job_search_iid),
+        ModelCard("job_search_iid", job_search_iid, needs=("scipy.sparse", "scipy.special")),
         ModelCard(
             "job_search_markov",
             job_search_markov,
             ci_overrides=dict(n=60),
+            needs=("scipy.sparse",),
         ),
-        ModelCard("firm_exit", firm_exit, ci_overrides=dict(n=60)),
+        ModelCard("firm_exit", firm_exit, ci_overrides=dict(n=60), needs=("scipy.sparse",)),
         ModelCard(
             "inventory_mdp", inventory_mdp, ci_overrides=dict(K=25, d_max=60)
         ),
@@ -1062,9 +1085,10 @@ ZOO = {
             optimal_default,
             ci_overrides=dict(y_size=10, b_size=10),
             kind="rdp",
+            needs=("scipy.sparse",),
         ),
         ModelCard("lake_model", lake_model, kind="linear"),
         ModelCard("ct_inventory_restock", ct_inventory_restock, kind="jump"),
         ModelCard("ct_job_search", ct_job_search, ci_overrides=dict(n=25), kind="ctmdp"),
     ]
-}
+)

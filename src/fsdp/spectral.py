@@ -8,10 +8,10 @@ numpy arrays.  :func:`bounding_pair` decides ``rho < 1`` for nonnegative
 input; eigenvalues decide signed input and report rejections.
 """
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import issparse
 
 from .errors import ConvergenceError, SpectralRadiusError
 
@@ -31,6 +31,11 @@ class EigenpairResult(NamedTuple):
     right: np.ndarray
     left: np.ndarray
     normalized: bool
+
+
+def issparse(x):
+    """True iff ``x`` is scipy sparse, without importing scipy: no sparse object exists before scipy.sparse."""
+    return "scipy.sparse" in sys.modules and sys.modules["scipy.sparse"].issparse(x)
 
 
 def require_square(a, name="matrix"):

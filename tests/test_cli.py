@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,142 @@ def test_solve_simulate_and_bench_load_no_scipy_linalg(tmp_path):
     assert report["dominant_value"] == pytest.approx(pair.value, rel=1e-14)
     assert report["dominant_right"] == pytest.approx(pair.right.tolist(), rel=1e-14)
     assert report["dominant_left"] == pytest.approx(pair.left.tolist(), rel=1e-14)
+
+
+def _scipy_modules_after(commands):
+    """``[command, exit code, scipy modules loaded]`` after each CLI command, in one fresh process."""
+    code = (
+        "import json, sys\n"
+        "from fsdp import cli\n"
+        f"for command in {commands!r}:\n"
+        "    code = cli.main(command)\n"
+        "    scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    print('loaded', json.dumps([command[0], code, scipy]))\n"
+    )
+    lines = _run_python(code).splitlines()
+    return [json.loads(line.removeprefix("loaded ")) for line in lines if line.startswith("loaded ")]
+
+
+def test_cards_without_needs_run_on_numpy_alone(tmp_path):
+    # Only the cards that build CSR kernels load scipy; every other solve,
+    # simulation and bench runs on numpy, and fsdp spectral still works after them.
+    commands, kinds = [], []
+    for name, card in sorted(ZOO.items()):
+        if card.needs:
+            continue
+        for verb, extra in (("solve", {}), ("simulate", {"horizon": 200}), ("bench", {"m_grid": [1, 10]})):
+            config = {"model": name, "overrides": card.ci_overrides, **extra}
+            cfg = write_config(tmp_path, f"{verb}-{name}.json", config)
+            commands.append([verb, "--config", str(cfg), "--out", str(tmp_path / f"{verb}-{name}")])
+            kinds.append(card.kind)
+    matrix = np.array([[0.4, 0.1], [0.7, 0.2]])
+    (tmp_path / "m.json").write_text(json.dumps(matrix.tolist()))
+    commands.append(["spectral", str(tmp_path / "m.json"), "--out", str(tmp_path / "report.json")])
+    loaded = _scipy_modules_after(commands)
+    assert len(loaded) == len(commands)
+    for (verb, code, scipy), kind in zip(loaded[:-1], kinds):
+        assert scipy == [], verb
+        assert code == 0 if kind == "mdp" else code in (0, 2)
+    assert loaded[-1][:2] == ["spectral", 0]
+    assert run_cli(["spectral", tmp_path / "m.json", "--out", tmp_path / "here.json"]) == 0
+    assert (tmp_path / "report.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_needs_name_exactly_the_scipy_modules_a_build_loads(name):
+    code = (
+        "import json, sys\n"
+        "from fsdp import models\n"
+        f"models.ZOO.get({name!r}).build(ci_scale=True)\n"  # ZOO[name] would import the needs first
+        "public = {'.'.join(m.split('.')[:2]) for m in sys.modules if m.startswith('scipy.')}\n"
+        "print(json.dumps(sorted(m for m in public if not m.split('.')[1].startswith('_')) ))\n"
+    )
+    loaded = set(json.loads(_run_python(code))) - {"scipy.version"}
+    assert loaded == set(ZOO[name].needs)
+
+
+def test_no_module_is_imported_inside_a_build_solve_or_simulation(tmp_path):
+    # The benchmark times these three spans; an import inside one would count in it.
+    commands = []
+    for name in ("optimal_investment", "inventory_sdd", "firm_exit", "job_search_iid"):
+        config = {"model": name, "overrides": ZOO.get(name).ci_overrides, "horizon": 50}
+        cfg = write_config(tmp_path, f"{name}.json", config)
+        commands.append(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)])
+    code = (
+        "import json, sys\n"
+        "from fsdp import cli\n"
+        "def watch(f):\n"
+        "    def g(*args):\n"
+        "        before = set(sys.modules)\n"
+        "        out = f(*args)\n"
+        "        print('new', json.dumps([f.__name__, sorted(set(sys.modules) - before)]))\n"
+        "        return out\n"
+        "    return g\n"
+        "for name in ('build_model', 'run_solver', '_simulate_mdp'):\n"
+        "    setattr(cli, name, watch(getattr(cli, name)))\n"
+        f"for command in {commands!r}:\n"
+        "    assert cli.main(command) == 0\n"
+    )
+    lines = [json.loads(line[4:]) for line in _run_python(code).splitlines() if line.startswith("new ")]
+    assert lines == [[span, []] for _ in commands for span in ("build_model", "run_solver", "_simulate_mdp")]
+
+
+def test_zoo_lookup_imports_the_needs(monkeypatch):
+    imported = []
+    monkeypatch.setattr(models.importlib, "import_module", imported.append)
+    assert models.ZOO.get("job_search_iid") is models.ZOO["job_search_iid"]
+    assert imported == ["scipy.sparse", "scipy.special"]
+    models.ZOO["firm_hiring"]
+    assert imported == ["scipy.sparse", "scipy.special"]
+
+
+def test_needs_are_imported_before_the_build(tmp_path, monkeypatch):
+    imported = []
+    monkeypatch.setattr(models.importlib, "import_module", imported.append)
+
+    def build(config):
+        assert imported == ["scipy.sparse", "scipy.special"]
+        return models.ZOO["job_search_iid"].build()
+
+    monkeypatch.setattr(cli, "build_model", build)
+    cfg = write_config(tmp_path, "cfg.json", {"model": "job_search_iid"})
+    assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 0
+
+
+NON_FINITE_BOUNDS = {
+    "vfi tolerance": ("solve", {"solver": "vfi", "tolerance": float("nan")}, "tolerance"),
+    "opi tolerance": ("solve", {"solver": "opi", "m": 5, "tolerance": float("nan")}, "tolerance"),
+    "infinite tolerance": ("solve", {"solver": "vfi", "tolerance": float("inf")}, "tolerance"),
+    "horizon": ("simulate", {"horizon": float("nan")}, "horizon"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_BOUNDS))
+def test_non_finite_bound_is_a_configuration_error(tmp_path, capsys, monkeypatch, case):
+    # NaN passes every comparison, so a NaN tolerance used to run VFI to its cap (exit 4).
+    verb, extra, name = NON_FINITE_BOUNDS[case]
+    monkeypatch.setattr(cli, "build_model", lambda config: pytest.fail("built the model"))
+    cfg = write_config(tmp_path, "cfg.json", {"model": "firm_exit", "overrides": {"n": 30}, **extra})
+    assert run_cli([verb, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    error = cli._schema_error({"model": "x", **extra}, cli.CONFIG_SCHEMA)
+    assert error == f"{name} must be finite, not {extra[name]!r}"
+
+
+@pytest.mark.parametrize(
+    "name, override, message",
+    [
+        ("optimal_default", "b_size=0", "b_size must be at least 1, got 0"),
+        ("job_search_iid", "a=0", "beta-binomial parameter a must be positive, got 0"),
+        ("job_search_iid", "b=-1.5", "beta-binomial parameter b must be positive, got -1.5"),
+    ],
+)
+def test_bad_shape_override_names_its_parameter(tmp_path, capsys, name, override, message):
+    cfg = write_config(tmp_path, "cfg.json", {"model": name})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["solve", "--config", cfg, "--override", override, "--out", tmp_path / "x"]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -502,9 +639,10 @@ class TestSimulate:
     @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
     def test_jump_chain_horizon_must_be_finite(self, tmp_path, capsys, horizon):
         # Python's json reads NaN and Infinity, and no jump time is ever past them.
+        # The config schema rejects them before the chain is built.
         cfg = write_config(tmp_path, "sim.json", {"model": "ct_inventory_restock", "horizon": horizon})
         assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x"]) == 2
-        assert "horizon must be positive and finite" in capsys.readouterr().err
+        assert "horizon must be finite" in capsys.readouterr().err
 
     def test_whole_float_mdp_horizon_is_its_step_count(self, tmp_path):
         outputs = []

@@ -202,6 +202,13 @@ class TestSimulateJumpChain:
             simulate_jump_chain(spec, [1.0, 0.0], 5.0, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        # No jump time is ever past a NaN or infinite horizon.
+        spec = JumpChainSpec(rates=np.ones(2), jump_matrix=np.ones((2, 2)) / 2)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            simulate_jump_chain(spec, [1.0, 0.0], horizon, np.random.default_rng(0))
+
     def test_occupation_fractions_approach_stationary_distribution(self):
         rng = np.random.default_rng(9)
         q = random_intensity(rng, 3)

@@ -411,6 +411,12 @@ def _two_cdf_tauchen(n, rho, nu, b, m):
 
 
 class TestTauchen:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # linspace of an overflowing width
+    @pytest.mark.parametrize("nu, m", [(np.nan, 3.0), (np.inf, 3.0), (0.1, np.nan), (0.1, np.inf), (1e300, 1e10)])
+    def test_non_finite_grid_is_rejected(self, nu, m):
+        with pytest.raises(ValueError):
+            markov.tauchen(5, rho=0.5, nu=nu, m=m)
+
     def test_iid_limit_rows_identical(self):
         _, p = markov.tauchen(9, rho=0.0, nu=0.5)
         assert np.max(np.abs(p - p[0])) < 1e-12
@@ -461,6 +467,14 @@ class TestTauchen:
         if rho >= 0:
             assert markov.is_monotone_increasing(p)
 
+    @pytest.mark.parametrize("n, rho, nu, m", [(1000, 0.96, 0.1, 10.0), (1000, 0.8, 0.1, 10.0), (777, -0.9, 0.5, 3.0)])
+    def test_many_row_blocks_match_scipy(self, n, rho, nu, m):
+        # Several blocks of rows, each with columns cut to exact 0s and 1s.
+        grid, p = markov.tauchen(n, rho=rho, nu=nu, m=m)
+        grid_ref, p_ref = _two_cdf_tauchen(n, rho, nu, 0.0, m)
+        assert np.array_equal(grid, grid_ref)
+        assert np.max(np.abs(p - p_ref)) <= 1e-13
+
     def test_large_chain_traced_peak_is_p_and_half_a_cdf_table(self):
         tracemalloc.start()
         try:
@@ -470,6 +484,83 @@ class TestTauchen:
             tracemalloc.stop()
         # p alone is 8 MB; the half-height CDF table adds 4 MB.
         assert peak < 16e6
+
+
+def _ported_ndtr(a):
+    out = np.array(a, dtype=float)
+    markov._ndtr(out)
+    return out
+
+
+def _ulps(a, b):
+    """How many doubles apart the nonnegative ``a`` and ``b`` are."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+# Cephes' branch points in x = a / sqrt(2) (1/sqrt(2), 1, 8, the underflow
+# cut) and the port's shortcut at x = 6, as values of a, with the doubles
+# next to them.
+_CUTS = [b / markov._SQRT1_2 for b in (markov._SQRT1_2, 1.0, 6.0, 8.0, markov._ERFC_UNDERFLOW)]
+_NDTR_POINTS = sorted(
+    float(s * np.nextafter(b, d)) for b in _CUTS for s in (-1, 1) for d in (0.0, b, np.inf)
+) + [0.0, *markov._NDTR_CUTS]
+
+
+class TestNdtr:
+    """``markov._ndtr`` against ``scipy.special.ndtr``, the Cephes code it ports."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.floats(-40, 40) | st.sampled_from(_NDTR_POINTS), min_size=1, max_size=64))
+    def test_within_4_ulp_of_scipy(self, values):
+        assert _ulps(_ported_ndtr(values), ndtr(values)).max() <= 4
+
+    def test_within_4_ulp_of_scipy_on_a_grid(self):
+        a = np.concatenate([np.linspace(-40, 40, 400_001), _NDTR_POINTS])
+        ulps = _ulps(_ported_ndtr(a), ndtr(a))
+        assert ulps.max() <= 4
+        # The two differ only where numpy's exp and the C library's do.
+        assert np.mean(ulps == 0) > 0.95
+
+    def test_without_the_rs_branch_it_fails(self, monkeypatch):
+        # With P/Q past x = 8 too, the lower tail leaves scipy's values.
+        a = np.linspace(-37.6, -11.4, 1_000)
+        assert _ulps(_ported_ndtr(a), ndtr(a)).max() <= 4
+        monkeypatch.setattr(markov, "_ERFC_RS", markov._ERFC_PQ)
+        assert _ulps(_ported_ndtr(a), ndtr(a)).max() > 4
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.floats(-40, 40) | st.sampled_from(_NDTR_POINTS), st.floats(1e-6, 10.0))
+    def test_monotone(self, a, step):
+        # Consecutive doubles can wobble by a unit in the last place, in scipy as here.
+        low, high = _ported_ndtr([a, a + step * max(1.0, abs(a))])
+        assert low <= high
+
+    def test_zero_and_one_at_the_cuts(self):
+        # 0 from the underflow cut down, and 1 from the shortcut at x = 6 up, as in scipy;
+        # Tauchen writes its column cuts without evaluation, so they must lie there too.
+        cut = -markov._ERFC_UNDERFLOW / markov._SQRT1_2
+        shortcut = 6.0 / markov._SQRT1_2
+        low, high = markov._NDTR_CUTS
+        zeros = [-np.inf, -1e300, -40.0, low, np.nextafter(cut, -np.inf), cut * (1 + 1e-12)]
+        ones = [np.nextafter(shortcut, np.inf), high, 9.0, 40.0, 1e300, np.inf]
+        for values, expected in ((zeros, 0.0), (ones, 1.0)):
+            assert np.all(_ported_ndtr(values) == expected)
+            assert np.all(ndtr(values) == expected)
+        assert 0.0 < _ported_ndtr([cut * (1 - 1e-12)])[0] == ndtr(cut * (1 - 1e-12))
+        assert np.isnan(_ported_ndtr([np.nan])[0])
+
+    def test_underflow_cut_is_the_least_x_whose_square_passes_maxlog(self):
+        maxlog = 7.09782712893383996843e2
+        cut = markov._ERFC_UNDERFLOW
+        assert cut * cut > maxlog >= np.nextafter(cut, 0.0) ** 2
+
+    def test_in_place_on_a_strided_view(self):
+        table = np.linspace(-45, 45, 3 * 7).reshape(3, 7)
+        view = table[:, 1:-1]
+        expected = ndtr(view)
+        markov._ndtr(view)
+        assert _ulps(view, expected).max() <= 4
+        assert np.array_equal(table[:, [0, -1]], np.linspace(-45, 45, 21).reshape(3, 7)[:, [0, -1]])
 
 
 class TestStochasticDominance:

@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import betaln, comb
+from scipy.special import betaln, comb, ndtr
 
 from fsdp import dp, markov, models, rdp
 from fsdp.models import ZOO
@@ -682,3 +682,25 @@ def test_inventory_sdd_random(K, n_z, d_max, p, kappa):
     # b = 0.9 keeps the discount below one on the coarsest grid.
     params = _params(models.inventory_sdd, K=K, n_z=n_z, d_max=d_max, p=p, kappa=kappa, b=0.9)
     _assert_same_factors(models.inventory_sdd(**params)["mdp"], _oracle_inventory_sdd(**params))
+
+
+# ---------------------------------------------------------------------------
+# Tauchen's numpy ndtr against scipy's, through the solvers
+
+DISCRETE_CARDS = sorted(name for name, card in ZOO.items() if card.kind in ("mdp", "rdp"))
+
+
+@pytest.mark.parametrize("name", DISCRETE_CARDS)
+def test_numpy_ndtr_keeps_every_solution(name, monkeypatch):
+    """Cards built on the ported ndtr solve as on scipy's: same policies and iterations.
+
+    Values agree to 1e-12 of their largest magnitude.
+    """
+    ported = ZOO[name].build(ci_scale=True)["mdp"]
+    monkeypatch.setattr(markov, "_ndtr", lambda a: ndtr(a, out=a))
+    reference = ZOO[name].build(ci_scale=True)["mdp"]
+    for solve in (dp.solve_hpi, dp.solve_vfi):
+        got, want = solve(ported), solve(reference)
+        assert np.array_equal(got.policy, want.policy)
+        assert got.iterations == want.iterations
+        assert np.max(np.abs(got.value - want.value)) <= 1e-12 * np.max(np.abs(want.value))
