@@ -172,6 +172,12 @@ def load_config(path, cli_overrides=None, seed=None):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if error := _schema_error(raw, CONFIG_SCHEMA):
         raise ConfigError(f"config failed validation: {error}")
+    # The schema takes 10.0 as an integer; the solvers count with Python ints.
+    for name, sub in CONFIG_SCHEMA["properties"].items():
+        if name in raw and sub.get("type") == "integer":
+            raw[name] = int(raw[name])
+        elif name in raw and sub.get("items", {}).get("type") == "integer":
+            raw[name] = [int(item) for item in raw[name]]
     if cli_overrides:
         raw.setdefault("overrides", {}).update(cli_overrides)
     if seed is not None:
@@ -209,18 +215,17 @@ def build_model(config):
         return built
     if error := _schema_error(spec_entry, INLINE_SCHEMA):
         raise ConfigError(f"inline model failed validation: {error}")
+    if overrides:
+        raise ConfigError(f"an inline model takes no overrides, got {sorted(overrides)}")
     reward = np.asarray(spec_entry["reward"], dtype=float)
     kernel = np.asarray(spec_entry["kernel"], dtype=float)
     feasible = np.asarray(
         spec_entry.get("feasible", np.ones(reward.shape)), dtype=bool
     )
-    kwargs = {}
-    if "discount_weights" in spec_entry:
-        kwargs["discount_weights"] = np.asarray(spec_entry["discount_weights"], dtype=float)
-    else:
-        kwargs["beta"] = spec_entry.get("beta")
+    weights = spec_entry.get("discount_weights")
+    weights = None if weights is None else np.asarray(weights, dtype=float)
     try:
-        model = dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, **kwargs)
+        model = dp.MDPModel(feasible, reward, kernel, beta=spec_entry.get("beta"), discount_weights=weights)
     except ValueError as exc:
         raise ConfigError(f"inline model rejected: {exc}") from exc
     return {"mdp": model, "name": "inline"}
@@ -443,8 +448,12 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, func, text in [
+        ("solve", cmd_solve, "solve a model and write value/policy tables"),
+        ("simulate", cmd_simulate, "simulate under the optimal policy"),
+        ("bench", cmd_bench, "time VFI/HPI/OPI on one model"),
+    ]:
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -455,23 +464,11 @@ def build_parser():
             metavar="KEY=VALUE",
             help="model parameter override (repeatable)",
         )
+        p.set_defaults(func=func)
 
-    p_solve = sub.add_parser("solve", help="solve a model and write value/policy tables")
-    common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_sim = sub.add_parser("simulate", help="simulate under the optimal policy")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_bench = sub.add_parser("bench", help="time VFI/HPI/OPI on one model")
-    common(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_spec = sub.add_parser("spectral", help="spectral report for a matrix file")
+    p_spec = sub.add_parser("spectral", help="spectral report (JSON) for a matrix file")
     p_spec.add_argument("matrix", help="JSON file holding a square matrix")
     p_spec.add_argument("--out", help="output file")
-    p_spec.add_argument("--format", choices=["csv", "json"], default="json")
     p_spec.set_defaults(func=cmd_spectral)
     return parser
 

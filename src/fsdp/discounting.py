@@ -175,8 +175,7 @@ def harrison_kreps_price(p1, p2, beta, d, cfg=None, return_trace=False):
     Raises :class:`~fsdp.errors.ConvergenceError`, carrying the last
     iterate, when the iteration cap is hit.
     """
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
+    markov.require_discount(beta)
     p1 = markov.require_stochastic_matrix(p1)
     p2 = markov.require_stochastic_matrix(p2)
     d = np.asarray(d, dtype=float)

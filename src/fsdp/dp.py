@@ -62,11 +62,6 @@ def _flatten_kernel(kernel, n, m):
     raise ValueError("kernel must be (n, m, n) or flat (n * m, n)")
 
 
-def _check_beta(beta):
-    if beta is None or not 0 < beta < 1:
-        raise ValueError("constant discount beta must lie in (0, 1)")
-
-
 def _check_entries(entries, what):
     if not np.all(np.isfinite(entries)):
         raise ValueError(f"{what} has non-finite entries")
@@ -91,7 +86,7 @@ class Flat:
 
     def __init__(self, kernel, n, m, beta=None, weights=None):
         if weights is None:
-            _check_beta(beta)
+            markov.require_discount(beta)
         elif beta is not None:
             raise ValueError("give either beta or discount_weights, not both")
         self.kernel = _flatten_kernel(kernel, n, m)
@@ -172,7 +167,7 @@ class Factored:
         self.endogenous = None if endogenous is None else np.asarray(endogenous, dtype=float)
         if np.ndim(discount) == 0:
             self.discount = self.beta = float(discount)
-            _check_beta(self.beta)
+            markov.require_discount(self.beta)
         else:
             self.discount, self.beta = np.asarray(discount, dtype=float), None
 
@@ -457,9 +452,14 @@ def _improve(model, v, mode):
 
 def policy_apply(model, sigma, v):
     """One application of the policy operator ``r_sigma + L_sigma v``."""
+    return _policy_map(model, sigma)(np.asarray(v, dtype=float))
+
+
+def _policy_map(model, sigma):
+    """The policy operator ``v -> r_sigma + L_sigma v`` of a checked ``sigma``."""
     sigma = _checked_policy(model, sigma)
-    apply = model.transitions.policy_operator(sigma)
-    return policy_reward(model, sigma) + apply(np.asarray(v, dtype=float))
+    apply, r_sigma = model.transitions.policy_operator(sigma), policy_reward(model, sigma)
+    return lambda v: r_sigma + apply(v)
 
 
 def policy_value(model, sigma):
@@ -569,15 +569,15 @@ def certify_stability(model, dominating=None):
                 raise StabilityError("dominating matrix does not bound the discounted kernel")
         elif np.any(discounted.reshape(n, m, n) > dominating[:, None, :] + 1e-12):
             raise StabilityError("dominating matrix does not bound the discounted kernel")
-        spectral.check_radius_below_one(dominating, "dominating matrix")
     model._certified = True
 
 
 def dominating_matrix(dominating, n):
-    """``dominating`` as a float array, or ValueError unless it is ``(n, n)`` and nonnegative."""
-    dominating = spectral.require_square(dominating, "dominating matrix")
-    if dominating.shape != (n, n) or np.any(dominating < 0):
+    """``dominating`` as a float array once it certifies: ``(n, n)``, nonnegative, ``rho < 1``."""
+    dominating = spectral.require_nonnegative(dominating, "dominating matrix")
+    if dominating.shape != (n, n):
         raise ValueError(f"dominating matrix must be nonnegative and ({n}, {n})")
+    spectral.check_radius_below_one(dominating, "dominating matrix")
     return dominating
 
 
@@ -829,18 +829,12 @@ def solve_opi(
     v = _certified_policy_value(model, sigma, system=_policy_system(model, sigma, tally))[0]
     history = [v.copy()] if record_history else None
     pair = model._bounding
-
-    def policy_operator(sigma):
-        sigma = _checked_policy(model, sigma)
-        apply, r_sigma = model.transitions.policy_operator(sigma), policy_reward(model, sigma)
-        return lambda v: r_sigma + apply(v)
-
     if m == 1:
         sweep = _Sweep(model, mode, pair)
         v, k, _ = fixed_point.value_iteration(sweep, v, tolerance, max_iter, history)
     else:
         v, k = fixed_point.optimistic_policy_iteration(
-            lambda v: greedy(model, v, mode), policy_operator, v, m, tolerance, max_iter, history
+            lambda v: greedy(model, v, mode), partial(_policy_map, model), v, m, tolerance, max_iter, history
         )
     sigma, tv = _improve(model, v, mode)
     step = None if pair is None else np.max(np.abs(tv - v) / pair[0])

@@ -220,13 +220,17 @@ class _Aggregator:
         raise NotImplementedError
 
 
-class Additive(_Aggregator):
+class _ScalarDiscount(_Aggregator):
+    """Rewards ``r`` and a constant weight ``beta``, Blackwell-contracting with modulus ``beta`` below one."""
+
     def __init__(self, r, beta):
         self.r = np.asarray(r, dtype=float)
         self.beta = float(beta)
         if self.beta < 1:
             self.blackwell_modulus = self.beta
 
+
+class Additive(_ScalarDiscount):
     def __call__(self, rv):
         return self.r + self.beta * rv
 
@@ -234,13 +238,7 @@ class Additive(_Aggregator):
         return self.beta
 
 
-class Leontief(_Aggregator):
-    def __init__(self, r, beta):
-        self.r = np.asarray(r, dtype=float)
-        self.beta = float(beta)
-        if self.beta < 1:
-            self.blackwell_modulus = self.beta
-
+class Leontief(_ScalarDiscount):
     def __call__(self, rv):
         return np.minimum(self.r, self.beta * rv)
 
@@ -505,11 +503,9 @@ def power_affine_solve(h, a, theta, cfg=None):
     ``cfg.max_iter`` caps the Newton steps.
     """
     h = np.asarray(h, dtype=float)
-    a = spectral.require_square(a)
+    a = spectral.require_nonnegative(a, "A")
     if np.any(h <= 0):
         raise ValueError("h must be strictly positive")
-    if np.any(a < 0):
-        raise ValueError("A must be nonnegative")
     check_power_affine_stable(a, theta)
     if theta == 1:
         return spectral.neumann_solve(a, h)
@@ -553,8 +549,7 @@ def epstein_zin_value(h, beta, alpha, gamma, p, cfg=None):
 
     Solves ``v = (h + beta (P v^gamma)^(alpha/gamma))^(1/alpha)``.
     """
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
+    markov.require_discount(beta)
     return ez_sdd_value(h, np.full(np.shape(h), beta), alpha, gamma, p, cfg)
 
 

@@ -52,6 +52,12 @@ def require_distribution(weights):
     return w
 
 
+def require_discount(beta):
+    """Raise ValueError unless the constant discount ``beta`` lies in (0, 1)."""
+    if beta is None or not 0 < beta < 1:
+        raise ValueError("beta must lie in (0, 1)")
+
+
 def require_stochastic_matrix(p, repair=False):
     """Validate a stochastic matrix, optionally renormalizing rows.
 
@@ -244,8 +250,7 @@ def conditional_expectation(p, h, k=1):
 
 def geometric_value(beta, p, h):
     """Expected discounted sum ``sum_t beta^t p^t h = inv(I - beta p) h``."""
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
+    require_discount(beta)
     p = require_stochastic_matrix(p)
     return spectral.neumann_solve(beta * p, np.asarray(h, dtype=float))
 

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from . import dp, fixed_point, markov, spectral
+from . import dp, fixed_point, markov
 from .errors import ConvergenceError, StabilityError
 
 
@@ -128,8 +128,7 @@ def verify_certificate(model):
             raise StabilityError(f"contraction modulus {stab.modulus} is not below one")
     elif isinstance(stab, EventuallyContracting):
         if stab.dominating is not None:
-            dominating = dp.dominating_matrix(stab.dominating, model.n_states)
-            spectral.check_radius_below_one(dominating, "dominating operator")
+            dp.dominating_matrix(stab.dominating, model.n_states)
         elif stab.policy_radius is None:
             raise StabilityError(
                 "eventually-contracting class needs a dominating matrix or a "
@@ -289,8 +288,7 @@ def make_robust_aggregator(reward, beta, kernels, penalty=None, slack=1.0):
     and solvable by any of the RDP algorithms.
     """
     reward = np.asarray(reward, dtype=float)
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
+    markov.require_discount(beta)
     if len(kernels) == 0:
         raise ValueError("kernel family must be nonempty")
     n, m = reward.shape
@@ -337,8 +335,7 @@ def make_smooth_ambiguity_aggregator(reward, beta, kernels, mu, alpha, kappa, ga
     reward = np.asarray(reward, dtype=float)
     if not (kappa < gamma < 0 < alpha < 1):
         raise ValueError("parameters must satisfy kappa < gamma < 0 < alpha < 1")
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
+    markov.require_discount(beta)
     if np.any(reward <= 0):
         raise ValueError("rewards must be strictly positive")
     n, m = reward.shape

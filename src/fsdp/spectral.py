@@ -50,6 +50,14 @@ def require_square(a, name="matrix"):
     return a
 
 
+def require_nonnegative(a, name="matrix"):
+    """Validate and return ``a`` as a finite square float array with no negative entry."""
+    a = require_square(a, name)
+    if np.any(a < 0):
+        raise ValueError(f"{name} must be nonnegative elementwise")
+    return a
+
+
 def spectral_radius(a):
     """Return the largest eigenvalue modulus of a square matrix.
 
@@ -66,9 +74,7 @@ def spectral_radius_bounds(a):
     the row-sum and column-sum brackets, so it is the tighter of the two.
     Requires ``a >= 0`` elementwise.
     """
-    a = require_square(a)
-    if np.any(a < 0):
-        raise ValueError("matrix must be nonnegative elementwise")
+    a = require_nonnegative(a)
     row = a.sum(axis=1)
     col = a.sum(axis=0)
     lower = max(row.min(), col.min())
@@ -180,10 +186,8 @@ def local_spectral_radius_seq(a, h, kmax):
     For nonnegative ``a`` and strictly positive ``h`` the sequence
     converges to the spectral radius of ``a``.
     """
-    a = require_square(a)
+    a = require_nonnegative(a)
     h = np.asarray(h, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("matrix must be nonnegative elementwise")
     if np.any(h <= 0):
         raise ValueError("h must be strictly positive")
     if kmax < 1:
@@ -248,9 +252,7 @@ def dominant_eigenpair(a, assume_irreducible=False):
     that is the Perron root ``rho(a)``, also when ``-rho(a)`` or other
     eigenvalues of modulus ``rho(a)`` exist (periodic matrices).
     """
-    a = require_square(a)
-    if np.any(a < 0):
-        raise ValueError("matrix must be nonnegative elementwise")
+    a = require_nonnegative(a)
     return _perron_pair(*eig(a, left=True, right=True), assume_irreducible)
 
 

@@ -1002,3 +1002,141 @@ def test_write_json_writes_numpy_values_as_their_python_values(tmp_path):
     text = cli._write_json(tmp_path / "out.json", payload)
     assert text == json.dumps(plain, indent=1, sort_keys=True) + "\n"
     assert (tmp_path / "out.json").read_text(encoding="utf-8") == text
+
+
+def _outputs(out):
+    """Every file under ``out`` by name, with a bench table's wall-time column dropped."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "bench.csv":
+            text = "\n".join(",".join(row.split(",")[:2] + row.split(",")[3:]) for row in text.splitlines())
+        files[path.name] = text
+    return files
+
+
+WHOLE_FLOATS = {
+    "m": ("solve", {"solver": "opi", "m": 10.0}, {"solver": "opi", "m": 10}),
+    "m one": ("solve", {"solver": "opi", "m": 1.0}, {"solver": "opi", "m": 1}),
+    "seed": ("simulate", {"seed": 1.0, "horizon": 50}, {"seed": 1, "horizon": 50}),
+    "m_grid": ("bench", {"m_grid": [1.0, 10.0]}, {"m_grid": [1, 10]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_FLOATS))
+def test_whole_number_floats_run_as_integers(tmp_path, capsys, case):
+    # The schema takes 10.0 as an integer; range(10.0) and default_rng(1.0) used to raise TypeError.
+    verb, floats, ints = WHOLE_FLOATS[case]
+    outputs = []
+    for name, extra in (("float", floats), ("int", ints)):
+        cfg = write_config(tmp_path, f"{name}.json", {"model": "firm_exit", "overrides": {"n": 30}, **extra})
+        assert run_cli([verb, "--config", cfg, "--out", tmp_path / name]) == 0
+        outputs.append(_outputs(tmp_path / name))
+    assert outputs[0] == outputs[1]
+    if case == "m one":
+        assert json.loads(outputs[0]["metadata.json"])["solver"] == "opi(m=1)"
+    assert capsys.readouterr().err == ""
+
+
+def test_load_config_makes_integer_fields_python_ints(tmp_path):
+    raw = {"model": "firm_exit", "m": 3.0, "seed": -2.0, "m_grid": [1.0, 4], "horizon": 2.0, "tolerance": 1.0}
+    config = cli.load_config(write_config(tmp_path, "cfg.json", raw))
+    assert [type(config[k]) for k in ("m", "seed")] == [int, int]
+    assert config["m_grid"] == [1, 4] and all(type(m) is int for m in config["m_grid"])
+    # A horizon may be a jump chain's time and a tolerance is a float: both stay as given.
+    assert type(config["horizon"]) is float and type(config["tolerance"]) is float
+
+
+class TestInlineModelInputs:
+    MODEL = {"type": "mdp", "reward": [[1.0, 0.5]], "kernel": [[[1.0], [1.0]]], "beta": 0.9}
+
+    def test_beta_beside_discount_weights_exits_2(self, tmp_path, capsys):
+        model = {**self.MODEL, "discount_weights": [[[0.9], [0.9]]]}
+        cfg = write_config(tmp_path, "cfg.json", {"model": model})
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "give either beta or discount_weights, not both" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("where", ["config", "command line"])
+    def test_overrides_on_an_inline_model_exit_2(self, tmp_path, capsys, where):
+        # --override beta=0.5 used to be dropped, and the model solved with beta 0.9.
+        config = {"model": self.MODEL, **({"overrides": {"beta": 0.5}} if where == "config" else {})}
+        extra = ["--override", "beta=0.5"] if where == "command line" else []
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run_cli(["solve", "--config", cfg, *extra, "--out", tmp_path / "x"]) == 2
+        assert "an inline model takes no overrides, got ['beta']" in capsys.readouterr().err
+
+    def test_empty_overrides_are_no_overrides(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {"model": self.MODEL, "overrides": {}})
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "x"]) == 0
+        value = np.loadtxt(tmp_path / "x" / "value.csv", delimiter=",", skiprows=1)
+        assert value[1] == pytest.approx(10.0)
+
+
+class TestConfigErrors:
+    def run(self, tmp_path, capsys, *args, config=None):
+        cfg = write_config(tmp_path, "cfg.json", config or {"model": "firm_exit", "overrides": {"n": 30}})
+        code = run_cli(["solve", "--config", cfg, *args, "--out", tmp_path / "x"])
+        return code, capsys.readouterr().err
+
+    def test_command_line_seed_replaces_the_config_seed(self, tmp_path):
+        config = {"model": "firm_exit", "overrides": {"n": 30}, "seed": 7, "horizon": 50}
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run_cli(["simulate", "--config", cfg, "--seed", "3", "--out", tmp_path / "cli"]) == 0
+        cfg = write_config(tmp_path, "cfg3.json", {**config, "seed": 3})
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "file"]) == 0
+        assert json.loads((tmp_path / "cli" / "stats.json").read_text())["seed"] == 3
+        assert _outputs(tmp_path / "cli") == _outputs(tmp_path / "file")
+
+    def test_override_values_that_are_not_json_stay_text(self, tmp_path, capsys):
+        assert cli.parse_cli_overrides(["n=60", "kind=abc", "grid=[1, 2]", "eq=a=b"]) == {
+            "n": 60, "kind": "abc", "grid": [1, 2], "eq": "a=b",
+        }
+        code, err = self.run(tmp_path, capsys, "--override", "n=abc")
+        assert code == 2
+        assert "bad override for 'firm_exit'" in err
+
+    def test_override_without_equals_exits_2(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, "--override", "n60")
+        assert code == 2
+        assert "override 'n60' is not of the form key=value" in err
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert run_cli(["solve", "--config", tmp_path / "none.json", "--out", tmp_path / "x"]) == 2
+        assert f"config file not found: {tmp_path / 'none.json'}" in capsys.readouterr().err
+
+    def test_invalid_json_config_exits_2(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text('{"model": ', encoding="utf-8")
+        assert run_cli(["solve", "--config", tmp_path / "bad.json", "--out", tmp_path / "x"]) == 2
+        assert "config is not valid JSON: Expecting value" in capsys.readouterr().err
+
+    def test_ct_hpi_on_a_discrete_card_exits_2(self, tmp_path, capsys):
+        config = {"model": "firm_exit", "overrides": {"n": 30}, "solver": "ct_hpi"}
+        code, err = self.run(tmp_path, capsys, config=config)
+        assert code == 2
+        assert "ct_hpi only applies to continuous-time models" in err
+
+    def test_vfi_on_a_continuous_time_card_exits_2(self, tmp_path, capsys):
+        config = {"model": "ct_job_search", "overrides": {"n": 25}, "solver": "vfi"}
+        code, err = self.run(tmp_path, capsys, config=config)
+        assert code == 2
+        assert "continuous-time models solve with ct_hpi" in err
+
+    @pytest.mark.parametrize("content", [None, "[[0.5, "])
+    def test_unreadable_matrix_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "m.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        assert run_cli(["spectral", path, "--out", tmp_path / "r.json"]) == 2
+        assert "configuration error: cannot read matrix file" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_spectral_takes_no_format(tmp_path, capsys):
+    # The flag was parsed and ignored: --format csv wrote JSON into r.csv.
+    (tmp_path / "m.json").write_text("[[0.5]]", encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        run_cli(["spectral", tmp_path / "m.json", "--format", "csv", "--out", tmp_path / "r.csv"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()

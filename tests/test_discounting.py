@@ -287,3 +287,12 @@ class TestHarrisonKreps:
         p = random_stochastic(np.random.default_rng(18), 3)
         with pytest.raises(ValueError):
             harrison_kreps_price(p, p, 0.9, np.array([-0.1, 0.2, 0.3]))
+
+
+def test_callable_factors_are_evaluated_on_index_pairs():
+    p = random_stochastic(np.random.default_rng(5), 4)
+    factor = lambda i, j: 0.9 - 0.01 * i + 0.001 * j
+    op = build_discount_operator(factor, p)
+    expected = np.array([[factor(i, j) for j in range(4)] for i in range(4)])
+    assert np.array_equal(op.factors, expected)
+    assert np.array_equal(op.matrix, expected * p)

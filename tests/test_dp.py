@@ -1427,3 +1427,33 @@ class TestGumbelOperator:
             model.feasible[0, 0] = False
         with pytest.raises(ValueError):
             gumbel_ev_operator(model)
+
+
+class TestDiscountedKernelView:
+    def test_constant_beta_scales_the_flat_kernel(self):
+        model = random_mdp(np.random.default_rng(40), n=4, m=2, beta=0.9)
+        assert np.array_equal(model.discounted_kernel(), 0.9 * model.kernel)
+
+    def test_discount_weights_multiply_the_flat_kernel(self):
+        rng = np.random.default_rng(41)
+        n, m = 4, 2
+        kernel = _stochastic(rng, (n, m, n))
+        weights = rng.uniform(0.8, 0.95, (n, m, n))
+        feasible, reward = np.ones((n, m), dtype=bool), rng.standard_normal((n, m))
+        model = MDPModel(feasible, reward, kernel, discount_weights=weights)
+        assert np.array_equal(model.discounted_kernel(), (weights * kernel).reshape(n * m, n))
+
+
+def test_a_dominating_matrix_failing_radius_and_domination_reports_the_radius():
+    # The radius is checked first: SpectralRadiusError (exit 3), where a
+    # StabilityError for the missing domination was raised before.
+    rng = np.random.default_rng(42)
+    n, m = 4, 2
+    model = MDPModel(
+        np.ones((n, m), dtype=bool), rng.standard_normal((n, m)), _stochastic(rng, (n, m, n)),
+        discount_weights=np.full((n, m, n), 0.9),
+    )
+    with pytest.raises(SpectralRadiusError, match="spectral radius of dominating matrix is 1.2") as info:
+        certify_stability(model, 1.2 * np.eye(n))
+    assert info.value.spectral_radius == pytest.approx(1.2)
+    assert not model._certified

@@ -1216,3 +1216,35 @@ class TestNewtonKrylovProperties:
         sigma = np.array([rng.choice(np.flatnonzero(row)) for row in feasible])
         v = rdp.rdp_policy_value(rdp.from_mdp(model), sigma)
         assert _sup(v - dp.policy_value(model, sigma)) <= 1e-10 * max(1.0, _sup(v))
+
+
+class TestPolicyIterationTie:
+    # The greedy policy always moves from zeros to ones, whose value is the
+    # same: the loop stops at the tie, with each policy evaluated once.
+    def run(self, refine=None):
+        evaluated = []
+
+        def evaluate(sigma):
+            evaluated.append(sigma.tolist())
+            return np.full(2, 5.0)
+
+        greedy = lambda v: np.ones(2, dtype=np.int64)
+        v, k = policy_iteration(greedy, evaluate, np.zeros(2, dtype=np.int64), 10, refine)
+        return v, k, evaluated
+
+    def test_exact_tie_returns_the_new_policys_value(self):
+        v, k, evaluated = self.run()
+        assert (v.tolist(), k) == ([5.0, 5.0], 1)
+        assert evaluated == [[0, 0], [1, 1]]
+
+    def test_refined_tie_refines_the_new_policy_once(self):
+        refined = []
+
+        def refine(sigma, v):
+            refined.append((sigma.tolist(), v.tolist()))
+            return v + 1.0
+
+        v, k, evaluated = self.run(refine)
+        assert (v.tolist(), k) == ([6.0, 6.0], 1)
+        assert evaluated == [[0, 0], [1, 1]]
+        assert refined == [([1, 1], [5.0, 5.0])]

@@ -750,3 +750,51 @@ class TestQuantile:
             markov.conditional_quantile(1.5, np.zeros(2), p)
         with pytest.raises(ValueError):
             markov.conditional_quantile(0.5, np.zeros(3), p)
+
+
+class TestMonotoneInValueOrder:
+    # Tauchen rows listed in a shuffled state order are ranked by the grid
+    # values, not by the row index.
+    def shuffled(self, rho):
+        grid, p = markov.tauchen(9, rho=rho, nu=0.4)
+        order = np.array([4, 0, 8, 2, 6, 1, 7, 3, 5])
+        return grid[order], p[np.ix_(order, order)]
+
+    def test_ranked_by_values(self):
+        values, p = self.shuffled(0.8)
+        assert not markov.is_monotone_increasing(p)
+        assert markov.is_monotone_increasing(p, values=values)
+
+    def test_negative_persistence_is_not_monotone_in_any_order(self):
+        values, p = self.shuffled(-0.8)
+        assert not markov.is_monotone_increasing(p, values=values)
+
+
+def _beta_at(beta):
+    """One call per owner-checked entry point, each with the constant discount ``beta``."""
+    from fsdp import discounting, dp, koopmans, rdp
+
+    p = np.full((2, 2), 0.5)
+    kernel = np.full((2, 1, 2), 0.5)
+    return {
+        "mdp": lambda: dp.MDPModel(np.ones((2, 1), dtype=bool), np.ones((2, 1)), kernel, beta=beta),
+        "factored": lambda: dp.Factored(p, beta),
+        "geometric_value": lambda: markov.geometric_value(beta, p, np.ones(2)),
+        "robust": lambda: rdp.make_robust_aggregator(np.ones((2, 1)), beta, [kernel]),
+        "smooth_ambiguity": lambda: rdp.make_smooth_ambiguity_aggregator(
+            np.ones((2, 1)), beta, [kernel], np.ones((2, 1)), 0.5, -3.0, -2.0
+        ),
+        "epstein_zin": lambda: koopmans.epstein_zin_value(np.ones(2), beta, 0.5, -2.0, p),
+        "harrison_kreps": lambda: discounting.harrison_kreps_price(p, p, beta, np.ones(2)),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry, beta",
+    # Only an MDP takes beta=None, meaning discount weights; with none given, it is refused.
+    [(entry, beta) for entry in sorted(_beta_at(0.9)) for beta in (0.0, 1.0, -0.5, float("nan"))] + [("mdp", None)],
+)
+def test_every_constant_discount_lies_in_the_open_unit_interval(entry, beta):
+    _beta_at(0.9)[entry]()
+    with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\)$"):
+        _beta_at(beta)[entry]()

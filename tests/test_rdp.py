@@ -560,3 +560,24 @@ class TestUserCertified:
         native = dp.solve_hpi(model)
         assert np.array_equal(result.policy, native.policy)
         assert np.max(np.abs(result.value - native.value)) < 1e-10
+
+
+class TestRobustPenalty:
+    def test_penalty_adds_to_the_reward(self):
+        rng = np.random.default_rng(18)
+        model = random_mdp(rng, n=5, m=2, beta=0.9)
+        penalty = rng.random((5, 2))
+        robust = make_robust_aggregator(model.reward, 0.9, [np.asarray(model.kernel)], penalty=[penalty])
+        assert np.array_equal(robust.extras["penalties"][0], penalty)
+        shifted = dp.MDPModel(
+            feasible=model.feasible, reward=model.reward + penalty, kernel=model.kernel, beta=0.9
+        )
+        native = dp.solve_hpi(shifted)
+        result = rdp_solve(robust, tolerance=1e-12)
+        assert np.max(np.abs(result.value - native.value)) < 1e-8
+        assert np.array_equal(result.policy, native.policy)
+
+    def test_one_penalty_per_kernel(self):
+        kernel = np.ones((2, 1, 2)) / 2
+        with pytest.raises(ValueError, match="one penalty per kernel"):
+            make_robust_aggregator(np.zeros((2, 1)), 0.9, [kernel, kernel], penalty=[np.zeros((2, 1))])

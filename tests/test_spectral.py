@@ -558,3 +558,27 @@ def test_certificate_accepts_exactly_below_one(radius_calls, seed, n, kind, radi
         assert np.all(h > 0) and lam < 1 - spectral.RADIUS_SLACK
         assert np.all(a @ h <= lam * h * (1 + 1e-14))
         assert rho <= lam + 1e-12
+
+
+class TestRequireNonnegative:
+    def test_returns_a_float_array(self):
+        a = spectral.require_nonnegative([[1, 0], [2, 3]])
+        assert a.dtype == float and a.tolist() == [[1.0, 0.0], [2.0, 3.0]]
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda a: spectral.require_nonnegative(a, "kernel"), "kernel must be nonnegative elementwise"),
+            (spectral.spectral_radius_bounds, "matrix must be nonnegative elementwise"),
+            (lambda a: spectral.local_spectral_radius_seq(a, np.ones(2), 3), "matrix must be nonnegative elementwise"),
+            (spectral.dominant_eigenpair, "matrix must be nonnegative elementwise"),
+            (lambda a: koopmans.power_affine_solve(np.ones(2), a, 2.0), "A must be nonnegative elementwise"),
+        ],
+    )
+    def test_a_negative_entry_is_refused_by_name(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(np.array([[0.5, -0.1], [0.2, 0.3]]))
+
+    def test_a_non_square_matrix_is_refused_first(self):
+        with pytest.raises(ValueError, match=r"^A must be square, got shape \(1, 2\)$"):
+            koopmans.power_affine_solve(np.ones(2), [[-1.0, 0.5]], 2.0)
