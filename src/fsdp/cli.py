@@ -31,7 +31,7 @@ CONFIG_SCHEMA = {
         "solver": {"enum": ["vfi", "hpi", "opi", "ct_hpi"]},
         "m": {"type": "integer", "minimum": 1},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "horizon": {"type": ["integer", "number"], "minimum": 0},
         "overrides": {"type": "object"},
         "m_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}},
@@ -69,7 +69,7 @@ _IS_TYPE = {
 }
 
 
-def _schema_error(instance, schema, prop="value"):
+def _schema_error(instance, schema, prop="value", named=False):
     """The first way ``instance`` breaks ``schema``, worded as jsonschema words it, or None.
 
     Covers the JSON Schema keywords the CLI's schemas use: ``type``,
@@ -77,6 +77,7 @@ def _schema_error(instance, schema, prop="value"):
     ``properties`` and array ``items``.  As in JSON Schema, a bool is
     neither a number nor an integer, and ``1.0`` is an integer.  A bound
     also rejects NaN and the infinities, naming the property ``prop``.
+    With ``named``, an error inside a property starts with its name.
     """
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
@@ -98,7 +99,7 @@ def _schema_error(instance, schema, prop="value"):
                 return f"{name!r} is a required property"
         for name, sub in schema.get("properties", {}).items():
             if name in instance and (error := _schema_error(instance[name], sub, name)):
-                return error
+                return f"{name}: {error}" if named else error
     if isinstance(instance, list) and "items" in schema:
         for item in instance:
             if error := _schema_error(item, schema["items"], f"{prop} entry"):
@@ -170,7 +171,9 @@ def load_config(path, cli_overrides=None, seed=None):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if error := _schema_error(raw, CONFIG_SCHEMA):
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = seed
+    if error := _schema_error(raw, CONFIG_SCHEMA, named=True):
         raise ConfigError(f"config failed validation: {error}")
     # The schema takes 10.0 as an integer; the solvers count with Python ints.
     for name, sub in CONFIG_SCHEMA["properties"].items():
@@ -180,8 +183,6 @@ def load_config(path, cli_overrides=None, seed=None):
             raw[name] = [int(item) for item in raw[name]]
     if cli_overrides:
         raw.setdefault("overrides", {}).update(cli_overrides)
-    if seed is not None:
-        raw["seed"] = seed
     return raw
 
 

@@ -8,8 +8,9 @@ flat array in which ``pair_index(states, actions)`` finds each pair,
 stores one row per state-action pair, dense or sparse; :class:`Factored`
 keeps an exogenous matrix ``Q`` that no action touches beside an
 endogenous choice or small kernel, so a Bellman sweep costs one product
-``V Q^T`` on the ``(n_e, n_z)`` value grid.  Solvers use only the
-protocol; ``MDPModel.kernel``, ``discount_weights`` and
+``V Q^T`` on the ``(n_e, n_z)`` value grid.  Solvers use the protocol,
+but for VFI's sweep (:class:`_Sweep`), which slices a sparse
+:class:`Flat` kernel's rows; ``MDPModel.kernel``, ``discount_weights`` and
 ``discounted_kernel()`` are read-only flat views, built on first read.
 
 Solvers: value function iteration, Howard policy iteration, optimistic
@@ -29,8 +30,9 @@ and certifies the answer: a positive ``h`` with ``L_sigma h <= lam h``,
 HPI starts each new policy's solve at the last value and stops it at a
 forcing term, and refines only the final one to the full target (see
 :func:`solve_hpi`).
-Under state-dependent discounting every solver checks the stability
-certificate once, before it iterates, and the model records a success.
+The kernel certifies the model when it is built, but for a flat
+state-dependent one: every solver first calls :func:`certify_stability`,
+which certifies such a model once.
 """
 
 import itertools
@@ -110,9 +112,11 @@ class Flat:
         return weights
 
     def check(self, feasible):
+        """Check entries and feasible rows; return ``(certified, pair)``, set by a constant ``beta``."""
         _check_entries(self.kernel.data if spectral.issparse(self.kernel) else self.kernel, "kernel")
         sums = np.asarray(self.kernel.sum(axis=1)).reshape(-1)
         _check_rows(sums[feasible.reshape(-1)], "feasible kernel")
+        return (False, None) if self.beta is None else (True, (np.ones(feasible.shape[0]), self.beta))
 
     def flatten(self):
         return self
@@ -159,7 +163,10 @@ class Factored:
     per exogenous state, applied at the current state.  A policy's rows
     come out as CSR, or as its three arrays from :meth:`policy_rows`.  The
     flat view (:meth:`flatten`) is CSR with rows for feasible pairs only,
-    or dense with an endogenous kernel.
+    or dense with an endogenous kernel.  With discounts ``d``,
+    :meth:`check` raises :class:`SpectralRadiusError` unless ``rho(diag(d)
+    Q) < 1``; the bounding vector of ``diag(d) Q``, constant in the
+    endogenous index, then bounds every ``L_sigma``, as no action moves ``z``.
     """
 
     def __init__(self, q, discount, endogenous=None):
@@ -193,6 +200,10 @@ class Factored:
             _check_rows(self.endogenous.sum(axis=2)[used], "feasible endogenous")
         self.shape = (n_e, n_z, m)
         self.feasible = feasible
+        if self.beta is not None:
+            return True, (np.ones(n), self.beta)
+        pair = spectral.check_radius_below_one(self.discount[:, None] * self.q, "exogenous discount operator")
+        return True, None if pair is None else (np.tile(pair[0], n_e), pair[1])
 
     def _grid(self, v, discounted):
         """``W[e', z] = E[v(e', z') | z]`` on the ``(n_e, n_z)`` grid, discounted at ``z``."""
@@ -330,9 +341,10 @@ class MDPModel(_StateActions):
     in (0, 1) or transition-aligned ``discount_weights`` (state-dependent
     case).  The solvers use ``model.transitions``; ``kernel``,
     ``discount_weights`` and :meth:`discounted_kernel` are read-only flat
-    views, built on first read for a factored kernel.  A successful
-    :func:`certify_stability` is recorded on the model and covers every
-    policy.
+    views, built on first read for a factored kernel.  The kernel's
+    ``check`` certifies the model here (``_bounding`` is its uniform pair
+    ``(h, lam)``, ``L_{x,a} h <= lam h(x)`` on feasible rows, or None), or
+    leaves a flat state-dependent one to :func:`certify_stability`.
     """
 
     def __init__(self, feasible, reward, kernel, beta=None, discount_weights=None):
@@ -342,13 +354,9 @@ class MDPModel(_StateActions):
             kernel = Flat(kernel, *self.feasible.shape, beta, discount_weights)
         elif beta is not None or discount_weights is not None:
             raise ValueError("a factored kernel carries its own discount")
-        kernel.check(self.feasible)
+        self._certified, self._bounding = kernel.check(self.feasible)
         self.transitions = kernel
         self._flat = None
-        self._certified = False
-        # The uniform pair (h, lam), L_{x,a} h <= lam h(x) on every feasible row: (1, beta)
-        # here, a factored kernel's exogenous pair from certify_stability, else None.
-        self._bounding = None if self.state_dependent else (np.ones(self.n_states), self.beta)
 
     @property
     def beta(self):
@@ -411,8 +419,10 @@ def expected_values(model, v, discounted=True):
 
 
 def q_factors(model, v):
-    """Action values ``r(x, a) + E[discounted v]`` on feasible pairs."""
-    return model.reward + expected_values(model, v)
+    """Action values ``r(x, a) + E[discounted v]`` on feasible pairs, as a fresh ``(n, m)`` array."""
+    q = expected_values(model, v)
+    q += model.reward
+    return q
 
 
 def _select(q, feasible, mode):
@@ -445,9 +455,7 @@ def _improve(model, v, mode):
     One fresh ``(n, m)`` array per sweep: a second one alive at the same
     time makes the allocator return and refault its pages on every sweep.
     """
-    q = expected_values(model, v)
-    q += model.reward
-    return _select(q, model.feasible, mode)
+    return _select(q_factors(model, v), model.feasible, mode)
 
 
 def policy_apply(model, sigma, v):
@@ -526,41 +534,29 @@ def _bounding_pair(model, apply):
 
 
 def certify_stability(model, dominating=None):
-    """Check the stability certificate before iterating on an SDD model.
+    """Check the stability certificate of a flat state-dependent model, once.
 
-    Constant-discount models are always certified.  A factored kernel
-    with per-exogenous-state discounts ``d`` is certified by its
-    structure: ``rho(diag(d) Q) < 1`` is checked once, on the ``n_z x
-    n_z`` matrix.  That covers every policy, because the bounding vector
-    of ``diag(d) Q``, held constant in the endogenous index, bounds every
-    ``L_sigma`` with the same ``lam``; the model records that pair, and
-    policy evaluation certifies its error with it.  For any other
-    state-dependent model, a user-supplied uniform dominating matrix
-    ``L``, nonnegative and ``(n, n)``, with entrywise ``beta * P <= L``
-    and ``rho(L) < 1``, certifies every policy at once; without one,
+    A model whose kernel certified it at build (a constant discount, or a
+    :class:`Factored` kernel) returns at once, as does any model this
+    has certified before; an unknown certificate string is refused
+    first.  Otherwise a user-supplied uniform dominating matrix ``L``,
+    nonnegative and ``(n, n)``, with entrywise ``beta * P <= L`` and
+    ``rho(L) < 1``, certifies every policy at once; without one,
     per-policy radii are enumerated when the policy space is small
     enough.  Passing the string ``"certified"`` records that the caller
     has verified stability through model structure.  Success is recorded
-    on the model, so later certificates and policy evaluations skip
-    their radius checks.
+    on the model, so later certificates return at once and policy
+    evaluations skip their radius checks.
     """
-    if not model.state_dependent:
-        return
     if isinstance(dominating, str) and dominating != "certified":
         raise ValueError(f"unknown certificate {dominating!r}")
-    kernel = model.transitions
-    if isinstance(kernel, Factored):
-        if not model._certified:
-            pair = spectral.check_radius_below_one(
-                kernel.discount[:, None] * kernel.q, "exogenous discount operator"
-            )
-            if pair is not None:
-                model._bounding = np.tile(pair[0], kernel.shape[0]), pair[1]
-    elif dominating is None:
+    if model._certified:
+        return
+    if dominating is None:
         _check_every_policy(model, lambda sigma: policy_matrix(model, sigma, discounted=True))
     elif not isinstance(dominating, str):
         dominating = dominating_matrix(dominating, model.n_states)
-        discounted = kernel.discounted()
+        discounted = model.transitions.discounted()
         # Row x*m + a of the flat kernel must be dominated by row x of L.
         n, m = model.n_states, model.n_actions
         if spectral.issparse(discounted):

@@ -234,6 +234,13 @@ def _stopping_mdp(continue_rows, continue_reward, stop_reward, beta):
     return dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
 
 
+def _rate_discount(r):
+    """The discount ``1 / (1 + r)`` of an interest rate ``r > 0``."""
+    if not r > 0:
+        raise ValueError(f"interest rate r must be positive, got {r!r}")
+    return 1.0 / (1.0 + r)
+
+
 # ---------------------------------------------------------------------------
 # American option via continuation values
 
@@ -248,7 +255,7 @@ def american_option(n=100, mu=10.0, rho=0.98, nu=0.2, s=0.3, r=0.01, K=10.0, T=2
     """
     grid, q = markov.tauchen(n, rho=rho, nu=nu)
     z_vals = grid + mu
-    beta = 1.0 / (1.0 + r)
+    beta = _rate_discount(r)
     w_vals = np.array([-s, s])
     w_probs = np.array([0.5, 0.5])
     # Date index i stands for date i+1; the option is live while i < T.
@@ -444,8 +451,8 @@ def inventory_sdd(
     is factored: the stock moves by the small restock kernel, the
     discount state by ``Q``.  Stability is ``rho(diag(z) Q) < 1`` on the
     exogenous block, which carries over to every policy because actions
-    cannot influence the exogenous chain; the model is certified at build
-    by :func:`fsdp.dp.certify_stability`, which checks it from the factors.
+    cannot influence the exogenous chain; the :class:`fsdp.dp.Factored`
+    kernel checks it from the factors when the model is built.
     """
     z_grid, q = markov.tauchen(n_z, rho=rho, nu=nu)
     z_vals = z_grid + b
@@ -458,7 +465,6 @@ def inventory_sdd(
         reward=np.repeat(reward_y, n_z, axis=0),
         kernel=dp.Factored(q, z_vals, endogenous=restock),
     )
-    dp.certify_stability(model)
     return {
         "mdp": model,
         "z_vals": z_vals,
@@ -601,9 +607,7 @@ def optimal_savings_stochastic_returns(
     return {**built, "eta_grid": eta_grid, "eta_probs": eta_probs, "shape": shape}
 
 
-def simulate_savings_wealth_stochastic(built, result, steps=1_000_000, seed=0):
-    wealth, _ = _simulate_choice(built, result, 0, 0, steps, seed)
-    return built["w_grid"][wealth]
+simulate_savings_wealth_stochastic = simulate_savings_wealth
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +628,7 @@ def optimal_investment(
     z_size=25,
 ):
     """Monopolist with quadratic capacity-adjustment costs."""
-    beta = 1.0 / (1.0 + r)
+    beta = _rate_discount(r)
     y_grid = np.linspace(y_min, y_max, y_size)
     z_grid, q = markov.tauchen(z_size, rho=rho, nu=nu)
     profit = (
@@ -665,7 +669,7 @@ def firm_hiring(
     m_width=6.0,
 ):
     """Labor demand with a fixed cost of adjusting headcount."""
-    beta = 1.0 / (1.0 + r)
+    beta = _rate_discount(r)
     l_grid = np.linspace(l_min, l_max, l_size)
     z_grid, q = markov.tauchen(z_size, rho=rho, nu=nu, b=b, m=m_width)
     output = p * z_grid[None, :] * l_grid[:, None] ** alpha  # (l, z)

@@ -265,13 +265,9 @@ def from_mdp(mdp_model):
     """
     if mdp_model.state_dependent:
         raise ValueError("wrap constant-discount models only")
-
-    def aggregator(v):
-        return dp.q_factors(mdp_model, v)
-
     return RDPModel(
         feasible=mdp_model.feasible,
-        aggregator=aggregator,
+        aggregator=partial(dp.q_factors, mdp_model),
         stability=Contracting(mdp_model.beta),
         extras={"mdp": mdp_model},
         jacobian=lambda sigma, v: mdp_model.transitions.policy_operator(sigma),

@@ -238,7 +238,7 @@ SCHEMA_CASES = {
         "model": {"type": "mdp"}, "solver": "opi", "m": 3, "tolerance": 1e-8, "seed": 0,
         "horizon": 2.5, "overrides": {"n": 4}, "m_grid": [1, 10], "extra": None,
     }),
-    "integral float": ("config", {"model": "x", "m": 1.0, "seed": -2.0, "m_grid": [3.0]}),
+    "integral float": ("config", {"model": "x", "m": 1.0, "seed": 2.0, "m_grid": [3.0]}),
     "not an object": ("config", ["model"]),
     "missing model": ("config", {"solver": "vfi"}),
     "model of a wrong type": ("config", {"model": 3}),
@@ -251,6 +251,7 @@ SCHEMA_CASES = {
     "negative tolerance": ("config", {"model": "x", "tolerance": -1e-9}),
     "string tolerance": ("config", {"model": "x", "tolerance": "1e-8"}),
     "bool seed": ("config", {"model": "x", "seed": False}),
+    "negative seed": ("config", {"model": "x", "seed": -2}),
     "negative horizon": ("config", {"model": "x", "horizon": -0.5}),
     "bool horizon": ("config", {"model": "x", "horizon": True}),
     "list overrides": ("config", {"model": "x", "overrides": []}),
@@ -1039,7 +1040,7 @@ def test_whole_number_floats_run_as_integers(tmp_path, capsys, case):
 
 
 def test_load_config_makes_integer_fields_python_ints(tmp_path):
-    raw = {"model": "firm_exit", "m": 3.0, "seed": -2.0, "m_grid": [1.0, 4], "horizon": 2.0, "tolerance": 1.0}
+    raw = {"model": "firm_exit", "m": 3.0, "seed": 2.0, "m_grid": [1.0, 4], "horizon": 2.0, "tolerance": 1.0}
     config = cli.load_config(write_config(tmp_path, "cfg.json", raw))
     assert [type(config[k]) for k in ("m", "seed")] == [int, int]
     assert config["m_grid"] == [1, 4] and all(type(m) is int for m in config["m_grid"])
@@ -1087,6 +1088,25 @@ class TestConfigErrors:
         assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "file"]) == 0
         assert json.loads((tmp_path / "cli" / "stats.json").read_text())["seed"] == 3
         assert _outputs(tmp_path / "cli") == _outputs(tmp_path / "file")
+
+    @pytest.mark.parametrize("where", ["config", "command line"])
+    def test_a_negative_seed_exits_2(self, tmp_path, capsys, where):
+        # It passed the schema and ended in a np.random.default_rng traceback (exit 1).
+        extra = ["--seed", "-2"] if where == "command line" else []
+        config = {"model": "firm_exit", "overrides": {"n": 30}, "horizon": 20, "seed": 2 if extra else -2}
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run_cli(["simulate", "--config", cfg, *extra, "--out", tmp_path / "x"]) == 2
+        assert "config failed validation: seed: -2 is less than the minimum of 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("name", ["optimal_investment", "firm_hiring"])
+    @pytest.mark.parametrize("r", ["-1", "0"])
+    def test_a_rate_at_or_below_zero_exits_2(self, tmp_path, capsys, name, r):
+        # r = -1 divided by zero (exit 1); r = 0 made beta = 1, refused without naming r.
+        config = {"model": name, "overrides": ZOO[name].ci_overrides}
+        code, err = self.run(tmp_path, capsys, "--override", f"r={r}", config=config)
+        assert code == 2
+        assert f"bad override for {name!r}: interest rate r must be positive, got {r}" in err
 
     def test_override_values_that_are_not_json_stay_text(self, tmp_path, capsys):
         assert cli.parse_cli_overrides(["n=60", "kind=abc", "grid=[1, 2]", "eq=a=b"]) == {

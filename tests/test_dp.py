@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from fsdp import cli, ctmdp, dp, fixed_point, rdp, spectral
@@ -418,7 +418,13 @@ def evaluation_cases(draw):
             kernel = sp.csr_matrix(kernel) if kind == "csr" else kernel
     feasible = rng.random((n, m)) < 0.7
     feasible[np.arange(n), rng.integers(0, m, n)] = True
-    model = MDPModel(feasible, scale * rng.standard_normal((n, m)), kernel, **extra)
+    try:
+        model = MDPModel(feasible, scale * rng.standard_normal((n, m)), kernel, **extra)
+    except SpectralRadiusError:
+        # A factored kernel refuses rho(diag(d) Q) >= 1 at build.  Each such
+        # draw failed the assume below: with h(e, z) = g(z), g the Perron
+        # vector of diag(d) Q, every policy has L_sigma h = rho(diag(d) Q) h.
+        reject()
     sigma = np.array([rng.choice(np.flatnonzero(row)) for row in feasible])
     rho = np.max(np.abs(np.linalg.eigvals(policy_matrix(model, sigma, discounted=True))))
     assume(rho < 0.995)
@@ -1212,6 +1218,28 @@ class TestStateDependentDiscounting:
             tracemalloc.stop()
         # Comparing against dominating[rows] copied L to kernel size.
         assert peak < discounted.nbytes / 2
+
+    @pytest.mark.parametrize("solver", [solve_hpi, solve_vfi])
+    def test_a_certified_model_is_not_certified_again(self, monkeypatch, solver):
+        # The first solve enumerates all 3^6 policies; a second one used to
+        # enumerate them again, 729 radius checks per solve.
+        model = self.build_sdd(np.random.default_rng(35), n=6, m=3)
+        calls = []
+        original = spectral.check_radius_below_one
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "check_radius_below_one", counting)
+        solve_hpi(model)
+        assert len(calls) == 3**6
+        calls.clear()
+        solver(model)
+        certify_stability(model)
+        assert model._certified and calls == []
+        with pytest.raises(ValueError, match="unknown certificate 'sure'"):
+            certify_stability(model, "sure")
 
     def test_triad_agrees_under_sdd(self):
         rng = np.random.default_rng(17)

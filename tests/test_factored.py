@@ -289,10 +289,17 @@ class TestStructuralCertificate:
         assert 1 - 1e-12 < info.value.spectral_radius < 1
 
     @pytest.mark.parametrize("radius", [1.0, 1.05])
-    def test_radius_at_or_above_one_raises(self, radius):
-        with pytest.raises(SpectralRadiusError) as info:
-            dp.solve_hpi(_unstable_sdd(radius))
+    def test_radius_at_or_above_one_is_refused_at_build(self, radius):
+        with pytest.raises(SpectralRadiusError, match="exogenous discount operator") as info:
+            _unstable_sdd(radius)
         assert info.value.spectral_radius == pytest.approx(radius)
+
+    def test_a_stable_kernel_is_certified_at_build(self, monkeypatch):
+        monkeypatch.setattr(dp, "certify_stability", lambda *args: pytest.fail("certified after build"))
+        model = _unstable_sdd(0.9)
+        h, lam = model._bounding
+        assert model._certified and lam == pytest.approx(0.9)
+        assert np.array_equal(h, np.ones(4))
 
     def test_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(
