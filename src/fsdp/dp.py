@@ -122,9 +122,12 @@ class Flat:
         return self
 
     def discounted(self):
-        """Flat ``(n*m, n)`` matrix of discounted transition weights (cached)."""
+        """Flat ``(n*m, n)`` matrix of discounted transition weights (cached; ``beta`` times CSR shares its index arrays)."""
         if self._discounted is None:
-            if self.weights is None:
+            if self.weights is None and spectral.issparse(self.kernel):
+                k = self.kernel
+                self._discounted = type(k)((self.beta * k.data, k.indices, k.indptr), shape=k.shape)
+            elif self.weights is None:
                 self._discounted = self.beta * self.kernel
             elif spectral.issparse(self.kernel) or spectral.issparse(self.weights):
                 import scipy.sparse as sp
@@ -315,7 +318,8 @@ class _StateActions:
             self.reward = np.asarray(self.reward, dtype=float)
             if self.reward.shape != self.feasible.shape:
                 raise ValueError("reward must be shaped like the feasibility mask")
-            if not np.all(np.isfinite(self.reward[self.feasible])):
+            finite = np.ones(self.feasible.shape, dtype=bool)  # a mask, not a copy of the rewards
+            if not np.isfinite(self.reward, out=finite, where=self.feasible).all():
                 raise ValueError("rewards must be finite on feasible pairs")
 
     @property

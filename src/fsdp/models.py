@@ -7,6 +7,7 @@ overrides (for instance grid downsizing) through the card registry.
 """
 
 import importlib
+import itertools
 
 import numpy as np
 
@@ -33,7 +34,7 @@ def job_search_iid(n=50, w_min=10.0, w_max=60.0, a=200, b=100, beta=0.96, c=10.0
     offer_probs = comb(n, draws) * np.exp(betaln(draws + a, n - draws + b) - betaln(a, b))
     offer_probs = offer_probs / offer_probs.sum()
     nw = wages.size
-    mdp_model = _job_search_mdp(wages, np.tile(offer_probs, (nw, 1)), c, beta, 0.0)
+    mdp_model = _job_search_mdp(wages, np.broadcast_to(offer_probs, (nw, nw)), c, beta, 0.0)
     return {
         "mdp": mdp_model,
         "wages": wages,
@@ -45,21 +46,46 @@ def job_search_iid(n=50, w_min=10.0, w_max=60.0, a=200, b=100, beta=0.96, c=10.0
     }
 
 
+def _csr(counts, n_cols, *parts):
+    """CSR with ``counts[r]`` entries in row ``r``, written in place from ``parts``.
+
+    Each part yields the ``(data, indices)`` of the next rows, columns
+    ascending in each row, so one chunk at a time is alive beside it.
+    """
+    import scipy.sparse as sp
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    end = 0
+    for chunk, columns in itertools.chain(*parts):
+        start, end = end, end + np.size(chunk)
+        data[start:end], indices[start:end] = np.ravel(chunk), np.ravel(columns)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(counts), n_cols))
+
+
+def _rows_then_one(rows, last, columns, scale=1.0):
+    """:func:`_csr` chunks: ``scale`` times row ``i`` of ``rows``, then ``last`` at ``columns[i]``.
+
+    ``rows`` is dense, or CSR storing no zeros; zeros are not stored.
+    """
+    import scipy.sparse as sp
+    # A dense block goes through COO: a sixteenth of the rows, or 2**14 cells if more.
+    step = max(1, rows.shape[0] // 16, 2**14 // rows.shape[1])
+    for lo in range(0, rows.shape[0], step):
+        block = sp.csr_matrix(rows[lo:lo + step])
+        ends = block.indptr[1:]
+        yield np.insert(scale * block.data, ends, last), np.insert(block.indices, ends, columns[lo:lo + step])
+
+
 def _job_search_mdp(wages, offers, c, beta, sep):
     """Job search over (unemployed, offer ``i``) then (employed, wage ``i``) states.
 
     Row ``i`` of ``offers`` is the law of the next offer from offer or
     wage ``i``.  Rejecting pays ``c`` and draws it; accepting starts the
     job at the offered wage; a job ends with probability ``sep``, leaving
-    the worker with a fresh offer.
+    the worker with a fresh offer.  Zero probabilities are not stored.
     """
-    import scipy.sparse as sp
     nw = wages.size
-    unemployed = np.arange(nw)
-    employed = nw + unemployed
-    src, dst = np.nonzero(offers > 0)
-    draw = offers[src, dst]
-    quits = slice(None) if sep > 0 else slice(0)  # lasting jobs store no zero entries
+    employed = nw + np.arange(nw)
     feasible = np.zeros((2 * nw, 2), dtype=bool)
     feasible[:nw] = True
     feasible[nw:, 1] = True
@@ -67,13 +93,12 @@ def _job_search_mdp(wages, offers, c, beta, sep):
     reward[:nw, 0] = c
     reward[:nw, 1] = wages
     reward[nw:, 1] = wages
-    # Row 2 * state + action; the employed only ever hold (action 1).
-    rows = np.concatenate(
-        [2 * src, 2 * unemployed + 1, 2 * employed[src[quits]] + 1, 2 * employed + 1]
-    )
-    cols = np.concatenate([dst, employed, dst[quits], employed])
-    data = np.concatenate([draw, np.ones(nw), sep * draw[quits], np.full(nw, 1.0 - sep)])
-    kernel = sp.csr_matrix((data, (rows, cols)), shape=(4 * nw, 2 * nw))
+    # Row 2 * state + action; the employed only ever hold (action 1), and
+    # a lasting job stores no draws.
+    draws = np.count_nonzero(offers, axis=1)
+    counts = np.column_stack([np.append(draws, 0 * draws), np.append(np.ones_like(draws), (sep > 0) * draws + 1)])
+    held = _rows_then_one(offers, 1.0 - sep, employed, sep) if sep > 0 else [(np.ones(nw), employed)]
+    kernel = _csr(counts.reshape(-1), 2 * nw, _rows_then_one(offers, 1.0, employed), held)
     return dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
 
 
@@ -193,12 +218,20 @@ def firm_exit(n=200, rho=0.95, mu=0.1, nu=0.1, beta=0.98, s=100.0):
     """Productivity-driven exit option with scrap value ``s``.
 
     Profit equals the productivity state; exiting pays the scrap value
-    once and moves to an absorbing zero-reward state.
+    once and moves to an absorbing zero-reward state.  The value of never
+    exiting solves ``(I - beta q) u = profits`` before the kernel is built,
+    on one table rounded as ``eye(n) - beta q``: ``0 - x``, ``1 - x`` on
+    the diagonal.
     """
     grid, q = markov.tauchen(n, rho=rho, nu=nu, b=mu)
     profits = grid
+    markov.require_discount(beta)
+    lhs = beta * q
+    np.subtract(0.0, lhs, out=lhs)
+    np.fill_diagonal(lhs, 1.0 + lhs.diagonal())
+    no_exit_value = np.linalg.solve(lhs, profits)
+    del lhs
     mdp_model = _stopping_mdp(q, profits, s, beta)
-    no_exit_value = spectral.neumann_solve(beta * q, profits)
     return {
         "mdp": mdp_model,
         "grid": grid,
@@ -215,22 +248,19 @@ def _stopping_mdp(continue_rows, continue_reward, stop_reward, beta):
     """Continue-or-stop MDP over the live states plus a trailing absorbing exit state.
 
     Action 0 pays ``continue_reward`` and moves by ``continue_rows``
-    (dense or sparse, live by live); action 1 pays ``stop_reward`` and
-    exits for good.  The exit state only continues, at zero reward.
+    (dense, or CSR storing no zeros; live by live); action 1 pays
+    ``stop_reward`` and exits for good.  The exit state only continues,
+    at zero reward.
     """
-    import scipy.sparse as sp
-    moves = sp.coo_matrix(continue_rows)
-    keep = moves.data > 0
-    n = moves.shape[0]
+    n = continue_rows.shape[0]
     feasible = np.ones((n + 1, 2), dtype=bool)
     feasible[n, 1] = False
     reward = np.zeros((n + 1, 2))
     reward[:n, 0] = continue_reward
     reward[:n, 1] = stop_reward
-    rows = np.concatenate([2 * moves.row[keep], 2 * np.arange(n) + 1, [2 * n]])
-    cols = np.concatenate([moves.col[keep], np.full(n + 1, n)])
-    data = np.concatenate([moves.data[keep], np.ones(n + 1)])
-    kernel = sp.csr_matrix((data, (rows, cols)), shape=(2 * n + 2, n + 1))
+    moves = np.asarray((continue_rows != 0).sum(axis=1)).reshape(-1)
+    counts = np.append(np.column_stack([moves, np.ones_like(moves)]), [1, 0])
+    kernel = _csr(counts, n + 1, _rows_then_one(continue_rows, 1.0, np.full(n, n)), [(1.0, n)])
     return dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
 
 
@@ -310,7 +340,7 @@ def american_option_mdp(built):
     # redrawn and z moves by q.
     nxt = np.minimum(dates + 1, n_dates - 1)
     shift = sp.csr_matrix((np.ones(n_dates), (dates, nxt)), shape=(n_dates, n_dates))
-    moves = sp.kron(shift, np.kron(np.tile(w_probs, (nw, 1)), q), format="coo")
+    moves = sp.kron(shift, np.kron(np.tile(w_probs, (nw, 1)), q), format="csr")
     payoff = built["exit_reward"](dates).reshape(-1)
     model = _stopping_mdp(moves, 0.0, payoff, built["beta"])
 
@@ -386,6 +416,13 @@ def _geometric_demand(p, d_max):
     return demand / demand.sum()
 
 
+def _whole(value, name):
+    """``value`` as an int, or ValueError naming ``name`` unless it is a whole number >= 0."""
+    if not (value >= 0 and value % 1 == 0):
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _restock(K, c, kappa, p, d_max):
     """Feasibility, rewards and kernel ``(n, n, n)`` of a store of capacity ``K``, ``n = K + 1``.
 
@@ -395,6 +432,7 @@ def _restock(K, c, kappa, p, d_max):
     geometric demand ``D``.  Infeasible pairs get reward ``-inf`` and a
     zero row.
     """
+    d_max = _whole(d_max, "d_max")
     phi = _geometric_demand(p, d_max)
     d_vals = np.arange(d_max + 1)
     stock = np.arange(K + 1)
@@ -483,6 +521,19 @@ def crra_utility(c, gamma):
     return np.log(c) if gamma == 1 else c ** (1 - gamma) / (1 - gamma)
 
 
+def _crra_in_place(c, gamma):
+    """:func:`crra_utility` of ``c`` written over it, -inf where ``c <= 0`` (1 meanwhile, so nothing warns); returns ``c > 0``."""
+    positive = c > 0
+    c[~positive] = 1.0
+    if gamma == 1:
+        np.log(c, out=c)
+    else:
+        c **= 1 - gamma
+        c /= 1 - gamma
+    c[~positive] = -np.inf
+    return positive
+
+
 def _choice_mdp(reward, q, beta, feasible=None):
     """MDP whose action is the next endogenous index, beside the exogenous chain ``q``.
 
@@ -500,18 +551,17 @@ def _savings(beta, gamma, w_min, w_max, w_size, rho, nu, y_size, eta_grid, eta_p
 
     Income follows a Tauchen chain and the return ``eta`` is IID with
     law ``eta_probs``; consumption is ``w + y - w'/eta`` and must be
-    positive.
+    positive.  Its utility is written over the consumption table.
     """
     w_grid = np.linspace(w_min, w_max, w_size)
     y_grid_log, q = markov.tauchen(y_size, rho=rho, nu=nu)
     y_grid = np.exp(y_grid_log)
-    consumption = (
+    reward = (
         w_grid[:, None, None, None]
         + y_grid[None, :, None, None]
         - w_grid[None, None, None, :] / eta_grid[None, None, :, None]
     )
-    feasible = consumption > 0
-    reward = np.where(feasible, crra_utility(np.where(feasible, consumption, 1.0), gamma), -np.inf)
+    feasible = _crra_in_place(reward, gamma)
     # Exogenous state (income, return): q[iy, iy'] * eta_probs[ie'].
     exogenous = np.kron(q, np.tile(eta_probs, (eta_probs.size, 1)))
     return {
@@ -712,11 +762,15 @@ def optimal_default(
     State (income, bonds, default flag); while in default the country
     consumes ``haircut * y`` and has no choices.  Defaulting resets debt
     to zero; re-entry occurs with probability ``reentry`` each period.
-    Returns a contracting RDP plus the underlying MDP.
+    Returns a contracting RDP plus the underlying MDP.  Repayment utility
+    is written over its consumption in the reward table, and the kernel
+    as CSR one income at a time.
     """
-    import scipy.sparse as sp
     if b_size < 1:
         raise ValueError(f"b_size must be at least 1, got {b_size!r}")
+    for name, value in (("q_price", q_price), ("b_min", b_min), ("b_max", b_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     y_grid_log, q = markov.tauchen(y_size, rho=rho, nu=nu)
     y_grid = np.exp(y_grid_log)
     b_grid = np.linspace(b_min, b_max, b_size)
@@ -730,39 +784,35 @@ def optimal_default(
         return (iy * b_size + ib) * 2 + d
 
     # Repaying from good standing: choose next bonds, consume y + b - q b'.
-    consumption = y_grid[:, None, None] + b_grid[None, :, None] - q_price * b_grid
-    repay = consumption > 0
+    reward = np.full((y_size, b_size, 2, m), -np.inf)
+    consumption = reward[:, :, 0, :b_size]  # a view: the utility is written over it
+    np.subtract(y_grid[:, None, None] + b_grid[None, :, None], q_price * b_grid, out=consumption)
+    repay = _crra_in_place(consumption, crra)
     feasible = np.zeros((y_size, b_size, 2, m), dtype=bool)
     feasible[:, :, 0, :b_size] = repay
     feasible[..., default_action] = True
-    reward = np.full((y_size, b_size, 2, m), -np.inf)
-    reward[:, :, 0, :b_size][repay] = crra_utility(consumption[repay], crra)
     reward[..., default_action] = crra_utility(haircut * y_grid, crra)[:, None, None]
     # Repaying moves to (jy, b', good).  Defaulting, from either standing,
-    # wipes the debt, haircuts consumption and re-enters at random.
-    iy, ib, ba = np.nonzero(repay)
+    # wipes the debt, haircuts consumption and re-enters at random.  Each
+    # stored row is one unit of y_size entries, over jy, or two for a
+    # default: kind ba < b_size repays into bonds ba, and kinds b_size and
+    # m are the halves of the default's (jy, standing) entries.
     jy = np.arange(y_size)
-    states = np.arange(n)
-    q_now = q[states // (2 * b_size)]
-    rows = np.concatenate(
-        [
-            np.repeat(state_index(iy, ib, 0) * m + ba, y_size),
-            np.repeat(states * m + default_action, 2 * y_size),
-        ]
-    )
-    cols = np.concatenate(
-        [
-            state_index(jy, ba[:, None], 0).reshape(-1),
-            np.tile(state_index(jy[:, None], zero_idx, np.arange(2)).reshape(-1), n),
-        ]
-    )
-    data = np.concatenate(
-        [
-            q[iy].reshape(-1),
-            np.stack([reentry * q_now, (1 - reentry) * q_now], axis=-1).reshape(-1),
-        ]
-    )
-    kernel = sp.csr_matrix((data, (rows, cols)), shape=(n * m, n))
+    repays = state_index(jy, np.arange(b_size)[:, None], 0)
+    columns = np.vstack([repays, state_index(jy[:, None], zero_idx, np.arange(2)).reshape(2, -1)])
+    counts = y_size * feasible.reshape(n, m)
+    counts[:, default_action] *= 2
+    units = np.ones((b_size, 2, m + 1), dtype=bool)  # the kinds each (bonds, standing) stores
+    units[:, 1, :b_size] = False
+
+    def chunks():
+        for iy in range(y_size):  # one income's states, rows and entries are contiguous
+            units[:, 0, :b_size] = repay[iy]
+            kinds = np.nonzero(units)[-1]
+            default = np.stack([reentry * q[iy], (1 - reentry) * q[iy]], axis=-1).reshape(2, -1)
+            yield np.vstack([np.broadcast_to(q[iy], (b_size, y_size)), default])[kinds], columns[kinds]
+
+    kernel = _csr(counts.reshape(-1), n, chunks())
     feasible, reward = feasible.reshape(n, m), reward.reshape(n, m)
     mdp_model = dp.MDPModel(feasible=feasible, reward=reward, kernel=kernel, beta=beta)
     return {
@@ -946,6 +996,7 @@ def ct_inventory_restock(alpha=0.7, capacity=10, rate=0.5):
     units; when stock runs out, the next event restores it to
     ``capacity``.
     """
+    capacity = _whole(capacity, "capacity")
     n = capacity + 1
     pi = np.zeros((n, n))
     pi[0, capacity] = 1.0

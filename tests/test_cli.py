@@ -1160,3 +1160,31 @@ def test_spectral_takes_no_format(tmp_path, capsys):
     assert info.value.code == 2
     assert "unrecognized arguments: --format csv" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+BUILDER_INPUTS = {
+    # d_max served as an array index (IndexError, exit 1).
+    "inventory_mdp d_max=0.5": ("solve", "inventory_mdp", "d_max=0.5", "d_max must be a nonnegative integer, got 0.5"),
+    "inventory_mdp d_max=-0.5": ("solve", "inventory_mdp", "d_max=-0.5", "d_max must be a nonnegative integer, got -0.5"),
+    "inventory_sdd d_max=1.5": ("solve", "inventory_sdd", "d_max=1.5", "d_max must be a nonnegative integer, got 1.5"),
+    # capacity = -1 indexed an empty jump matrix (IndexError, exit 1).
+    "ct_inventory_restock capacity=-1": (
+        "simulate", "ct_inventory_restock", "capacity=-1", "capacity must be a nonnegative integer, got -1"
+    ),
+    # A non-finite price or bond bound built a model from inf * 0 and solved it (exit 0).
+    "optimal_default q_price=inf": ("solve", "optimal_default", "q_price=Infinity", "q_price must be finite, got inf"),
+    "optimal_default b_min=-inf": ("solve", "optimal_default", "b_min=-Infinity", "b_min must be finite, got -inf"),
+    "optimal_default b_max=inf": ("solve", "optimal_default", "b_max=Infinity", "b_max must be finite, got inf"),
+    "optimal_default b_max=nan": ("solve", "optimal_default", "b_max=NaN", "b_max must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILDER_INPUTS))
+def test_builder_input_out_of_its_domain_exits_2_and_names_it(tmp_path, capsys, case):
+    verb, name, override, message = BUILDER_INPUTS[case]
+    cfg = write_config(tmp_path, "cfg.json", {"model": name, "overrides": ZOO.get(name).ci_overrides})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([verb, "--config", cfg, "--override", override, "--out", tmp_path / "x"]) == 2
+    assert f"bad override for {name!r}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
