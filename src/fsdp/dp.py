@@ -1,6 +1,6 @@
 """Markov decision processes with constant or state-dependent discounting.
 
-Transitions sit behind one kernel protocol: ``expect(v, discounted)``
+Transitions sit behind one kernel protocol: ``expect(v, discounted, out)``
 gives the ``(n, m)`` expectations, ``grid(v)`` the discounted ones as a
 flat array in which ``pair_index(states, actions)`` finds each pair,
 ``policy_operator(sigma)`` gives the map ``v -> L_sigma v`` and
@@ -146,8 +146,11 @@ class Flat:
     def pair_index(self, states, actions):
         return states * self.shape[1] + actions
 
-    def expect(self, v, discounted):
-        return self.grid(v, discounted).reshape(self.shape)
+    def expect(self, v, discounted, out=None):
+        source = self._source(discounted)
+        if out is None or spectral.issparse(source):  # a sparse product has no ``out``
+            return self.grid(v, discounted).reshape(self.shape)
+        return np.matmul(source, v, out=out.reshape(-1)).reshape(self.shape)
 
     def policy_matrix(self, sigma, discounted):
         return self._source(discounted)[self.pair_index(np.arange(self.shape[0]), sigma)]
@@ -230,12 +233,14 @@ class Factored:
         e, z = np.divmod(states, n_z)
         return (actions if self.endogenous is None else e * m + actions) * n_z + z
 
-    def expect(self, v, discounted):
+    def expect(self, v, discounted, out=None):
         n_e, n_z, m = self.shape
         w = self.grid(v, discounted)
-        if self.endogenous is None:
-            return np.tile(w.reshape(m, n_z).T, (n_e, 1))
-        return w.reshape(n_e, m, n_z).transpose(0, 2, 1).reshape(n_e * n_z, m)
+        out = np.empty((n_e * n_z, m)) if out is None else out
+        # Without a kernel every endogenous state sees the same (z, a) table.
+        rows = w.reshape(m, n_z).T if self.endogenous is None else w.reshape(n_e, m, n_z).transpose(0, 2, 1)
+        out.reshape(n_e, n_z, m)[...] = rows
+        return out
 
     def policy_operator(self, sigma):
         n_e, n_z, _ = self.shape
@@ -413,18 +418,19 @@ def policy_reward(model, sigma):
     return model.reward[np.arange(model.n_states), sigma]
 
 
-def expected_values(model, v, discounted=True):
+def expected_values(model, v, discounted=True, out=None):
     """Per state-action pair expectation of ``v``, shaped ``(n, m)``.
 
     With ``discounted=True`` the expectation embeds the discount factor,
-    which is the form used by the Bellman operator.
+    which is the form used by the Bellman operator.  A dense or factored
+    kernel writes it into ``out`` when given; use the returned array.
     """
-    return model.transitions.expect(np.asarray(v, dtype=float), discounted)
+    return model.transitions.expect(np.asarray(v, dtype=float), discounted, out)
 
 
-def q_factors(model, v):
-    """Action values ``r(x, a) + E[discounted v]`` on feasible pairs, as a fresh ``(n, m)`` array."""
-    q = expected_values(model, v)
+def q_factors(model, v, out=None):
+    """Action values ``r(x, a) + E[discounted v]`` on feasible pairs, as a fresh ``(n, m)`` array (or ``out``)."""
+    q = expected_values(model, v, out=out)
     q += model.reward
     return q
 
@@ -453,13 +459,14 @@ def greedy(model, v, mode="max"):
     return _improve(model, v, mode)[0]
 
 
-def _improve(model, v, mode):
+def _improve(model, v, mode, out=None):
     """``(greedy(model, v, mode), bellman(model, v, mode))`` from one sweep.
 
-    One fresh ``(n, m)`` array per sweep: a second one alive at the same
-    time makes the allocator return and refault its pages on every sweep.
+    One ``(n, m)`` array per sweep, fresh or the caller's ``out``: a second
+    one alive at the same time makes the allocator return and refault its
+    pages on every sweep.
     """
-    return _select(q_factors(model, v), model.feasible, mode)
+    return _select(q_factors(model, v, out), model.feasible, mode)
 
 
 def policy_apply(model, sigma, v):
@@ -638,10 +645,10 @@ def _finish(v, sigma, tv, iterations, method, error_bound=None, history=None, pr
     )
 
 
-def _start_policy(model, sigma0, mode):
+def _start_policy(model, sigma0, mode, out=None):
     """``sigma0`` as an index array, or the myopic (best-reward) policy, greedy at zero, if None."""
     if sigma0 is None:
-        return greedy(model, np.zeros(model.n_states), mode)
+        return _improve(model, np.zeros(model.n_states), mode, out)[0]
     return np.asarray(sigma0, dtype=np.int64)
 
 
@@ -773,14 +780,17 @@ def solve_hpi(model, sigma0=None, mode="max", max_iter=10_000, dominating=None):
     tested again, so the stop, the value and its ``error_bound`` (the
     certified bound on ``||v - v_sigma||_inf``) are exact evaluation's.
     The stability certificate is checked once, before the first
-    evaluation; the iteration cap is defensive only.
+    evaluation; the iteration cap is defensive only.  Every improvement
+    writes its action values into one ``(n, m)`` table, whose pages are
+    faulted in once, whatever the allocator did before the solve.
     """
     certify_stability(model, dominating)
     tally, x0, forcing, system, bound = [0], None, None, None, None
+    table = np.empty(model.feasible.shape)
 
     def improve(v):
         nonlocal x0, forcing
-        sigma, tv = _improve(model, v, mode)
+        sigma, tv = _improve(model, v, mode, table)
         x0, forcing = v, ETA * np.max(np.abs(tv - v)) / max(1.0, np.max(np.abs(tv)))
         return sigma
 
@@ -796,9 +806,9 @@ def solve_hpi(model, sigma0=None, mode="max", max_iter=10_000, dominating=None):
         return v
 
     v, k = fixed_point.policy_iteration(
-        improve, evaluate, _start_policy(model, sigma0, mode), max_iter, refine
+        improve, evaluate, _start_policy(model, sigma0, mode, table), max_iter, refine
     )
-    return _finish(v, *_improve(model, v, mode), k, "hpi", bound, products=tally[0])
+    return _finish(v, *_improve(model, v, mode, table), k, "hpi", bound, products=tally[0])
 
 
 def solve_opi(

@@ -5,7 +5,9 @@ Each builder that writes its kernel or its rewards in place is traced by
 the built dictionary keeps by at most half.  Before, CSR kernels went
 through COO on concatenated int64 arrays and reward tables through
 several ``(n, m)`` temporaries, and the peaks were 1.9 to 3.6 times what
-was kept at ten times the default sizes.
+was kept at ten times the default sizes.  Since no build now leaves an
+``(n, m)`` block free for the solve, HPI writes its action values into
+one table of its own.
 """
 
 import tracemalloc
@@ -81,3 +83,22 @@ def test_whole_number_float_demand_bound_builds_as_its_integer():
     as_int = models.inventory_mdp(K=5, d_max=4)["mdp"]
     assert np.array_equal(as_float.reward, as_int.reward)
     assert np.array_equal(as_float.kernel, as_int.kernel)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("firm_hiring", {"l_size": 20, "z_size": 10}),  # factored, the action is the next index
+    ("inventory_sdd", {}),  # flat and dense
+])
+def test_hpi_writes_every_improvement_into_one_table(monkeypatch, name, overrides):
+    # A fresh (n, m) table per improvement, after the build left no such
+    # block free, is faulted in twice: mapped and returned, then taken
+    # from the heap.  One table is faulted in once.
+    model, tables, select = ZOO[name].build(**overrides)["mdp"], set(), dp._select
+
+    def recording(q, feasible, mode):
+        tables.add(q.__array_interface__["data"][0])
+        return select(q, feasible, mode)
+
+    monkeypatch.setattr(dp, "_select", recording)
+    assert dp.solve_hpi(model).iterations >= 2
+    assert len(tables) == 1
